@@ -1,21 +1,18 @@
 // Megascale demand-engine / federation benchmark (ROADMAP: "1M bidders,
 // 100+ shards, as fast as the hardware allows").
 //
-// Four sections, written to BENCH_megascale.json:
+// Three sections, written to --out (default BENCH_megascale.json in the
+// working directory):
 //   1. kernel_sweep — dense-bundle full-collection microbench across
 //      every kernel compiled into this binary (auction/kernels.h).
 //      Decisions must be identical to the scalar oracle; end-to-end
 //      settled prices must agree within the pairwise-summation error
 //      bound. Records the speedup of each kernel over scalar.
-//   2. pipeline — epoch wall time with FederationConfig::pipelined off
-//      vs on, plus the byte-identity gates: pipelined=off must match a
-//      plain RunEpoch loop (the pre-pipeline path) and pipelined=on must
-//      match pipelined=off, both compared on the telemetry registry's
-//      deterministic metrics JSON.
-//   3. thread_scaling — epoch wall time across shard-pool sizes, with
-//      the metrics JSON asserted byte-identical across thread counts.
-//      Stamped invalid_on_single_vcpu (bench_meta.h).
-//   4. megascale_epoch — the headline run: B bidders split over S shards
+//   2. thread_scaling — epoch wall time across shard-pool sizes, with
+//      the telemetry registry's deterministic metrics JSON asserted
+//      byte-identical across thread counts. Stamped
+//      invalid_on_single_vcpu (bench_meta.h).
+//   3. megascale_epoch — the headline run: B bidders split over S shards
 //      (defaults 1,000,000 x 100) clear one epoch; every shard must
 //      converge, every award must conserve units (awarded = placed +
 //      refunded under refund_unplaced), and a rerun must reproduce the
@@ -24,19 +21,22 @@
 // Usage:
 //   bench_megascale [--smoke] [--threads N] [--kernel K]
 //                   [--bidders B] [--shards S] [--epochs E]
-//                   [--chrome-trace-out FILE]
+//                   [--chrome-trace-out FILE] [--out FILE]
 //
 // --smoke shrinks every section to CI size and turns the correctness
 // gates into the exit code: 1 = a vectorized kernel ran slower than
 // scalar on the dense microbench, 2 = a byte-identity gate failed,
 // 3 = the megascale epoch failed convergence/conservation. The full run
 // applies the same gates (a broken artifact should not look healthy).
+// A --smoke run refuses (exit 73, before any work) to overwrite an --out
+// file that holds a full-size document, so a smoke run from the repo
+// root cannot clobber the committed full-size baseline.
 //
-// --chrome-trace-out arms the profiler's wall-clock channel on the
-// pipelined federation of section 2 and writes its chrome://tracing
-// JSON (one track per shard plus the federation track with the
-// pipeline-window wait/barrier spans). The wall channel never touches
-// the deterministic metrics documents, so the byte-identity gates run
+// --chrome-trace-out arms the profiler's wall-clock channel on the first
+// federation of section 2 and writes its chrome://tracing JSON (one
+// track per shard plus the federation track with the epoch, route and
+// barrier spans). The wall channel never touches the deterministic
+// metrics documents, so the cross-thread byte-identity gate runs
 // unchanged with it armed — which is itself part of the contract.
 #include <algorithm>
 #include <chrono>
@@ -44,7 +44,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -272,8 +274,7 @@ std::vector<KernelResult> RunKernelSweep(int users, int pools, int reps,
 
 pm::federation::FederatedExchange BuildFederation(
     std::size_t shards, int bidders_per_shard, std::size_t num_threads,
-    bool pipelined, const std::string& kernel,
-    bool wall_profiler = false) {
+    const std::string& kernel, bool wall_profiler = false) {
   std::vector<pm::federation::ShardSpec> specs;
   for (std::size_t k = 0; k < shards; ++k) {
     pm::federation::ShardSpec spec;
@@ -297,16 +298,38 @@ pm::federation::FederatedExchange BuildFederation(
   pm::federation::FederationConfig config;
   config.seed = 20090425;
   config.num_threads = num_threads;
-  config.pipelined = pipelined;
   config.telemetry.enabled = true;
   // Wall channel only: spans + chrome trace, never the deterministic
-  // metrics document (the byte-identity gates below prove it).
+  // metrics document (the cross-thread byte-identity gate proves it).
   config.telemetry.profiler.wall_clock = wall_profiler;
   return pm::federation::FederatedExchange(std::move(specs), config);
 }
 
 std::string MetricsOf(const pm::federation::FederatedExchange& fed) {
   return fed.telemetry() != nullptr ? fed.telemetry()->MetricsJson() : "";
+}
+
+/// Runs `epochs` epochs and returns the mean wall time per epoch.
+double MsPerEpoch(pm::federation::FederatedExchange& fed, int epochs) {
+  const auto t0 = Clock::now();
+  for (int e = 0; e < epochs; ++e) fed.RunEpoch();
+  return MillisSince(t0) / epochs;
+}
+
+/// True when `path` holds a full-size megascale document
+/// (`metadata.smoke` false) — a baseline a smoke run must not replace.
+bool HoldsFullSizeDocument(const std::string& path) {
+  std::ifstream in(path);
+  if (!in) return false;
+  std::ostringstream contents;
+  contents << in.rdbuf();
+  const std::string doc = contents.str();
+  const std::size_t meta = doc.find("\"metadata\"");
+  if (meta == std::string::npos) return false;
+  std::size_t at = doc.find("\"smoke\":", meta);
+  if (at == std::string::npos) return false;
+  at = doc.find_first_not_of(" \t\n", at + std::strlen("\"smoke\":"));
+  return at != std::string::npos && doc.compare(at, 5, "false") == 0;
 }
 
 // ------------------------------------------------------------- JSON --
@@ -327,6 +350,7 @@ int main(int argc, char** argv) {
   bool smoke = false;
   std::string kernel_flag;
   std::string chrome_trace_out;
+  std::string out_path = "BENCH_megascale.json";
   long long bidders = 1000000;
   std::size_t shards = 100;
   int epochs = 1;
@@ -345,13 +369,23 @@ int main(int argc, char** argv) {
       epochs = std::max(1, std::atoi(argv[++i]));
     } else if (arg == "--chrome-trace-out" && i + 1 < argc) {
       chrome_trace_out = argv[++i];
+    } else if (arg == "--out" && i + 1 < argc) {
+      out_path = argv[++i];
     } else {
       std::fprintf(stderr,
                    "usage: bench_megascale [--smoke] [--threads N] "
                    "[--kernel K] [--bidders B] [--shards S] "
-                   "[--epochs E] [--chrome-trace-out FILE]\n");
+                   "[--epochs E] [--chrome-trace-out FILE] "
+                   "[--out FILE]\n");
       return 64;
     }
+  }
+  if (smoke && HoldsFullSizeDocument(out_path)) {
+    std::fprintf(stderr,
+                 "refusing to overwrite full-size document %s with smoke "
+                 "output; pass --out elsewhere\n",
+                 out_path.c_str());
+    return 73;
   }
   if (!kernel_flag.empty() &&
       !pm::auction::ParseKernel(kernel_flag).has_value()) {
@@ -403,76 +437,16 @@ int main(int argc, char** argv) {
     exit_code = 1;
   }
 
-  // 2. Pipeline gates + timing. The three federations are built
-  //    identically; only the epoch driver differs.
+  // 2. Thread scaling of the epoch loop, metrics asserted
+  //    byte-identical across thread counts. The chrome trace rides the
+  //    first run on purpose: only that federation arms the wall channel,
+  //    so a wall channel that perturbed deterministic exports would
+  //    break the cross-thread gate.
   const std::size_t gate_shards = smoke ? 4 : std::min<std::size_t>(shards, 16);
   const int gate_bidders = smoke ? 100 : std::min(per_shard, 500);
   const int gate_epochs = smoke ? 2 : std::max(epochs, 3);
-  std::printf("pipeline gates: %zu shards x %d bidders, %d epochs...\n",
+  std::printf("thread scaling: %zu shards x %d bidders, %d epochs...\n",
               gate_shards, gate_bidders, gate_epochs);
-  double serial_ms = 0.0, pipelined_ms = 0.0;
-  std::string metrics_loop, metrics_off, metrics_on;
-  {
-    pm::federation::FederatedExchange fed = BuildFederation(
-        gate_shards, gate_bidders, pool_threads, false, kernel_flag);
-    for (int e = 0; e < gate_epochs; ++e) fed.RunEpoch();
-    metrics_loop = MetricsOf(fed);
-  }
-  {
-    pm::federation::FederatedExchange fed = BuildFederation(
-        gate_shards, gate_bidders, pool_threads, false, kernel_flag);
-    const auto t0 = Clock::now();
-    fed.RunEpochs(gate_epochs);
-    serial_ms = MillisSince(t0) / gate_epochs;
-    metrics_off = MetricsOf(fed);
-  }
-  {
-    // The chrome trace rides the byte-identity gate run on purpose: if
-    // the wall channel perturbed deterministic exports, on_matches_off
-    // below would catch it.
-    pm::federation::FederatedExchange fed = BuildFederation(
-        gate_shards, gate_bidders, pool_threads, true, kernel_flag,
-        /*wall_profiler=*/!chrome_trace_out.empty());
-    const auto t0 = Clock::now();
-    fed.RunEpochs(gate_epochs);
-    pipelined_ms = MillisSince(t0) / gate_epochs;
-    metrics_on = MetricsOf(fed);
-    if (!chrome_trace_out.empty()) {
-      const std::string trace =
-          fed.telemetry()->profiler()->ChromeTraceJson();
-      std::FILE* tf = std::fopen(chrome_trace_out.c_str(), "w");
-      if (tf == nullptr ||
-          std::fwrite(trace.data(), 1, trace.size(), tf) != trace.size()) {
-        std::fprintf(stderr, "cannot write %s\n",
-                     chrome_trace_out.c_str());
-        if (tf != nullptr) std::fclose(tf);
-        return 74;
-      }
-      std::fclose(tf);
-      std::printf("  wrote %s (%zu bytes)\n", chrome_trace_out.c_str(),
-                  trace.size());
-    }
-  }
-  const bool off_matches_loop = metrics_off == metrics_loop;
-  const bool on_matches_off = metrics_on == metrics_off;
-  if (!off_matches_loop) {
-    std::fprintf(stderr,
-                 "FAIL: RunEpochs(pipelined=off) diverged byte-wise from "
-                 "the plain RunEpoch loop\n");
-    exit_code = 2;
-  }
-  if (!on_matches_off) {
-    std::fprintf(stderr,
-                 "FAIL: pipelined=on metrics diverged byte-wise from "
-                 "pipelined=off\n");
-    exit_code = 2;
-  }
-  std::printf("  epoch ms: serial %.1f, pipelined %.1f (%.2fx)\n",
-              serial_ms, pipelined_ms,
-              pipelined_ms > 0.0 ? serial_ms / pipelined_ms : 0.0);
-
-  // 3. Thread scaling of the pipelined epoch loop, metrics asserted
-  //    byte-identical across thread counts.
   std::vector<std::pair<std::size_t, double>> scaling;
   {
     std::vector<std::size_t> counts = {1, 2, 4, 8};
@@ -480,11 +454,25 @@ int main(int argc, char** argv) {
     if (smoke) counts.resize(std::min<std::size_t>(counts.size(), 2));
     std::string metrics_first;
     for (const std::size_t t : counts) {
+      const bool trace = scaling.empty() && !chrome_trace_out.empty();
       pm::federation::FederatedExchange fed = BuildFederation(
-          gate_shards, gate_bidders, t, true, kernel_flag);
-      const auto t0 = Clock::now();
-      fed.RunEpochs(gate_epochs);
-      scaling.emplace_back(t, MillisSince(t0) / gate_epochs);
+          gate_shards, gate_bidders, t, kernel_flag, trace);
+      scaling.emplace_back(t, MsPerEpoch(fed, gate_epochs));
+      if (trace) {
+        const std::string json =
+            fed.telemetry()->profiler()->ChromeTraceJson();
+        std::FILE* tf = std::fopen(chrome_trace_out.c_str(), "w");
+        if (tf == nullptr ||
+            std::fwrite(json.data(), 1, json.size(), tf) != json.size()) {
+          std::fprintf(stderr, "cannot write %s\n",
+                       chrome_trace_out.c_str());
+          if (tf != nullptr) std::fclose(tf);
+          return 74;
+        }
+        std::fclose(tf);
+        std::printf("  wrote %s (%zu bytes)\n", chrome_trace_out.c_str(),
+                    json.size());
+      }
       const std::string metrics = MetricsOf(fed);
       if (metrics_first.empty()) {
         metrics_first = metrics;
@@ -501,7 +489,7 @@ int main(int argc, char** argv) {
     std::printf("  threads=%zu epoch %.1f ms\n", t, ms);
   }
 
-  // 4. The megascale epoch itself.
+  // 3. The megascale epoch itself.
   std::printf("megascale epoch: %lld bidders over %zu shards "
               "(%d per shard)...\n",
               static_cast<long long>(per_shard) * shards, shards,
@@ -511,12 +499,11 @@ int main(int argc, char** argv) {
   bool mega_conserved = true;
   bool mega_reproducible = true;
   long long mega_rounds = 0;
+  std::string mega_metrics;
   {
-    pm::federation::FederatedExchange fed = BuildFederation(
-        shards, per_shard, pool_threads, true, kernel_flag);
-    const auto t0 = Clock::now();
-    fed.RunEpochs(epochs);
-    mega_epoch_ms = MillisSince(t0) / epochs;
+    pm::federation::FederatedExchange fed =
+        BuildFederation(shards, per_shard, pool_threads, kernel_flag);
+    mega_epoch_ms = MsPerEpoch(fed, epochs);
     const pm::federation::FederationReport& report = fed.History().back();
     for (const pm::federation::ShardEpochSummary& shard : report.shards) {
       mega_converged = mega_converged && shard.report.converged;
@@ -529,12 +516,16 @@ int main(int argc, char** argv) {
         mega_conserved = mega_conserved && gap <= 1e-6;
       }
     }
-    const std::string metrics_a = MetricsOf(fed);
-    // Rerun at a different pool size: byte-identical metrics or bust.
-    pm::federation::FederatedExchange fed2 = BuildFederation(
-        shards, per_shard, pool_threads == 1 ? 2 : 1, true, kernel_flag);
-    fed2.RunEpochs(epochs);
-    mega_reproducible = MetricsOf(fed2) == metrics_a;
+    mega_metrics = MetricsOf(fed);
+  }
+  {
+    // Rerun at a different pool size, after the first federation is
+    // freed so peak memory holds one planet: byte-identical metrics or
+    // bust.
+    pm::federation::FederatedExchange fed = BuildFederation(
+        shards, per_shard, pool_threads == 1 ? 2 : 1, kernel_flag);
+    MsPerEpoch(fed, epochs);
+    mega_reproducible = MetricsOf(fed) == mega_metrics;
   }
   if (!mega_converged || !mega_conserved || !mega_reproducible) {
     std::fprintf(stderr,
@@ -551,9 +542,9 @@ int main(int argc, char** argv) {
               mega_reproducible ? "yes" : "NO");
 
   // ------------------------------------------------------------- JSON --
-  std::FILE* f = std::fopen("BENCH_megascale.json", "w");
+  std::FILE* f = std::fopen(out_path.c_str(), "w");
   if (f == nullptr) {
-    std::fprintf(stderr, "cannot write BENCH_megascale.json\n");
+    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
     return exit_code != 0 ? exit_code : 74;
   }
   std::fprintf(f,
@@ -585,23 +576,6 @@ int main(int argc, char** argv) {
                  i + 1 < kernels.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
-  std::fprintf(f,
-               "  \"pipeline\": {\n"
-               "    \"section_meta\": %s,\n"
-               "    \"shards\": %zu,\n"
-               "    \"bidders_per_shard\": %d,\n"
-               "    \"epochs\": %d,\n"
-               "    \"epoch_ms_serial\": %.3f,\n"
-               "    \"epoch_ms_pipelined\": %.3f,\n"
-               "    \"overlap_speedup\": %.3f,\n"
-               "    \"off_matches_pre_pipeline_loop\": %s,\n"
-               "    \"on_matches_off\": %s\n  },\n",
-               pm::SectionHostJson(/*needs_parallelism=*/true).c_str(),
-               gate_shards, gate_bidders, gate_epochs, serial_ms,
-               pipelined_ms,
-               pipelined_ms > 0.0 ? serial_ms / pipelined_ms : 0.0,
-               off_matches_loop ? "true" : "false",
-               on_matches_off ? "true" : "false");
   std::fprintf(f, "  \"thread_scaling_meta\": %s,\n",
                pm::SectionHostJson(/*needs_parallelism=*/true).c_str());
   std::fprintf(f, "  \"thread_scaling\": [\n");
@@ -626,6 +600,6 @@ int main(int argc, char** argv) {
                mega_conserved ? "true" : "false",
                mega_reproducible ? "true" : "false");
   std::fclose(f);
-  std::printf("wrote BENCH_megascale.json\n");
+  std::printf("wrote %s\n", out_path.c_str());
   return exit_code;
 }

@@ -73,14 +73,9 @@ SPECS = {
             "metadata.bidders",
             "metadata.shards",
             "metadata.epochs",
-            "pipeline.shards",
-            "pipeline.bidders_per_shard",
-            "pipeline.epochs",
         ],
         "invariants": [
             "kernel_sweep[*].decisions_identical",
-            "pipeline.off_matches_pre_pipeline_loop",
-            "pipeline.on_matches_off",
             "megascale_epoch.all_converged",
             "megascale_epoch.conservation_ok",
             "megascale_epoch.metrics_reproducible",
@@ -91,15 +86,9 @@ SPECS = {
         "work": [("megascale_epoch.auction_rounds", 1e-6)],
         "wall": [
             ("kernel_sweep[*].dot_ms", 0.5),
-            ("pipeline.epoch_ms_serial", 0.5),
-            ("pipeline.epoch_ms_pipelined", 0.5),
             ("megascale_epoch.epoch_ms", 0.5),
         ],
-        "wall_guards": [
-            "metadata.host.single_vcpu",
-            "pipeline.section_meta.invalid_on_single_vcpu",
-            "pipeline.section_meta.single_vcpu_host",
-        ],
+        "wall_guards": ["metadata.host.single_vcpu"],
     },
     "federated_exchange": {
         "signature": [
@@ -345,7 +334,7 @@ def append_trajectory(path, benchmark, fresh, gate):
 # ------------------------------------------------------------ self-test --
 
 
-def synthetic_megascale(rounds, converged, serial_ms):
+def synthetic_megascale(rounds, converged, epoch_ms):
     return {
         "benchmark": "megascale",
         "metadata": {
@@ -365,18 +354,8 @@ def synthetic_megascale(rounds, converged, serial_ms):
             {"kernel": "avx2", "dot_ms": 4.0,
              "decisions_identical": True},
         ],
-        "pipeline": {
-            "section_meta": {"invalid_on_single_vcpu": False},
-            "shards": 4,
-            "bidders_per_shard": 100,
-            "epochs": 2,
-            "epoch_ms_serial": serial_ms,
-            "epoch_ms_pipelined": serial_ms * 0.8,
-            "off_matches_pre_pipeline_loop": True,
-            "on_matches_off": True,
-        },
         "megascale_epoch": {
-            "epoch_ms": 100.0,
+            "epoch_ms": epoch_ms,
             "auction_rounds": rounds,
             "all_converged": converged,
             "conservation_ok": True,
@@ -387,7 +366,7 @@ def synthetic_megascale(rounds, converged, serial_ms):
 
 def self_test():
     baseline = synthetic_megascale(rounds=1000, converged=True,
-                                   serial_ms=100.0)
+                                   epoch_ms=100.0)
     cases = [
         # (description, fresh document, expect_pass)
         ("within-band run passes",

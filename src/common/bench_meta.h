@@ -31,8 +31,8 @@ HostMetadata CollectHostMetadata();
 unsigned ParseThreadsFlag(int* argc, char** argv, unsigned fallback);
 
 /// Per-section host stamp for bench sections whose numbers are only
-/// meaningful on real parallel hardware (thread scaling, pipelined
-/// overlap). Unlike the top-level host caveat string, the flag is
+/// meaningful on real parallel hardware (thread scaling, concurrent
+/// shard auctions). Unlike the top-level host caveat string, the flag is
 /// explicit and machine-readable:
 ///   {"invalid_on_single_vcpu": true, "single_vcpu_host": false,
 ///    "hardware_concurrency": 8}

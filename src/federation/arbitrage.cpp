@@ -50,23 +50,11 @@ double ComputeClearingSpread(
     const FederationReport& report,
     const std::vector<const cluster::Fleet*>& fleets) {
   PM_CHECK(report.shards.size() == fleets.size());
-  std::vector<const PoolRegistry*> registries;
   std::vector<std::vector<double>> capacities;
-  registries.reserve(fleets.size());
   capacities.reserve(fleets.size());
   for (const cluster::Fleet* fleet : fleets) {
-    registries.push_back(&fleet->registry());
     capacities.push_back(fleet->CapacityVector());
   }
-  return ComputeClearingSpread(report, registries, capacities);
-}
-
-double ComputeClearingSpread(
-    const FederationReport& report,
-    const std::vector<const PoolRegistry*>& registries,
-    const std::vector<std::vector<double>>& capacities) {
-  PM_CHECK(report.shards.size() == registries.size() &&
-           report.shards.size() == capacities.size());
   double total = 0.0;
   int kinds = 0;
   for (ResourceKind kind : kAllResourceKinds) {
@@ -75,7 +63,8 @@ double ComputeClearingSpread(
     int priced = 0;
     for (std::size_t k = 0; k < report.shards.size(); ++k) {
       const double p = ArbitrageAgent::KindPrice(
-          report.shards[k].report, *registries[k], capacities[k], kind);
+          report.shards[k].report, fleets[k]->registry(), capacities[k],
+          kind);
       if (std::isnan(p) || p <= 0.0) continue;
       lo = std::min(lo, p);
       hi = std::max(hi, p);

@@ -110,18 +110,6 @@ double ComputeClearingSpread(
     const FederationReport& report,
     const std::vector<const cluster::Fleet*>& fleets);
 
-/// Same spread over pre-captured per-shard capacity vectors instead of
-/// live fleet reads. The pipelined federation barrier uses this: epoch
-/// e's spread is measured while shard auctions for e+1 are already
-/// mutating fleet free-capacity state, but total capacities (what
-/// KindPrice filters on) only change under migrations, which the
-/// pipeline excludes — so capturing them once at pipeline start is
-/// exact, and the barrier never touches live shard state.
-double ComputeClearingSpread(
-    const FederationReport& report,
-    const std::vector<const PoolRegistry*>& registries,
-    const std::vector<std::vector<double>>& capacities);
-
 /// The planet-wide arbitrage bidder.
 class ArbitrageAgent {
  public:

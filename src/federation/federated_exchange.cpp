@@ -1,13 +1,8 @@
 #include "federation/federated_exchange.h"
 
 #include <algorithm>
-#include <array>
-#include <chrono>
 #include <cmath>
-#include <condition_variable>
 #include <exception>
-#include <functional>
-#include <mutex>
 #include <utility>
 
 #include "common/check.h"
@@ -332,205 +327,6 @@ FederationReport FederatedExchange::RunEpoch() {
   return RunEpochInternal(epoch);
 }
 
-void FederatedExchange::RunEpochs(const int n) {
-  PM_CHECK_MSG(n >= 0, "RunEpochs needs a non-negative epoch count");
-  if (n > 1 && CanPipeline()) {
-    RunEpochsPipelined(n);
-    return;
-  }
-  for (int i = 0; i < n; ++i) RunEpoch();
-}
-
-bool FederatedExchange::CanPipeline() const {
-  if (!config_.pipelined || pool_ == nullptr) return false;
-  // Every epoch-barrier phase that writes shard state (or reads state the
-  // overlapped auctions mutate) forces the serial loop: supervision
-  // (checkpoints + restores), the treasury (endowments + sweeps),
-  // arbitrage (external bids), the rebalancer (cluster migrations), a
-  // routing pass (external bids), and fault injection (the pipelined
-  // shard task skips the injection checks).
-  if (config_.supervisor.enabled) return false;
-  if (treasury_ != nullptr || arbitrage_ != nullptr ||
-      rebalancer_ != nullptr) {
-    return false;
-  }
-  if (!pending_.empty()) return false;
-  // Wall-clock epoch timing brackets the whole serial epoch; there is no
-  // faithful equivalent once collections overlap barriers.
-  if (telemetry_ != nullptr && config_.telemetry.wall_clock_timings) {
-    return false;
-  }
-  for (const char f : inject_fail_) {
-    if (f != 0) return false;
-  }
-  for (const int b : inject_round_budget_) {
-    if (b >= 0) return false;
-  }
-  return true;
-}
-
-void FederatedExchange::RunEpochsPipelined(const int n) {
-  const int e0 = EpochCount();
-  const int e_end = e0 + n;
-
-  // Captured once: pool registries are append-only and total capacities
-  // only change under migrations, which CanPipeline() excludes — so the
-  // barrier's clearing-spread pass never reads live shard state.
-  std::vector<const PoolRegistry*> registries;
-  std::vector<std::vector<double>> capacities;
-  registries.reserve(shards_.size());
-  capacities.reserve(shards_.size());
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    registries.push_back(&shard->world.fleet.registry());
-    capacities.push_back(shard->world.fleet.CapacityVector());
-  }
-
-  // Double-buffered per-shard summaries, keyed by epoch parity. A shard
-  // task for epoch e writes buffers[e & 1][k]; the barrier for epoch e
-  // swaps that whole vector out under the lock. Reusing a parity slot
-  // for epoch e + 2 is safe because the scheduling window below only
-  // admits epoch e + 2 after barrier e has committed (barrier_done >= e),
-  // i.e. after the slot was swapped out.
-  std::mutex mu;
-  std::condition_variable cv;
-  std::array<std::vector<ShardEpochSummary>, 2> buffers;
-  for (std::vector<ShardEpochSummary>& buffer : buffers) {
-    buffer.resize(shards_.size());
-  }
-  std::vector<int> done_epoch(shards_.size(), e0 - 1);
-  std::vector<int> next_epoch(shards_.size(), e0);
-  std::vector<char> parked(shards_.size(), 0);
-  int barrier_done = e0 - 1;
-  int running = 0;
-  std::exception_ptr first_error;
-
-  // One in-flight task per shard, repost-scheduled: a task clears ONE
-  // epoch for ONE shard and never blocks, so the pipeline cannot
-  // deadlock however few worker threads the pool has. When a shard runs
-  // out of window (epoch e + 3 before barrier e + 1 commits) it parks;
-  // the barrier unparks it. Every notify happens while holding the
-  // mutex, so the main thread cannot observe the final state change,
-  // return, and destroy `cv` while a task is still about to signal it.
-  std::function<void(std::size_t, int)> collect =
-      [&](const std::size_t k, const int e) {
-        try {
-          ShardEpochSummary summary;
-          summary.shard = k;
-          summary.name = shards_[k]->name;
-          summary.report = shards_[k]->market->RunAuction();
-          std::lock_guard<std::mutex> lock(mu);
-          buffers[e & 1][k] = std::move(summary);
-          done_epoch[k] = e;
-          const int next = e + 1;
-          next_epoch[k] = next;
-          if (first_error == nullptr && next < e_end &&
-              next <= barrier_done + 2) {
-            pool_->Post([&collect, k, next] { collect(k, next); });
-          } else {
-            parked[k] = 1;
-            --running;
-          }
-          cv.notify_all();
-        } catch (...) {
-          std::lock_guard<std::mutex> lock(mu);
-          if (first_error == nullptr) {
-            first_error = std::current_exception();
-          }
-          parked[k] = 1;
-          --running;
-          cv.notify_all();
-        }
-      };
-
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    for (std::size_t k = 0; k < shards_.size(); ++k) {
-      ++running;
-      pool_->Post([&collect, k, e0] { collect(k, e0); });
-    }
-  }
-
-  // Profiler wall channel: pipeline-window spans live here and ONLY
-  // here — occupancy (shards already collecting ahead of the barrier)
-  // and bubble (barrier wait) are scheduling-dependent, so they never
-  // enter the deterministic channel (the pipelined-vs-serial metrics
-  // byte-identity gate pins that).
-  telemetry::PhaseProfiler* prof =
-      telemetry_ != nullptr && config_.telemetry.profiler.wall_clock
-          ? telemetry_->profiler()
-          : nullptr;
-  const std::size_t fed_track =
-      prof == nullptr ? 0 : prof->federation_track();
-
-  const RoutingResult no_routing;
-  const std::vector<std::uint64_t> no_traces;
-  for (int e = e0; e < e_end; ++e) {
-    const auto all_done = [&] {
-      for (const int d : done_epoch) {
-        if (d < e) return false;
-      }
-      return true;
-    };
-    telemetry::ScopedSpan wait_span(prof, fed_track, e, "window-wait");
-    int overlap = 0;
-    std::vector<ShardEpochSummary> summaries(shards_.size());
-    {
-      std::unique_lock<std::mutex> lock(mu);
-      cv.wait(lock, [&] {
-        return all_done() || (first_error != nullptr && running == 0);
-      });
-      // A failed shard never finishes epoch e, but epochs every shard
-      // completed before the failure still commit — exactly the prefix
-      // the serial loop would have committed before rethrowing.
-      if (!all_done()) break;
-      buffers[e & 1].swap(summaries);
-      // Window occupancy at barrier entry: shards already done with a
-      // later epoch than the one this barrier commits.
-      for (const int d : done_epoch) {
-        if (d > e) ++overlap;
-      }
-    }
-    wait_span.AddArg("occupancy", static_cast<double>(overlap));
-    wait_span.Stop();
-
-    // The epoch barrier: single-threaded settlement + telemetry for
-    // epoch e, byte-identical to the serial RunEpochInternal tail for a
-    // pipeline-eligible configuration, while shard collections for
-    // epochs e + 1 / e + 2 already run on the pool.
-    telemetry::ScopedSpan barrier_span(prof, fed_track, e, "barrier");
-    barrier_span.AddArg("occupancy", static_cast<double>(overlap));
-    IngestShardTelemetry(e, summaries, no_routing, no_traces);
-    FederationReport report =
-        BuildFederationReport(e, std::move(summaries), RoutingResult{});
-    report.health = HealthBlock{};
-    report.clearing_spread =
-        ComputeClearingSpread(report, registries, capacities);
-    CloseEpochTelemetry(e, report, /*time_epoch=*/false, {});
-    history_.push_back(std::move(report));
-    barrier_span.Stop();
-
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      barrier_done = e;
-      for (std::size_t k = 0; k < shards_.size(); ++k) {
-        if (parked[k] != 0 && first_error == nullptr &&
-            next_epoch[k] < e_end && next_epoch[k] <= barrier_done + 2) {
-          parked[k] = 0;
-          ++running;
-          const int next = next_epoch[k];
-          pool_->Post([&collect, k, next] { collect(k, next); });
-        }
-      }
-    }
-  }
-
-  // Drain before `collect`, `cv`, and the buffers leave scope; rethrow
-  // the first shard failure exactly like the serial unsupervised loop.
-  std::unique_lock<std::mutex> lock(mu);
-  cv.wait(lock, [&] { return running == 0; });
-  if (first_error != nullptr) std::rethrow_exception(first_error);
-}
-
 void FederatedExchange::IngestShardTelemetry(
     const int epoch, const std::vector<ShardEpochSummary>& summaries,
     const RoutingResult& routing,
@@ -742,9 +538,8 @@ void FederatedExchange::IngestShardTelemetry(
   }
 }
 
-void FederatedExchange::CloseEpochTelemetry(
-    const int epoch, FederationReport& report, const bool time_epoch,
-    const std::chrono::steady_clock::time_point wall_start) {
+void FederatedExchange::CloseEpochTelemetry(const int epoch,
+                                            FederationReport& report) {
   if (telemetry_ == nullptr) return;
   telemetry::MetricsRegistry& reg = telemetry_->registry();
   const telemetry::Labels planet;
@@ -782,25 +577,21 @@ void FederatedExchange::CloseEpochTelemetry(
     }
   }
   reg.SnapshotEpoch(epoch);
-  if (time_epoch) {
-    reg.RecordTiming(
-        "epoch_wall_seconds",
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      wall_start)
-            .count());
-  }
 }
 
 FederationReport FederatedExchange::RunEpochInternal(const int epoch) {
   const bool supervised = config_.supervisor.enabled;
 
-  // Wall-clock epoch timing is the one telemetry signal that cannot be
-  // deterministic; it flows into the registry's separate timing block,
-  // which only renders on an explicit MetricsJson(include_timings=true).
-  const bool time_epoch =
-      telemetry_ != nullptr && config_.telemetry.wall_clock_timings;
-  std::chrono::steady_clock::time_point wall_start{};
-  if (time_epoch) wall_start = std::chrono::steady_clock::now();
+  // Profiler wall channel: federation-track spans (epoch, route, barrier)
+  // are recorded here on the single epoch thread. Null when unarmed. The
+  // epoch span encloses the whole body, route and barrier included.
+  telemetry::PhaseProfiler* prof =
+      telemetry_ != nullptr && config_.telemetry.profiler.wall_clock
+          ? telemetry_->profiler()
+          : nullptr;
+  const std::size_t fed_track =
+      prof == nullptr ? 0 : prof->federation_track();
+  telemetry::ScopedSpan epoch_span(prof, fed_track, epoch, "epoch");
 
   // S0. Epoch-start health transitions and checkpoints. Quarantined
   // shards drain their backoff and sit the epoch out; one that has
@@ -911,14 +702,6 @@ FederationReport FederatedExchange::RunEpochInternal(const int epoch) {
   // epoch's pass over the healthy shards.
   RoutingResult routing;
   std::vector<FederatedBid> epoch_bids;
-  // Profiler wall channel: federation-track spans (route, barrier) are
-  // recorded here on the single epoch thread. Null when unarmed.
-  telemetry::PhaseProfiler* prof =
-      telemetry_ != nullptr && config_.telemetry.profiler.wall_clock
-          ? telemetry_->profiler()
-          : nullptr;
-  const std::size_t fed_track =
-      prof == nullptr ? 0 : prof->federation_track();
   // Trace id per routing input (index-aligned with routing.decisions) —
   // captured before pending_ is cleared so the post-auction telemetry
   // passes can join shard outcomes back to bid lifecycles.
@@ -1348,10 +1131,9 @@ FederationReport FederatedExchange::RunEpochInternal(const int epoch) {
     }
   }
 
-  // T2. Close the epoch's telemetry: planet-wide gauges, the logical
-  // epoch snapshot, and — outside the deterministic channel — the
-  // wall-clock timing (see CloseEpochTelemetry).
-  CloseEpochTelemetry(epoch, report, time_epoch, wall_start);
+  // T2. Close the epoch's telemetry: planet-wide gauges, the watchdog
+  // pass, and the logical epoch snapshot (see CloseEpochTelemetry).
+  CloseEpochTelemetry(epoch, report);
   barrier_span.Stop();
 
   history_.push_back(std::move(report));

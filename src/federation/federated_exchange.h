@@ -25,7 +25,6 @@
 // changes where the demand evaluation work runs, not the mechanism.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -89,21 +88,6 @@ struct FederationConfig {
   /// Worker threads for concurrent shard auctions; 0 or 1 runs shards
   /// serially inline. Results are identical either way.
   std::size_t num_threads = 0;
-
-  /// Pipelined epochs (RunEpochs): overlap shard demand collection for
-  /// epoch e+1 with the single-threaded settlement/telemetry barrier of
-  /// epoch e, using double-buffered per-shard summary slots and a depth-2
-  /// epoch window. Off (the default), RunEpochs is a plain serial
-  /// RunEpoch loop — bit-identical to today's federation. On, the
-  /// pipeline engages only for configurations whose barrier does not
-  /// write shard state (no supervisor, no treasury/arbitrage/rebalancer,
-  /// no queued federated bids, no wall-clock timings, and a thread pool
-  /// to overlap on); anything else silently falls back to the serial
-  /// loop, which preserves supervisor/checkpoint semantics by
-  /// construction. Pipelined results are bit-identical to serial either
-  /// way: each shard's auction sequence is unchanged and the barrier
-  /// consumes epochs strictly in order (tests/pipelined_federation_test).
-  bool pipelined = false;
 
   /// When > 0, every shard's binding auctions run over the pm::net wire
   /// protocol behind this many proxy nodes. Requires each ShardSpec's
@@ -205,13 +189,6 @@ class FederatedExchange {
   /// appended to History()).
   FederationReport RunEpoch();
 
-  /// Runs `n` epochs. With FederationConfig::pipelined on and an
-  /// eligible configuration (see the flag's comment) the epochs run
-  /// through the overlapped pipeline; otherwise this is exactly a serial
-  /// RunEpoch loop. History() gains `n` reports either way, bit-identical
-  /// between the two paths.
-  void RunEpochs(int n);
-
   const std::vector<FederationReport>& History() const { return history_; }
   int EpochCount() const { return static_cast<int>(history_.size()); }
 
@@ -270,26 +247,15 @@ class FederatedExchange {
   /// The epoch body; RunEpoch wraps it with the exception-unwind path.
   FederationReport RunEpochInternal(int epoch);
 
-  /// True when RunEpochs may take the overlapped pipeline: the barrier
-  /// must not write shard state (see FederationConfig::pipelined).
-  bool CanPipeline() const;
-
-  /// The overlapped epoch pipeline (only called when CanPipeline()).
-  void RunEpochsPipelined(int n);
-
   /// The T1 barrier block: per-shard metric ingest plus bid-lifecycle
-  /// spans. Single-threaded by contract; shared verbatim by the serial
-  /// epoch and the pipelined barrier so the two stay byte-identical.
+  /// spans. Single-threaded by contract.
   void IngestShardTelemetry(int epoch,
                             const std::vector<ShardEpochSummary>& summaries,
                             const RoutingResult& routing,
                             const std::vector<std::uint64_t>& epoch_traces);
 
-  /// The T2 barrier block: planet gauges, watchdog pass, epoch snapshot,
-  /// optional wall-clock timing. Shared like IngestShardTelemetry.
-  void CloseEpochTelemetry(
-      int epoch, FederationReport& report, bool time_epoch,
-      std::chrono::steady_clock::time_point wall_start);
+  /// The T2 barrier block: planet gauges, watchdog pass, epoch snapshot.
+  void CloseEpochTelemetry(int epoch, FederationReport& report);
 
   /// Reconciles every (team, shard) float back onto the planet ledger —
   /// the exception-unwind path for the unsupervised federation: without

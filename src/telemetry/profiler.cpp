@@ -85,11 +85,9 @@ std::string PhaseProfiler::RenderWorkTree(std::size_t shard, int epoch,
   return os.str();
 }
 
-void PhaseProfiler::AddSpan(std::size_t track, int epoch, PhaseSpan span,
-                            std::vector<std::pair<std::string, double>> args) {
+void PhaseProfiler::AddSpan(std::size_t track, int epoch, PhaseSpan span) {
   PM_CHECK_MSG(track < tracks_.size(), "profiler: span on unknown track");
-  events_.push_back(
-      TraceEvent{track, epoch, std::move(span), std::move(args)});
+  events_.push_back(TraceEvent{track, epoch, std::move(span)});
 }
 
 std::string PhaseProfiler::ChromeTraceJson() const {
@@ -127,11 +125,7 @@ std::string PhaseProfiler::ChromeTraceJson() const {
     os << "    {\"ph\": \"X\", \"pid\": 1, \"tid\": " << ev.track
        << ", \"name\": " << QuoteJson(ev.span.name)
        << ", \"ts\": " << Us(begin) << ", \"dur\": " << Us(dur)
-       << ", \"args\": {\"epoch\": " << ev.epoch;
-    for (const auto& [name, value] : ev.args) {
-      os << ", " << QuoteJson(name) << ": " << FormatF(value, 6);
-    }
-    os << "}}";
+       << ", \"args\": {\"epoch\": " << ev.epoch << "}}";
   }
   os << "\n  ]\n}\n";
   return os.str();

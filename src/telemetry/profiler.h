@@ -11,18 +11,18 @@
 //     counts, wire retries/dedups, settlement refund ops — recorded
 //     per (epoch, shard) here and mirrored into the MetricsRegistry as
 //     `fed_work_*` counters at the epoch barrier. Logical units only:
-//     the numbers are byte-identical across reruns, thread counts, and
-//     serial vs pipelined epochs, which makes their drift a
-//     host-noise-immune proxy for perf regressions (an
-//     incremental-fallback storm or kernel de-vectorization fires
-//     deterministically even on a noisy single-vCPU host).
+//     the numbers are byte-identical across reruns and thread counts,
+//     which makes their drift a host-noise-immune proxy for perf
+//     regressions (an incremental-fallback storm or kernel
+//     de-vectorization fires deterministically even on a noisy
+//     single-vCPU host).
 //
 //   * Wall clock. Real phase spans (collect → bisect → settle on each
-//     shard track; route → barrier plus pipeline-window spans on the
+//     shard track; a whole-epoch span enclosing route → barrier on the
 //     federation track), exported as chrome://tracing JSON for
 //     flamegraph-style inspection. Wall values are scheduling-dependent
-//     by nature — pipeline-window occupancy/bubble numbers live ONLY
-//     here, never in the deterministic channel.
+//     by nature, so they live ONLY here, never in the deterministic
+//     channel.
 //
 // Both channels sit behind ProfilerConfig sub-gates of TelemetryConfig;
 // off is bit-identical (bench/telemetry_overhead byte-compares a
@@ -52,10 +52,8 @@ struct ProfilerConfig {
   bool work_accounting = false;
 
   /// Wall-clock channel: phase spans and chrome://tracing export. Never
-  /// touches the deterministic outputs; unlike
-  /// TelemetryConfig::wall_clock_timings it does NOT make pipelined
-  /// configs fall back to the serial loop — spans are carried on
-  /// AuctionReport and recorded at the barrier either way.
+  /// touches the deterministic outputs — shard spans are carried on
+  /// AuctionReport and recorded at the epoch barrier.
   bool wall_clock = false;
 };
 
@@ -76,7 +74,7 @@ struct WorkCounters {
 class PhaseProfiler {
  public:
   /// `tracks` names the wall-channel tracks, one per shard in shard
-  /// order; a synthetic "federation" track for route/barrier/window
+  /// order; a synthetic "federation" track for epoch/route/barrier
   /// spans is appended after them (see federation_track()).
   PhaseProfiler(ProfilerConfig config, std::vector<std::string> tracks);
 
@@ -105,10 +103,8 @@ class PhaseProfiler {
   /// Index of the synthetic federation track.
   std::size_t federation_track() const { return tracks_.size() - 1; }
 
-  /// Records a closed span on `track`. `args` become chrome-trace event
-  /// args (e.g. {"occupancy", 3} on a pipeline-window span).
-  void AddSpan(std::size_t track, int epoch, PhaseSpan span,
-               std::vector<std::pair<std::string, double>> args = {});
+  /// Records a closed span on `track`.
+  void AddSpan(std::size_t track, int epoch, PhaseSpan span);
 
   /// chrome://tracing "Trace Event Format" JSON: one complete ("X")
   /// event per span, one metadata ("M") thread_name record per track,
@@ -123,7 +119,6 @@ class PhaseProfiler {
     std::size_t track = 0;
     int epoch = 0;
     PhaseSpan span;
-    std::vector<std::pair<std::string, double>> args;
   };
 
   ProfilerConfig config_;
@@ -152,17 +147,11 @@ class ScopedSpan {
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
 
-  /// Attaches a chrome-trace arg to the span (before Stop()).
-  void AddArg(std::string name, double value) {
-    if (profiler_ != nullptr) args_.emplace_back(std::move(name), value);
-  }
-
   /// Closes and records the span early (idempotent).
   void Stop() {
     if (profiler_ == nullptr) return;
     profiler_->AddSpan(track_, epoch_,
-                       PhaseSpan{std::move(name_), begin_ns_, PhaseNowNs()},
-                       std::move(args_));
+                       PhaseSpan{std::move(name_), begin_ns_, PhaseNowNs()});
     profiler_ = nullptr;
   }
 
@@ -172,7 +161,6 @@ class ScopedSpan {
   int epoch_;
   std::string name_;
   std::uint64_t begin_ns_ = 0;
-  std::vector<std::pair<std::string, double>> args_;
 };
 
 }  // namespace pm::telemetry

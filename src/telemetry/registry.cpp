@@ -1,6 +1,5 @@
 #include "telemetry/registry.h"
 
-#include <algorithm>
 #include <sstream>
 
 #include "common/check.h"
@@ -138,13 +137,6 @@ void MetricsRegistry::SetGaugeByKey(std::string key, double value) {
   gauges_[std::move(key)] = value;
 }
 
-void MetricsRegistry::RecordTiming(std::string_view name, double seconds) {
-  Timing& t = timings_[std::string(name)];
-  ++t.count;
-  t.total_seconds += seconds;
-  t.max_seconds = std::max(t.max_seconds, seconds);
-}
-
 void MetricsRegistry::SnapshotEpoch(int epoch) {
   EpochSnapshot snap;
   snap.epoch = epoch;
@@ -177,7 +169,7 @@ const stats::Histogram* MetricsRegistry::FindHistogram(
   return it == hists_.end() ? nullptr : &it->second.hist;
 }
 
-std::string MetricsRegistry::ToJson(bool include_timings) const {
+std::string MetricsRegistry::ToJson() const {
   std::ostringstream os;
   os << "{\n";
 
@@ -259,23 +251,7 @@ std::string MetricsRegistry::ToJson(bool include_timings) const {
     }
     os << "]}" << (e + 1 < epochs_.size() ? "," : "") << "\n";
   }
-  os << "  ]";
-
-  // Wall-clock timings: NEVER part of the deterministic channel — the
-  // caller must opt in, and the byte-equality tests never do.
-  if (include_timings) {
-    os << ",\n  \"timings\": [\n";
-    std::size_t i = 0;
-    for (const auto& [name, t] : timings_) {
-      os << "    {\"name\": " << QuoteJson(name)
-         << ", \"count\": " << t.count
-         << ", \"total_ms\": " << Num(t.total_seconds * 1e3)
-         << ", \"max_ms\": " << Num(t.max_seconds * 1e3) << "}"
-         << (++i < timings_.size() ? "," : "") << "\n";
-    }
-    os << "  ]";
-  }
-  os << "\n}\n";
+  os << "  ]\n}\n";
   return os.str();
 }
 

@@ -74,12 +74,6 @@ struct TelemetryConfig {
   /// Ring capacity per shard.
   std::size_t flight_recorder_capacity = 128;
 
-  /// Collect wall-clock epoch timings. These live OUTSIDE the
-  /// deterministic channel: they only render when a caller explicitly
-  /// asks MetricsJson(include_timings=true). Off by default so the
-  /// default telemetry document is reproducible byte for byte.
-  bool wall_clock_timings = false;
-
   /// The watchdog plane (recording rules + alerts), both gates off by
   /// default. `WatchdogConfig{true, true}` arms the shipped packs.
   WatchdogConfig watchdog;
@@ -145,9 +139,8 @@ class Telemetry {
   void MirrorSpan(const Span& span);
 
   // ------------------------------------------------------------- exports --
-  /// Deterministic metrics document; the timing block renders only on
-  /// explicit request (and only holds data when wall_clock_timings).
-  std::string MetricsJson(bool include_timings = false) const;
+  /// Deterministic metrics document.
+  std::string MetricsJson() const;
 
   /// Prometheus-style exposition of the registry.
   std::string PrometheusText() const;

@@ -3,9 +3,9 @@
 //
 // The contracts under test:
 //   1. work-accounting determinism — the fed_work_* registry series are
-//      byte-identical across reruns, thread counts, and serial vs
-//      pipelined epoch drivers (the property that makes work-counter
-//      drift a host-noise-immune perf-regression proxy);
+//      byte-identical across reruns and thread counts (the property that
+//      makes work-counter drift a host-noise-immune perf-regression
+//      proxy);
 //   2. off means off — with the profiler unarmed, no fed_work_ or
 //      derived:work_ series exist and every scenario in the registry
 //      produces bit-identical metrics with the profiler on vs off;
@@ -17,13 +17,18 @@
 //      drift alert to firing;
 //   5. chrome-trace export — well-formed Trace Event Format JSON with
 //      one thread_name record per track and the expected phase spans on
-//      shard and federation tracks;
+//      shard and federation tracks, each epoch span enclosing that
+//      epoch's barrier;
 //   6. flight recorder — containment dumps attach the failing shard's
 //      phase work tree (work counters only, with the rolled-back
 //      failing epoch called out).
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <map>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "federation/federated_exchange.h"
@@ -95,7 +100,6 @@ TEST(PhaseProfilerTest, ChromeTraceIsWellFormed) {
   profiler.AddSpan(1, 0, PhaseSpan{"settle", 4000, 9000});
   {
     ScopedSpan span(&profiler, profiler.federation_track(), 0, "barrier");
-    span.AddArg("occupancy", 2.0);
   }
   EXPECT_EQ(profiler.num_spans(), 3u);
 
@@ -112,7 +116,6 @@ TEST(PhaseProfilerTest, ChromeTraceIsWellFormed) {
   EXPECT_NE(json.find("\"name\": \"collect\""), std::string::npos);
   EXPECT_NE(json.find("\"ts\": 0.000"), std::string::npos);
   EXPECT_NE(json.find("\"epoch\": 0"), std::string::npos);
-  EXPECT_NE(json.find("\"occupancy\""), std::string::npos);
   int depth = 0;
   for (const char c : json) {
     depth += c == '{' ? 1 : c == '}' ? -1 : 0;
@@ -128,7 +131,6 @@ TEST(PhaseProfilerTest, ChromeTraceIsWellFormed) {
 
 TEST(PhaseProfilerTest, NullScopedSpanIsANoOp) {
   ScopedSpan span(nullptr, 0, 0, "never");
-  span.AddArg("ignored", 1.0);
   span.Stop();  // Must not crash; nothing to record into.
 }
 
@@ -216,12 +218,10 @@ std::vector<federation::ShardSpec> BaseShards(std::size_t shards,
   return specs;
 }
 
-federation::FederationConfig ProfilerConfigOn(bool pipelined,
-                                              std::size_t num_threads) {
+federation::FederationConfig ProfilerConfigOn(std::size_t num_threads) {
   federation::FederationConfig config;
   config.seed = 20090425;
   config.num_threads = num_threads;
-  config.pipelined = pipelined;
   config.telemetry.enabled = true;
   config.telemetry.profiler.work_accounting = true;
   return config;
@@ -234,8 +234,8 @@ std::string MetricsOf(const federation::FederatedExchange& fed) {
 TEST(WorkAccountingTest, CountersAreByteIdenticalAcrossThreadsAndReruns) {
   const auto run = [](std::size_t threads) {
     federation::FederatedExchange fed(BaseShards(3, 20),
-                                      ProfilerConfigOn(false, threads));
-    fed.RunEpochs(3);
+                                      ProfilerConfigOn(threads));
+    for (int e = 0; e < 3; ++e) fed.RunEpoch();
     return MetricsOf(fed);
   };
   const std::string once = run(1);
@@ -249,23 +249,13 @@ TEST(WorkAccountingTest, CountersAreByteIdenticalAcrossThreadsAndReruns) {
   EXPECT_NE(once.find("phase=\\\"scalar\\\""), std::string::npos);
 }
 
-TEST(WorkAccountingTest, SerialAndPipelinedCountersAreByteIdentical) {
-  federation::FederatedExchange serial(BaseShards(3, 20),
-                                       ProfilerConfigOn(false, 2));
-  serial.RunEpochs(3);
-  federation::FederatedExchange pipelined(BaseShards(3, 20),
-                                          ProfilerConfigOn(true, 2));
-  pipelined.RunEpochs(3);
-  EXPECT_EQ(MetricsOf(serial), MetricsOf(pipelined));
-}
-
 TEST(WorkAccountingTest, ProfilerOffLeaksNoWorkSeries) {
-  federation::FederationConfig config = ProfilerConfigOn(false, 2);
+  federation::FederationConfig config = ProfilerConfigOn(2);
   config.telemetry.profiler.work_accounting = false;
   config.telemetry.watchdog.recording_rules = true;
   config.telemetry.watchdog.alerts = true;
   federation::FederatedExchange fed(BaseShards(2, 12), config);
-  fed.RunEpochs(2);
+  for (int e = 0; e < 2; ++e) fed.RunEpoch();
   const std::string json = MetricsOf(fed);
   EXPECT_EQ(json.find("fed_work_"), std::string::npos);
   EXPECT_EQ(json.find("derived:work_"), std::string::npos);
@@ -273,11 +263,11 @@ TEST(WorkAccountingTest, ProfilerOffLeaksNoWorkSeries) {
 }
 
 TEST(WorkAccountingTest, WorkRulePackRidesTheWatchdogWhenBothArmed) {
-  federation::FederationConfig config = ProfilerConfigOn(false, 2);
+  federation::FederationConfig config = ProfilerConfigOn(2);
   config.telemetry.watchdog.recording_rules = true;
   config.telemetry.watchdog.alerts = true;
   federation::FederatedExchange fed(BaseShards(2, 12), config);
-  fed.RunEpochs(2);
+  for (int e = 0; e < 2; ++e) fed.RunEpoch();
   const std::string json = MetricsOf(fed);
   EXPECT_NE(json.find("fed_work_dot_blocks"), std::string::npos);
   EXPECT_NE(json.find("derived:work_dot_blocks_rate"), std::string::npos);
@@ -316,7 +306,7 @@ TEST(WallChannelTest, SerialFederationRecordsShardAndFederationSpans) {
   config.telemetry.enabled = true;
   config.telemetry.profiler.wall_clock = true;
   federation::FederatedExchange fed(BaseShards(2, 12), config);
-  fed.RunEpochs(2);
+  for (int e = 0; e < 2; ++e) fed.RunEpoch();
   const PhaseProfiler* profiler = fed.telemetry()->profiler();
   ASSERT_NE(profiler, nullptr);
   EXPECT_GT(profiler->num_spans(), 0u);
@@ -324,31 +314,50 @@ TEST(WallChannelTest, SerialFederationRecordsShardAndFederationSpans) {
   EXPECT_NE(json.find("\"name\": \"collect\""), std::string::npos);
   EXPECT_NE(json.find("\"name\": \"settle\""), std::string::npos);
   EXPECT_NE(json.find("\"name\": \"barrier\""), std::string::npos);
+  EXPECT_NE(json.find("\"name\": \"epoch\""), std::string::npos);
   EXPECT_NE(json.find("federation"), std::string::npos);
   EXPECT_NE(json.find("shard-0"), std::string::npos);
   // The wall channel never reaches the deterministic document.
   EXPECT_EQ(MetricsOf(fed).find("fed_work_"), std::string::npos);
-}
 
-TEST(WallChannelTest, PipelinedRunRecordsWindowSpansWithOccupancy) {
-  federation::FederationConfig config;
-  config.seed = 20090425;
-  config.num_threads = 2;
-  config.pipelined = true;
-  config.telemetry.enabled = true;
-  config.telemetry.profiler.wall_clock = true;
-  federation::FederatedExchange fed(BaseShards(3, 15), config);
-  fed.RunEpochs(3);
-  const std::string json =
-      fed.telemetry()->profiler()->ChromeTraceJson();
-  EXPECT_NE(json.find("\"name\": \"window-wait\""), std::string::npos);
-  EXPECT_NE(json.find("\"occupancy\""), std::string::npos);
+  // One epoch span per epoch on the federation track, enclosing that
+  // epoch's barrier span. Each event renders on its own line.
+  const std::string fed_tid =
+      "\"tid\": " + std::to_string(profiler->federation_track()) + ",";
+  std::map<std::pair<int, std::string>, std::pair<double, double>> spans;
+  int epoch_spans = 0;
+  std::istringstream lines(json);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.find("\"ph\": \"X\"") == std::string::npos ||
+        line.find(fed_tid) == std::string::npos) {
+      continue;
+    }
+    const auto number = [&](const std::string& key) {
+      return std::atof(line.c_str() + line.find(key) + key.size());
+    };
+    const std::size_t name_at = line.find("\"name\": \"") + 9;
+    const std::string name =
+        line.substr(name_at, line.find('"', name_at) - name_at);
+    const double ts = number("\"ts\": ");
+    epoch_spans += name == "epoch" ? 1 : 0;
+    spans[{static_cast<int>(number("\"epoch\": ")), name}] = {
+        ts, ts + number("\"dur\": ")};
+  }
+  EXPECT_EQ(epoch_spans, 2);
+  for (int e = 0; e < 2; ++e) {
+    ASSERT_EQ(spans.count({e, "epoch"}), 1u) << "epoch " << e;
+    ASSERT_EQ(spans.count({e, "barrier"}), 1u) << "epoch " << e;
+    const auto [epoch_begin, epoch_end] = spans[{e, "epoch"}];
+    const auto [barrier_begin, barrier_end] = spans[{e, "barrier"}];
+    EXPECT_LE(epoch_begin, barrier_begin + 1e-3) << "epoch " << e;
+    EXPECT_GE(epoch_end, barrier_end - 1e-3) << "epoch " << e;
+  }
 }
 
 // ------------------------------------------------------ flight recorder --
 
 TEST(FlightDumpTest, ContainmentDumpAttachesThePhaseWorkTree) {
-  federation::FederationConfig config = ProfilerConfigOn(false, 2);
+  federation::FederationConfig config = ProfilerConfigOn(2);
   config.supervisor.enabled = true;
   config.supervisor.quarantine_streak = 1;
   federation::FederatedExchange fed(BaseShards(2, 12), config);

@@ -266,6 +266,8 @@ TEST(SupervisorTest, UnsupervisedCrashSweepsTreasuryBeforePropagating) {
 
   fed.InjectShardFailure(1);
   EXPECT_THROW(fed.RunEpoch(), CheckFailure);
+  // Only the epochs before the failing one commit to History().
+  EXPECT_EQ(fed.EpochCount(), 1);
 
   ASSERT_NE(fed.treasury(), nullptr);
   EXPECT_EQ(fed.treasury()->FloatTotal(), Money());

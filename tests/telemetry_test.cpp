@@ -4,8 +4,7 @@
 // The contracts under test, in the order docs/observability.md states
 // them:
 //   1. registry determinism — export bytes depend on which metrics were
-//      recorded, never on recording order; the timing block stays out of
-//      the deterministic channel unless explicitly requested;
+//      recorded, never on recording order;
 //   2. off means off — with TelemetryConfig::enabled false the epoch's
 //      market outcomes are bit-identical to a federation without the
 //      plane (property-tested over the whole scenario registry);
@@ -89,17 +88,6 @@ TEST(MetricsRegistryTest, HistogramShapeIsPerName) {
   reg.Observe("lat", Labels{"b", "", ""}, 12.0, 0.0, 10.0, 5);
   ASSERT_NE(reg.FindHistogram("lat", Labels{"b", "", ""}), nullptr);
   EXPECT_EQ(reg.FindHistogram("lat", Labels{"b", "", ""})->Overflow(), 1u);
-}
-
-TEST(MetricsRegistryTest, TimingBlockIsOptIn) {
-  MetricsRegistry reg;
-  reg.AddCounter("n", Labels{}, 1.0);
-  reg.RecordTiming("epoch_wall_seconds", 0.125);
-  EXPECT_EQ(reg.ToJson().find("timings"), std::string::npos);
-  EXPECT_NE(reg.ToJson(/*include_timings=*/true).find("timings"),
-            std::string::npos);
-  EXPECT_NE(reg.ToJson(true).find("epoch_wall_seconds"),
-            std::string::npos);
 }
 
 TEST(MetricsRegistryTest, PrometheusExpositionShape) {
