@@ -65,8 +65,7 @@ bool AllNonPositive(std::span<const double> z, double eps) {
 
 DemandEngine ClockAuction::BuildEngine(const std::vector<bid::Bid>& bids,
                                        const std::vector<double>& supply,
-                                       const std::vector<double>& reserve,
-                                       DemandEngineConfig engine_config) {
+                                       const std::vector<double>& reserve) {
   PM_CHECK_MSG(supply.size() == reserve.size(),
                "supply and reserve vectors must have equal size, got "
                    << supply.size() << " vs " << reserve.size());
@@ -77,17 +76,17 @@ DemandEngine ClockAuction::BuildEngine(const std::vector<bid::Bid>& bids,
   }
   const std::string problem = bid::ValidateBids(bids, supply.size());
   PM_CHECK_MSG(problem.empty(), "invalid bid set: " << problem);
-  return DemandEngine(bids, supply, engine_config);
+  return DemandEngine(bids, supply);
 }
 
 ClockAuction::ClockAuction(std::vector<bid::Bid> bids,
                            std::vector<double> supply,
                            std::vector<double> reserve_prices,
-                           DemandEngineConfig engine_config)
+                           DemandEngineConfig)
     : bids_(std::move(bids)),
       supply_(std::move(supply)),
       reserve_(std::move(reserve_prices)),
-      engine_(BuildEngine(bids_, supply_, reserve_, engine_config)) {}
+      engine_(BuildEngine(bids_, supply_, reserve_)) {}
 
 ClockAuctionResult ClockAuction::Run(
     const ClockAuctionConfig& config) const {

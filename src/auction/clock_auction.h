@@ -157,8 +157,8 @@ struct ClockAuctionResult {
   long long full_collections = 0;
   long long incremental_collections = 0;
 
-  /// Profiler work counters (deterministic): kernel dot-block calls
-  /// issued by full sweeps, and bidders re-evaluated incrementally.
+  /// Profiler work counters (deterministic): dot blocks swept by full
+  /// collections, and bidders re-evaluated incrementally.
   /// Zero on the wire path, like the collection counters above.
   long long dot_blocks = 0;
   long long dirty_bidders = 0;
@@ -170,6 +170,9 @@ struct ClockAuctionResult {
   std::vector<RoundRecord> trajectory;
 };
 
+/// Empty; kept only because the bench/planet/ benchmark passes one.
+struct DemandEngineConfig {};
+
 /// The auctioneer. Owns copies of the bids, compiled once into a
 /// DemandEngine arena that serves every demand collection (full sweeps at
 /// round 0, incremental re-evaluation afterwards).
@@ -177,11 +180,10 @@ class ClockAuction {
  public:
   /// `supply` and `reserve_prices` are dense per-pool vectors of equal
   /// size R; every bid must reference pools < R and pass ValidateBids.
-  /// `engine_config` selects the demand engine's dot kernel (kernels.h);
-  /// the default scalar kernel is bit-exact to the historical engine.
+  /// Unused fourth parameter: kept only because bench/planet/ passes it.
   ClockAuction(std::vector<bid::Bid> bids, std::vector<double> supply,
                std::vector<double> reserve_prices,
-               DemandEngineConfig engine_config = {});
+               DemandEngineConfig = {});
 
   /// Runs Algorithm 1. Idempotent: each call restarts from the reserve
   /// prices with a fresh demand workspace.
@@ -202,8 +204,7 @@ class ClockAuction {
   /// initializer list so `engine_` can be a value member.
   static DemandEngine BuildEngine(const std::vector<bid::Bid>& bids,
                                   const std::vector<double>& supply,
-                                  const std::vector<double>& reserve,
-                                  DemandEngineConfig engine_config);
+                                  const std::vector<double>& reserve);
 
   std::vector<bid::Bid> bids_;
   std::vector<double> supply_;

@@ -7,13 +7,26 @@
 #include "common/types.h"
 
 namespace pm::auction {
+namespace {
+
+/// cost_out[b] = q_b·p for every bundle b in [b0, b1) of the CSR arena.
+void DotBlock(const std::uint32_t* item_begin, const PoolId* item_pool,
+              const double* item_qty, const double* price, std::uint32_t b0,
+              std::uint32_t b1, double* cost_out) {
+  for (std::uint32_t b = b0; b < b1; ++b) {
+    const std::uint32_t e0 = item_begin[b];
+    cost_out[b] = DotAscending(
+        item_begin[b + 1] - e0,
+        [&](std::size_t e) { return item_pool[e0 + e]; },
+        [&](std::size_t e) { return item_qty[e0 + e]; }, price);
+  }
+}
+
+}  // namespace
 
 DemandEngine::DemandEngine(std::span<const bid::Bid> bids,
-                           std::vector<double> supply,
-                           DemandEngineConfig config)
-    : supply_(std::move(supply)),
-      kernel_(ResolveKernelChoice(config.kernel)),
-      dot_block_(ResolveKernel(kernel_)) {
+                           std::vector<double> supply)
+    : supply_(std::move(supply)) {
   std::vector<std::uint32_t> all(bids.size());
   std::iota(all.begin(), all.end(), 0u);
   Compile(bids, all);
@@ -21,11 +34,8 @@ DemandEngine::DemandEngine(std::span<const bid::Bid> bids,
 
 DemandEngine::DemandEngine(std::span<const bid::Bid> bids,
                            std::span<const std::uint32_t> users,
-                           std::vector<double> supply,
-                           DemandEngineConfig config)
-    : supply_(std::move(supply)),
-      kernel_(ResolveKernelChoice(config.kernel)),
-      dot_block_(ResolveKernel(kernel_)) {
+                           std::vector<double> supply)
+    : supply_(std::move(supply)) {
   Compile(bids, users);
 }
 
@@ -253,14 +263,13 @@ void DemandEngine::FullCollect(std::span<const double> prices,
     const std::size_t u0 = blk * kExcessBlockBidders;
     const std::size_t u1 =
         std::min(num_users, (blk + 1) * kExcessBlockBidders);
-    // One kernel call per bidder block: all the block's bundle costs in a
-    // cache-resident burst (≤ a few thousand doubles), then the argmin +
-    // excess fold re-reads them while hot. The scalar kernel accumulates
-    // in Bundle::Dot's exact ascending-pool order, so costs — and
-    // therefore decisions — stay bit-identical to the BidderProxy oracle;
-    // the SIMD kernels match decisions and bound cost drift (kernels.h).
-    dot_block_(item_begin_.data(), item_pool_.data(), item_qty_.data(),
-               price, bundle_begin_[u0], bundle_begin_[u1], cost_out);
+    // All the block's bundle costs in one cache-resident burst (≤ a few
+    // thousand doubles), then the argmin + excess fold re-reads them while
+    // hot. Each cost accumulates in Bundle::Dot's exact ascending-pool
+    // order (kernels.h), so costs — and therefore decisions — stay
+    // bit-identical to the BidderProxy oracle.
+    DotBlock(item_begin_.data(), item_pool_.data(), item_qty_.data(), price,
+             bundle_begin_[u0], bundle_begin_[u1], cost_out);
     for (std::size_t u = u0; u < u1; ++u) {
       const ProxyDecision d =
           EvaluateFromCosts(static_cast<std::uint32_t>(u), cost_out);

@@ -47,13 +47,6 @@
 // by floating-point rounding (re-associated sums), bounded far below
 // kPriceEps; decisions are compared with kPriceEps tolerance, so auction
 // outcomes are unaffected (asserted by the randomized equivalence tests).
-//
-// The full-sweep dot product dispatches through a kernel (kernels.h):
-// the default scalar kernel IS the oracle arithmetic above; the unrolled
-// and SIMD kernels trade bit-exact costs for throughput under the relaxed
-// equivalence tier (identical decisions, costs within
-// PairwiseErrorBound, per-kernel bit-determinism across reruns, thread
-// counts and shards — tests/kernels_test.cpp).
 #pragma once
 
 #include <cstdint>
@@ -129,7 +122,7 @@ class DemandEngine {
     }
 
     /// Logical work units for the profiler's deterministic channel:
-    /// kernel dot-block calls issued by full sweeps (one per
+    /// dot blocks swept by full collections (one per
     /// kExcessBlockBidders block — counted outside the parallel region,
     /// so thread-count independent) and bidders re-evaluated by
     /// incremental collections.
@@ -161,20 +154,14 @@ class DemandEngine {
 
   /// Compiles the whole bid set. `supply` is the dense per-pool operator
   /// supply (excess = demand − supply); bids must already be validated.
-  /// `config` picks the dot kernel (kernels.h); the default scalar kernel
-  /// reproduces the historical engine byte for byte.
-  DemandEngine(std::span<const bid::Bid> bids, std::vector<double> supply,
-               DemandEngineConfig config = {});
+  DemandEngine(std::span<const bid::Bid> bids, std::vector<double> supply);
 
   /// Compiles the shard bids[users[i]]; workspace decisions are indexed by
   /// shard slot i (the caller maps slots back to user ids). Used by the
   /// distributed proxy nodes.
   DemandEngine(std::span<const bid::Bid> bids,
                std::span<const std::uint32_t> users,
-               std::vector<double> supply, DemandEngineConfig config = {});
-
-  /// The concrete kernel this engine dispatches (kAuto already resolved).
-  Kernel kernel() const { return kernel_; }
+               std::vector<double> supply);
 
   /// Evaluates all demands at `prices` into `ws`. When the workspace holds
   /// a valid cache this is incremental: only bidders touching a moved pool
@@ -237,19 +224,11 @@ class DemandEngine {
 
   std::vector<double> supply_;
 
-  /// Resolved kernel choice and its block dot function (kernels.h). The
-  /// scalar kernel is the bit-exact oracle; the vectorized kernels match
-  /// decisions exactly and costs within PairwiseErrorBound.
-  Kernel kernel_ = Kernel::kScalar;
-  DotBlockFn dot_block_ = nullptr;
-
-  // CSR arena (structure-of-arrays). The item component arrays are
-  // 32-byte aligned so the vectorized kernels' loads start on register
-  // boundaries (kernels.h).
+  // CSR arena (structure-of-arrays).
   std::vector<std::uint32_t> bundle_begin_;  // size U+1.
-  AlignedVector<std::uint32_t> item_begin_;  // size B+1.
-  AlignedVector<PoolId> item_pool_;          // size NNZ, ascending per b.
-  AlignedVector<double> item_qty_;           // size NNZ.
+  std::vector<std::uint32_t> item_begin_;    // size B+1.
+  std::vector<PoolId> item_pool_;            // size NNZ, ascending per b.
+  std::vector<double> item_qty_;             // size NNZ.
   std::vector<double> bundle_limit_;         // size B.
   std::vector<std::uint8_t> vector_pi_;      // size U.
 

@@ -1,76 +1,18 @@
-// planetmarket: the demand engine's dot kernels.
+// planetmarket: the demand engine's dot arithmetic.
 //
 // The clock auction's single hottest loop is the ascending-pool bundle
 // dot product q·p that DemandEngine::FullCollect runs for every bundle of
-// every bidder every full sweep. This header is that loop's one home:
-//
-//   - DotAscending / ScatterDeltaAscending are the ORACLE arithmetic —
-//     the exact sequential multiply-add order Bundle::Dot has always
-//     used. Bundle::Dot (AoS), the scalar DotBlock kernel (SoA arena
-//     sweep), and the incremental delta-update path all inline these, so
-//     the bit-exactness contract lives in exactly one place.
-//   - DotBlockFn is the runtime-dispatched block kernel: scalar (the
-//     oracle), an unrolled four-accumulator pairwise variant, and SSE2 /
-//     AVX2 gather paths. Kernel::kAuto resolves via CPUID to the widest
-//     compiled-and-supported kernel.
-//
-// Equivalence tiers (tests/kernels_test.cpp):
-//   bit-exact  — Kernel::kScalar. Byte-identical costs, decisions,
-//                prices to the pre-kernel engine and to Bundle::Dot.
-//   relaxed    — every other kernel. Decisions must match the oracle
-//                EXACTLY (argmin comparisons use the kPriceEps band, far
-//                wider than summation error on sane data); per-bundle
-//                costs must satisfy |cost_k − cost_scalar| ≤
-//                PairwiseErrorBound(...), the standard pairwise-summation
-//                bound. Every kernel is individually deterministic: a
-//                fixed kernel choice is bit-identical across reruns,
-//                thread counts, and shards, because each kernel is
-//                straight-line serial code with a fixed reduction order.
-//
-// The AVX2 kernel lives in kernels_avx2.cpp, the only translation unit
-// compiled with -mavx2, so AVX instructions cannot leak into code that
-// runs on non-AVX hosts; dispatch checks __builtin_cpu_supports first.
+// every bidder every full sweep. This header is that arithmetic's one
+// home: Bundle::Dot (AoS), the full arena sweep (SoA) and the incremental
+// delta-update path all inline these templates, so the bit-exactness
+// contract — identical costs, decisions and prices on every path — lives
+// in exactly one place.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
-#include <limits>
-#include <new>
-#include <optional>
-#include <string>
-#include <string_view>
-#include <vector>
-
-#include "common/types.h"
 
 namespace pm::auction {
-
-/// Which dot kernel the demand engine runs. kScalar is the default and
-/// the oracle; everything else is the relaxed-equivalence tier.
-enum class Kernel {
-  kScalar,    // Sequential ascending-pool multiply-add (bit-exact oracle).
-  kUnrolled,  // Four scalar accumulators, pairwise-combined.
-  kSse2,      // 2-wide SSE2, emulated gather.
-  kAvx2,      // 4-wide AVX2 hardware gather (kernels_avx2.cpp).
-  kAuto,      // Widest kernel compiled in AND supported by this CPU.
-};
-
-/// Demand-engine construction knobs, plumbed from MarketConfig down
-/// through ClockAuction. The default reproduces the pre-kernel engine
-/// byte for byte.
-struct DemandEngineConfig {
-  Kernel kernel = Kernel::kScalar;
-};
-
-/// Block dot kernel: for every bundle b in [b0, b1) of a CSR arena
-/// (items of bundle b are item_pool/item_qty[item_begin[b] ..
-/// item_begin[b+1])), write q_b·p into cost_out[b]. Pointers may be
-/// unaligned; kernels use unaligned loads over the 32-byte-aligned arena.
-using DotBlockFn = void (*)(const std::uint32_t* item_begin,
-                            const PoolId* item_pool, const double* item_qty,
-                            const double* price, std::uint32_t b0,
-                            std::uint32_t b1, double* cost_out);
 
 /// The oracle: one ascending-order sequential multiply-add chain.
 /// `pool_at(e)` / `qty_at(e)` abstract AoS (Bundle::items()) versus SoA
@@ -99,82 +41,5 @@ inline void ScatterDeltaAscending(double d, std::uint32_t k0,
     cost[bundle_at(k)] += d * qty_at(k);
   }
 }
-
-/// Upper bound on |pairwise/vectorized sum − sequential sum| for a dot
-/// product whose terms have magnitude sum `abs_sum` and count `n`.
-///
-/// Standard result (Higham, *Accuracy and Stability of Numerical
-/// Algorithms*, §4.2): any summation order of n terms has error ≤
-/// (n−1)·u·Σ|t_e| / (1 − (n−1)·u) with u = DBL_EPSILON/2; products add
-/// one more rounding each, giving ≤ n·u·Σ|t_e| to first order for the
-/// order-difference between two schedules a small safety factor covers.
-/// We use 2·n·u·Σ|q_e·p_e| + a few ulps of slack for the bound's own FP
-/// evaluation — proven loose for every reduction order our kernels use
-/// (sequential, 4-way pairwise, 2/4-lane strided + fixed-order lane
-/// fold), all of which are *better* than the worst-case order.
-inline double PairwiseErrorBound(std::size_t n, double abs_sum) {
-  const double u = std::numeric_limits<double>::epsilon() / 2.0;
-  return 2.0 * static_cast<double>(n + 4) * u * abs_sum +
-         4.0 * std::numeric_limits<double>::denorm_min();
-}
-
-/// Resolves kAuto to the widest compiled-and-CPU-supported kernel; every
-/// concrete kernel resolves to itself. CHECK-fails if a concrete kernel
-/// was requested that this binary/CPU cannot run (callers probe with
-/// CompiledKernels first).
-Kernel ResolveKernelChoice(Kernel k);
-
-/// The block-kernel function pointer for a resolved kernel choice.
-DotBlockFn ResolveKernel(Kernel k);
-
-/// Kernels this binary can run on this CPU, widest last. Always contains
-/// kScalar and kUnrolled; kSse2/kAvx2 appear when compiled in and the
-/// CPU reports support.
-std::vector<Kernel> CompiledKernels();
-
-const char* ToString(Kernel k);
-
-/// Parses "scalar" / "unrolled" / "sse2" / "avx2" / "auto" (the bench
-/// CLI's --kernel flag); nullopt on anything else.
-std::optional<Kernel> ParseKernel(std::string_view name);
-
-/// Minimal 32-byte-aligned allocator so the arena's qty/pool arrays start
-/// on vector-register boundaries. Kernels still issue unaligned loads
-/// (free on aligned data, correct on any tail), so alignment is a
-/// performance property, never a correctness one.
-template <typename T, std::size_t Alignment = 32>
-struct AlignedAllocator {
-  using value_type = T;
-  static_assert(Alignment >= alignof(T) && (Alignment & (Alignment - 1)) == 0);
-
-  // The Alignment non-type parameter defeats allocator_traits' default
-  // rebind detection; spell it out.
-  template <typename U>
-  struct rebind {
-    using other = AlignedAllocator<U, Alignment>;
-  };
-
-  AlignedAllocator() = default;
-  template <typename U>
-  AlignedAllocator(const AlignedAllocator<U, Alignment>&) {}
-
-  T* allocate(std::size_t n) {
-    if (n == 0) return nullptr;
-    return static_cast<T*>(
-        ::operator new(n * sizeof(T), std::align_val_t(Alignment)));
-  }
-  void deallocate(T* p, std::size_t n) {
-    if (p == nullptr) return;
-    ::operator delete(p, n * sizeof(T), std::align_val_t(Alignment));
-  }
-  template <typename U>
-  bool operator==(const AlignedAllocator<U, Alignment>&) const {
-    return true;
-  }
-};
-
-/// A 32-byte-aligned vector for arena storage.
-template <typename T>
-using AlignedVector = std::vector<T, AlignedAllocator<T>>;
 
 }  // namespace pm::auction

@@ -4,7 +4,7 @@
 #include <cmath>
 #include <sstream>
 
-// Header-only use of the demand engine's kernel header: DotAscending is
+// Header-only use of the demand engine's dot header: DotAscending is
 // the one home of the ascending-pool multiply-add order every dot in the
 // system shares (bundles here, the arena sweep in auction/demand_engine).
 // No pm_auction symbols are referenced, so the bid library's link graph

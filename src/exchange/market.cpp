@@ -4,7 +4,6 @@
 #include <cmath>
 #include <utility>
 
-#include "auction/kernels.h"
 #include "auction/system_check.h"
 #include "common/check.h"
 #include "common/phase_span.h"
@@ -240,8 +239,7 @@ std::vector<double> Market::ComputePreliminaryPrices(
   std::vector<double> supply = fleet_->FreeVector();
   for (double& s : supply) s *= config_.supply_fraction;
   auction::ClockAuction auction(std::move(bids), std::move(supply),
-                                CurrentReservePrices(),
-                                config_.demand_engine);
+                                CurrentReservePrices());
   return auction.Run(config_.auction).prices;
 }
 
@@ -274,8 +272,7 @@ AuctionReport Market::RunAuction() {
   report.external_rejections = std::move(collected.external_rejections);
 
   auction::ClockAuction auction(collected.bids, supply,
-                                report.reserve_prices,
-                                config_.demand_engine);
+                                report.reserve_prices);
   auction::ClockAuctionResult result;
   if (config_.distributed_proxy_nodes > 0) {
     // Wire path: the same mechanism behind pm::net proxy nodes.
@@ -316,7 +313,6 @@ AuctionReport Market::RunAuction() {
   report.incremental_collections = result.incremental_collections;
   report.dot_blocks = result.dot_blocks;
   report.dirty_bidders = result.dirty_bidders;
-  report.kernel = auction::ToString(auction.engine().kernel());
   report.phases = std::move(result.phases);
   report.settled_prices = result.prices;
 

@@ -45,13 +45,7 @@ struct MarketConfig {
   /// Clock-auction tuning for each round.
   auction::ClockAuctionConfig auction = DefaultMarketAuctionConfig();
 
-  /// Demand-engine kernel selection (auction/kernels.h). The default
-  /// scalar kernel reproduces the historical engine bit for bit; the
-  /// vectorized kernels keep decisions identical and bound price drift
-  /// (the relaxed-equivalence tier). Applies to the in-process serial
-  /// engine and preliminary-price ticks; the distributed proxy path
-  /// always runs the scalar oracle, which the serial==distributed
-  /// bit-identity contract relies on.
+  /// Unread; kept only because the bench/planet/ benchmark passes it on.
   auction::DemandEngineConfig demand_engine;
 
   /// Congestion weighting for reserve prices (defaults to φ1 = exp2, the

@@ -139,13 +139,11 @@ struct AuctionReport {
   long long incremental_collections = 0;
 
   /// Profiler work-accounting counters (deterministic logical work,
-  /// docs/observability.md "Phase profiler"): kernel dot-block calls
-  /// per full sweep, bidders re-evaluated incrementally, and the
-  /// resolved dot-kernel tier that served them. Like the collection
-  /// split above, zero/empty on the wire path.
+  /// docs/observability.md "Phase profiler"): dot blocks swept by full
+  /// collections and bidders re-evaluated incrementally. Like the
+  /// collection split above, zero on the wire path.
   long long dot_blocks = 0;
   long long dirty_bidders = 0;
-  std::string kernel;
 
   // Wire traffic when the round ran behind pm::net proxy nodes
   // (MarketConfig::distributed_proxy_nodes > 0); zero on the in-process

@@ -425,11 +425,7 @@ void FederatedExchange::IngestShardTelemetry(
       // The profiler's deterministic work-accounting channel: logical
       // cost counters for this shard-epoch, plus the per-(epoch, shard)
       // work tree the flight recorder attaches to containment dumps.
-      // Dot-blocks carry the resolved kernel tier on the phase label so
-      // a de-vectorization shows up as a series switch.
-      telemetry::Labels by_tier = by_shard;
-      by_tier.phase = r.kernel;
-      reg.AddCounter("fed_work_dot_blocks", by_tier,
+      reg.AddCounter("fed_work_dot_blocks", by_shard,
                      static_cast<double>(r.dot_blocks));
       reg.AddCounter("fed_work_dirty_bidders", by_shard,
                      static_cast<double>(r.dirty_bidders));
@@ -448,7 +444,6 @@ void FederatedExchange::IngestShardTelemetry(
       work.wire_retries = r.wire_frames_retried;
       work.wire_dedups = r.wire_frames_deduped;
       work.refund_ops = static_cast<long long>(r.refund_ops);
-      work.kernel = r.kernel;
       telemetry_->profiler()->RecordWork(epoch, k, std::move(work));
     }
     if (config_.telemetry.profiler.wall_clock) {

@@ -82,8 +82,7 @@ std::vector<AlertRule> DefaultWorkAlertRules() {
   // given factor two epochs running. One hot epoch is workload noise
   // (a flash crowd legitimately doubles demand); a sustained multiple
   // with no matching workload change is an engine regression —
-  // incremental collections degenerating to full sweeps, or a kernel
-  // tier silently falling back.
+  // incremental collections degenerating to full sweeps.
   rules.push_back({"work-dot-block-drift", Kind::kAbove,
                    "derived:work_dot_blocks_drift", {}, 2.0, 2,
                    AlertSeverity::kWarning});

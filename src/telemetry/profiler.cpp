@@ -70,9 +70,7 @@ std::string PhaseProfiler::RenderWorkTree(std::size_t shard, int epoch,
     os << "    collect: full=" << w->full_collections
        << " incremental=" << w->incremental_collections
        << " dot_blocks=" << w->dot_blocks
-       << " dirty_bidders=" << w->dirty_bidders;
-    if (!w->kernel.empty()) os << " kernel=" << w->kernel;
-    os << "\n";
+       << " dirty_bidders=" << w->dirty_bidders << "\n";
     os << "    bisect: probes=" << w->bisection_probes << "\n";
     os << "    settle: refund_ops=" << w->refund_ops << "\n";
     os << "    wire: retries=" << w->wire_retries

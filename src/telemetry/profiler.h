@@ -6,16 +6,15 @@
 // channels:
 //
 //   * Work accounting (deterministic). Logical cost counters measured
-//     on the hot paths — kernel dot-blocks per Kernel tier, bisection
+//     on the hot paths — full-sweep dot blocks, bisection
 //     probes, full vs incremental engine collections, dirty-bidder
 //     counts, wire retries/dedups, settlement refund ops — recorded
 //     per (epoch, shard) here and mirrored into the MetricsRegistry as
 //     `fed_work_*` counters at the epoch barrier. Logical units only:
 //     the numbers are byte-identical across reruns and thread counts,
 //     which makes their drift a host-noise-immune proxy for perf
-//     regressions (an incremental-fallback storm or kernel
-//     de-vectorization fires deterministically even on a noisy
-//     single-vCPU host).
+//     regressions (an incremental-fallback storm fires
+//     deterministically even on a noisy single-vCPU host).
 //
 //   * Wall clock. Real phase spans (collect → bisect → settle on each
 //     shard track; a whole-epoch span enclosing route → barrier on the
@@ -60,7 +59,7 @@ struct ProfilerConfig {
 /// One epoch's logical work, for one shard. Copied from AuctionReport at
 /// the epoch barrier; every field is deterministic.
 struct WorkCounters {
-  long long dot_blocks = 0;       // kernel dot-block calls (full sweeps)
+  long long dot_blocks = 0;       // dot blocks swept by full collections
   long long dirty_bidders = 0;    // bidders re-evaluated incrementally
   long long bisection_probes = 0;
   long long full_collections = 0;
@@ -68,7 +67,6 @@ struct WorkCounters {
   long long wire_retries = 0;     // lossy-wire frames retried
   long long wire_dedups = 0;      // frames the receiver discarded
   long long refund_ops = 0;       // settlement refund payouts
-  std::string kernel;             // resolved dot-kernel tier
 };
 
 class PhaseProfiler {

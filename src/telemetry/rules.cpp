@@ -47,9 +47,8 @@ std::vector<RecordingRule> DefaultRecordingRules() {
 std::vector<RecordingRule> DefaultWorkRecordingRules() {
   using Kind = RecordingRule::Kind;
   std::vector<RecordingRule> rules;
-  // Per-epoch logical work rates: how many kernel dot-blocks, dirty
-  // bidders and wire retries landed THIS epoch, per shard (dot-blocks
-  // additionally per kernel tier via the phase label).
+  // Per-epoch logical work rates: how many dot blocks, dirty bidders
+  // and wire retries landed THIS epoch, per shard.
   rules.push_back({Kind::kCounterRate, "work_dot_blocks_rate",
                    "fed_work_dot_blocks", ""});
   rules.push_back({Kind::kCounterRate, "work_dirty_bidders_rate",
@@ -59,8 +58,8 @@ std::vector<RecordingRule> DefaultWorkRecordingRules() {
   // Epoch-over-epoch drift of the dominant work drivers. A sustained
   // drift factor ≥ 2 means the same workload suddenly costs a multiple
   // of last epoch's logical work — the deterministic signature of an
-  // incremental-fallback storm or a de-vectorized kernel, visible even
-  // on a host too noisy for wall-clock regression detection.
+  // incremental-fallback storm, visible even on a host too noisy for
+  // wall-clock regression detection.
   rules.push_back({Kind::kDeltaDrift, "work_dot_blocks_drift",
                    "fed_work_dot_blocks", ""});
   rules.push_back({Kind::kDeltaDrift, "work_dirty_bidders_drift",

@@ -274,7 +274,7 @@ TEST(DemandEngineTest, ShardedEnginesMatchWholeMarketBitForBit) {
 TEST(DemandEngineTest, ThreadedCollectionBitIdenticalToSerial) {
   // Excess accumulation is blocked with a fixed block size, so results do
   // not depend on the thread pool — even for markets spanning many
-  // blocks.
+  // blocks, interior ones and a ragged (partial) last block alike.
   RandomStream rng(424242);
   std::vector<Bid> bids;
   const std::size_t num_pools = 16;
@@ -295,7 +295,8 @@ TEST(DemandEngineTest, ThreadedCollectionBitIdenticalToSerial) {
   }
   bid::AssignUserIds(bids);
   const DemandEngine engine(bids, std::vector<double>(num_pools, 100.0));
-  ASSERT_GT(engine.NumBidders(), DemandEngine::kExcessBlockBidders);
+  ASSERT_GT(engine.NumBidders(), 2 * DemandEngine::kExcessBlockBidders);
+  ASSERT_NE(engine.NumBidders() % DemandEngine::kExcessBlockBidders, 0u);
 
   ThreadPool pool(4);
   DemandEngine::Workspace serial_ws;

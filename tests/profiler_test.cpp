@@ -51,11 +51,10 @@ TEST(PhaseProfilerTest, RecordsAndFindsWorkPerEpochShard) {
   WorkCounters work;
   work.dot_blocks = 40;
   work.bisection_probes = 7;
-  work.kernel = "avx2";
   profiler.RecordWork(0, 1, work);
   ASSERT_NE(profiler.FindWork(0, 1), nullptr);
   EXPECT_EQ(profiler.FindWork(0, 1)->dot_blocks, 40);
-  EXPECT_EQ(profiler.FindWork(0, 1)->kernel, "avx2");
+  EXPECT_EQ(profiler.FindWork(0, 1)->bisection_probes, 7);
   EXPECT_EQ(profiler.FindWork(0, 0), nullptr);
   EXPECT_EQ(profiler.FindWork(1, 1), nullptr);
 }
@@ -72,7 +71,6 @@ TEST(PhaseProfilerTest, WorkTreeShowsRunUpAndRolledBackEpoch) {
     work.refund_ops = 1;
     work.wire_retries = 2;
     work.wire_dedups = 1;
-    work.kernel = "scalar";
     profiler.RecordWork(e, 0, work);
   }
   // Epoch 5 itself never reported (it failed): the tree shows the most
@@ -83,7 +81,7 @@ TEST(PhaseProfilerTest, WorkTreeShowsRunUpAndRolledBackEpoch) {
   EXPECT_NE(tree.find("epoch 3"), std::string::npos);
   EXPECT_EQ(tree.find("epoch 1"), std::string::npos);  // History cap.
   EXPECT_NE(tree.find("dot_blocks=40"), std::string::npos);
-  EXPECT_NE(tree.find("kernel=scalar"), std::string::npos);
+  EXPECT_NE(tree.find("dirty_bidders=5"), std::string::npos);
   EXPECT_NE(tree.find("probes="), std::string::npos);
   EXPECT_NE(tree.find("refund_ops="), std::string::npos);
   EXPECT_NE(tree.find("retries="), std::string::npos);
@@ -244,9 +242,10 @@ TEST(WorkAccountingTest, CountersAreByteIdenticalAcrossThreadsAndReruns) {
   EXPECT_NE(once.find("fed_work_dot_blocks"), std::string::npos);
   EXPECT_NE(once.find("fed_work_dirty_bidders"), std::string::npos);
   EXPECT_NE(once.find("fed_work_refund_ops"), std::string::npos);
-  // The dot-block series carries the kernel tier as its phase label
+  // The dot-block series is per shard, like its fed_work_* siblings
   // (the JSON document escapes the quotes inside canonical keys).
-  EXPECT_NE(once.find("phase=\\\"scalar\\\""), std::string::npos);
+  EXPECT_NE(once.find("fed_work_dot_blocks{shard=\\\"shard-0\\\"}"),
+            std::string::npos);
 }
 
 TEST(WorkAccountingTest, ProfilerOffLeaksNoWorkSeries) {
