@@ -220,16 +220,12 @@ int main(int argc, char** argv) {
   if (faults.Enabled()) {
     // Lossy-wire mode: every shard clears through proxy nodes over the
     // faulty transport, with the supervisor armed so a link going down
-    // for good is contained rather than fatal. The distributed path
-    // needs intra-round bisection off (docs/distributed.md).
+    // for good is contained rather than fatal.
     spec.federation.wire_faults = faults;
     if (spec.federation.proxy_nodes_per_shard == 0) {
       spec.federation.proxy_nodes_per_shard = 2;
     }
     spec.federation.supervisor.enabled = true;
-    for (pm::federation::ShardSpec& shard : spec.shards) {
-      shard.market.auction.intra_round_bisection = false;
-    }
   }
 
   pm::scenario::ScenarioRunner runner(std::move(spec), config);

@@ -7,27 +7,6 @@
 
 namespace pm::auction {
 
-std::string DistributedIncompatibility(const ClockAuctionConfig& config) {
-  if (config.intra_round_bisection) {
-    return "intra_round_bisection is serial-only: its demand probes are a "
-           "serial search that does not map onto the broadcast protocol";
-  }
-  if (config.thread_pool != nullptr) {
-    return "thread_pool is serial-only: the distributed engine already "
-           "fans demand collection out across proxy-node threads";
-  }
-  if (config.record_trajectory) {
-    return "record_trajectory is serial-only: the wire protocol does not "
-           "carry per-round trajectory frames";
-  }
-  if (config.collect_phase_timings) {
-    return "collect_phase_timings is serial-only: the wire path's demand "
-           "work runs inside the proxy nodes, so there is no in-process "
-           "collect phase to time";
-  }
-  return {};
-}
-
 namespace {
 
 /// Builds the configured increment policy.
@@ -61,6 +40,32 @@ bool AllNonPositive(std::span<const double> z, double eps) {
                      [eps](double v) { return v <= eps; });
 }
 
+/// The in-process source: one DemandEngine workspace serving every
+/// collection — a full arena sweep on the first call, incremental
+/// re-evaluation (only bidders touching a moved pool) on every later
+/// round and probe. The loop reads decisions and excess straight out of
+/// the workspace.
+class EngineSource final : public DemandSource {
+ public:
+  EngineSource(const DemandEngine& engine, ThreadPool* pool)
+      : engine_(engine), pool_(pool) {}
+
+  void Collect(std::span<const double> prices) override {
+    engine_.CollectDemand(prices, pool_, ws_);
+  }
+  const std::vector<ProxyDecision>& decisions() const override {
+    return ws_.decisions();
+  }
+  const std::vector<double>& excess() const override { return ws_.excess(); }
+
+  const DemandEngine::Workspace& workspace() const { return ws_; }
+
+ private:
+  const DemandEngine& engine_;
+  ThreadPool* pool_;
+  DemandEngine::Workspace ws_;
+};
+
 }  // namespace
 
 DemandEngine ClockAuction::BuildEngine(const std::vector<bid::Bid>& bids,
@@ -90,6 +95,19 @@ ClockAuction::ClockAuction(std::vector<bid::Bid> bids,
 
 ClockAuctionResult ClockAuction::Run(
     const ClockAuctionConfig& config) const {
+  EngineSource source(engine_, config.thread_pool);
+  ClockAuctionResult result = Run(config, source);
+  const DemandEngine::Workspace& ws = source.workspace();
+  result.proxies_reevaluated = ws.proxies_evaluated();
+  result.full_collections = ws.full_collections();
+  result.incremental_collections = ws.incremental_collections();
+  result.dot_blocks = ws.dot_blocks();
+  result.dirty_bidders = ws.dirty_bidders();
+  return result;
+}
+
+ClockAuctionResult ClockAuction::Run(const ClockAuctionConfig& config,
+                                     DemandSource& source) const {
   const std::size_t num_pools = supply_.size();
   std::unique_ptr<IncrementPolicy> owned_policy;
   const IncrementPolicy* policy = config.policy;
@@ -113,7 +131,6 @@ ClockAuctionResult ClockAuction::Run(
   result.prices = reserve_;
   std::vector<double> normalized(num_pools, 0.0);
   std::vector<double> step(num_pools, 0.0);
-  DemandEngine::Workspace ws;
 
   // Wall channel (profiler): the run splits into a collect phase (price
   // discovery, including each round's λ = 1 demand peek) and a bisect
@@ -124,19 +141,12 @@ ClockAuctionResult ClockAuction::Run(
   std::uint64_t bisect_begin_ns = 0;
 
   auto collect = [&](std::span<const double> prices) {
-    // Full arena sweep on the first call, incremental re-evaluation (only
-    // bidders touching a moved pool) on every later round and probe.
-    engine_.CollectDemand(prices, config.thread_pool, ws);
+    source.Collect(prices);
     result.demand_evaluations += static_cast<long long>(bids_.size());
   };
   auto finalize = [&] {
-    result.decisions = ws.decisions();
-    result.excess = ws.excess();
-    result.proxies_reevaluated = ws.proxies_evaluated();
-    result.full_collections = ws.full_collections();
-    result.incremental_collections = ws.incremental_collections();
-    result.dot_blocks = ws.dot_blocks();
-    result.dirty_bidders = ws.dirty_bidders();
+    result.decisions = source.decisions();
+    result.excess = source.excess();
     if (timed) {
       const std::uint64_t end_ns = PhaseNowNs();
       const std::uint64_t split =
@@ -163,9 +173,9 @@ ClockAuctionResult ClockAuction::Run(
   for (int round = 0; round < config.max_rounds; ++round) {
     collect(result.prices);
     result.rounds = round + 1;
-    normalize(ws.excess());
+    normalize(source.excess());
     if (config.record_trajectory) {
-      result.trajectory.push_back(RoundRecord{result.prices, ws.excess()});
+      result.trajectory.push_back(RoundRecord{result.prices, source.excess()});
     }
     if (AllNonPositive(normalized, config.demand_eps)) {
       result.converged = true;
@@ -217,18 +227,18 @@ ClockAuctionResult ClockAuction::Run(
     // auction, bisect the step fraction to reduce overshoot: find a
     // near-minimal λ ∈ (0, 1] with z(p + λ·g) ≤ 0. Each probe moves only
     // the stepped pools, so the engine re-evaluates O(touched) proxies.
-    double ws_lambda = 0.0;   // λ the workspace currently reflects.
-    bool ws_cleared = false;  // Whether z(ws_lambda) ≤ 0.
+    double source_lambda = 0.0;   // λ the source currently reflects.
+    bool source_cleared = false;  // Whether z(source_lambda) ≤ 0.
     auto demand_at = [&](double lambda) {
       ++result.bisection_probes;
       for (std::size_t r = 0; r < num_pools; ++r) {
         probe_prices[r] = result.prices[r] + lambda * step[r];
       }
       collect(probe_prices);
-      ws_lambda = lambda;
-      normalize(ws.excess());
-      ws_cleared = AllNonPositive(normalized, config.demand_eps);
-      return ws_cleared;
+      source_lambda = lambda;
+      normalize(source.excess());
+      source_cleared = AllNonPositive(normalized, config.demand_eps);
+      return source_cleared;
     };
     if (!demand_at(1.0)) {
       // Full step still leaves excess demand: take it and continue. The
@@ -254,16 +264,16 @@ ClockAuctionResult ClockAuction::Run(
     // probe already evaluated λ = hi (it cleared and tightened hi), its
     // decisions and excess are reused as-is instead of re-running a
     // demand collection.
-    if (ws_lambda != hi) {
+    if (source_lambda != hi) {
       const bool cleared = demand_at(hi);
       PM_CHECK(cleared);
     }
-    PM_CHECK(ws_cleared);
+    PM_CHECK(source_cleared);
     result.prices = probe_prices;
     result.rounds += 1;
     if (config.record_trajectory) {
       result.trajectory.push_back(
-          RoundRecord{result.prices, ws.excess()});
+          RoundRecord{result.prices, source.excess()});
     }
     result.converged = true;
     finalize();

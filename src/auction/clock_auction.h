@@ -17,6 +17,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "auction/demand_engine.h"
@@ -87,8 +88,9 @@ struct ClockAuctionConfig {
   /// Record wall-clock collect/bisect phase spans into
   /// ClockAuctionResult::phases (the profiler's wall channel,
   /// src/common/phase_span.h). Costs a few steady_clock reads per run
-  /// and never touches prices, decisions, or any counter. Serial loop
-  /// only — the wire path's demand work runs inside the proxy nodes.
+  /// and never touches prices, decisions, or any counter. The spans time
+  /// the auctioneer, so on the wire path they include the proxy round
+  /// trips.
   bool collect_phase_timings = false;
 
   /// §III.B's p ≤ pmax modification: per-pool price ceilings "to keep the
@@ -99,15 +101,6 @@ struct ClockAuctionConfig {
   /// demand must be rationed out of band.
   std::vector<double> price_caps;
 };
-
-/// Reports why `config` cannot run on the broadcast wire protocol
-/// (pm::net::RunDistributedAuction), or an empty string when it can.
-/// Serial-only knobs do not map onto the announce/reply protocol:
-/// intra-round bisection's demand probes are a serial search, the caller's
-/// thread pool would race the proxy-node threads, and trajectory recording
-/// is owned by the serial loop. Callers that stage a config for the wire
-/// path validate with this instead of silently dropping the knobs.
-std::string DistributedIncompatibility(const ClockAuctionConfig& config);
 
 /// Snapshot of one auction round (recorded when requested).
 struct RoundRecord {
@@ -173,6 +166,24 @@ struct ClockAuctionResult {
 /// Empty; kept only because the bench/planet/ benchmark passes one.
 struct DemandEngineConfig {};
 
+/// Line 4 of Algorithm 1, "collect bids x_u(t) = G_u(p(t))": the one step
+/// where the in-process auction and the wire auction differ. The loop in
+/// ClockAuction::Run is written against this seam; the serial source is
+/// the auction's own DemandEngine, the wire source is bidder proxies
+/// behind pm::net frames (net::RunDistributedAuction).
+class DemandSource {
+ public:
+  /// Evaluates every user's demand at `prices`. Afterwards decisions()
+  /// (one per user) and excess() (raw z = Σ_u x_u − s, one per pool)
+  /// reflect exactly `prices`.
+  virtual void Collect(std::span<const double> prices) = 0;
+  virtual const std::vector<ProxyDecision>& decisions() const = 0;
+  virtual const std::vector<double>& excess() const = 0;
+
+ protected:
+  ~DemandSource() = default;  // Never owned through this interface.
+};
+
 /// The auctioneer. Owns copies of the bids, compiled once into a
 /// DemandEngine arena that serves every demand collection (full sweeps at
 /// round 0, incremental re-evaluation afterwards).
@@ -188,6 +199,14 @@ class ClockAuction {
   /// Runs Algorithm 1. Idempotent: each call restarts from the reserve
   /// prices with a fresh demand workspace.
   ClockAuctionResult Run(const ClockAuctionConfig& config) const;
+
+  /// Runs Algorithm 1 with line 4 served by `source`, which must answer
+  /// for exactly this auction's users and pools and start from no cached
+  /// state. The engine-side counters (proxies_reevaluated, the collection
+  /// split, dot_blocks, dirty_bidders) stay zero: only the source knows
+  /// its work.
+  ClockAuctionResult Run(const ClockAuctionConfig& config,
+                         DemandSource& source) const;
 
   std::size_t NumUsers() const { return bids_.size(); }
   std::size_t NumPools() const { return supply_.size(); }

@@ -44,12 +44,6 @@ Market::Market(cluster::Fleet* fleet,
   PM_CHECK_MSG(config_.supply_fraction > 0.0 &&
                    config_.supply_fraction <= 1.0,
                "supply fraction must be in (0, 1]");
-  if (config_.distributed_proxy_nodes > 0) {
-    const std::string incompatible =
-        auction::DistributedIncompatibility(config_.auction);
-    PM_CHECK_MSG(incompatible.empty(),
-                 "distributed market: " << incompatible);
-  }
   // §I quota bootstrap: every team starts entitled to exactly what it
   // already runs, and its usage is charged accordingly.
   for (const cluster::JobLocation& loc : fleet_->AllJobs()) {
@@ -297,10 +291,6 @@ AuctionReport Market::RunAuction() {
     report.wire_frames_retried = distributed.transport.frames_retried;
     report.wire_frames_deduped = distributed.transport.frames_duplicated +
                                  distributed.transport.frames_stale;
-  } else if (config_.phase_timings) {
-    auction::ClockAuctionConfig timed = config_.auction;
-    timed.collect_phase_timings = true;
-    result = auction.Run(timed);
   } else {
     result = auction.Run(config_.auction);
   }
@@ -329,7 +319,8 @@ AuctionReport Market::RunAuction() {
   // Wall channel: the settle span covers settlement computation through
   // the full pipeline (billing → quota → placement → refunds → moves).
   ScopedPhaseTimer settle_timer(
-      config_.phase_timings ? &report.phases : nullptr, "settle");
+      config_.auction.collect_phase_timings ? &report.phases : nullptr,
+      "settle");
 
   const auction::Settlement settlement = auction::Settle(auction, result);
   report.num_winners = settlement.awards.size();

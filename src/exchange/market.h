@@ -80,14 +80,6 @@ struct MarketConfig {
   /// every future epoch — is bit-identical to the price-only learner.
   bool outcome_feedback = false;
 
-  /// Record wall-clock phase spans (auction collect/bisect + settle)
-  /// into AuctionReport::phases — the profiler's wall channel. A few
-  /// steady_clock reads per auction when on; never touches prices,
-  /// decisions, counters, or any deterministic export. Serial path
-  /// only: on the wire path the demand work runs inside the proxy
-  /// nodes, so only the settle span is recorded.
-  bool phase_timings = false;
-
   /// Seed of the market's private random stream (exposed via rng()).
   /// The core auction round is fully deterministic and draws nothing from
   /// it; the stream exists for market-scoped stochastic extensions
@@ -99,10 +91,8 @@ struct MarketConfig {
 
   /// When > 0, every binding auction runs over the pm::net wire protocol
   /// behind this many proxy nodes instead of the in-process serial engine
-  /// (bit-identical by construction — distribution changes where the work
-  /// runs, not the mechanism). Requires a distributed-compatible auction
-  /// config: the constructor CHECKs
-  /// auction::DistributedIncompatibility(auction).empty().
+  /// (bit-identical by construction for every auction config —
+  /// distribution changes where the work runs, not the mechanism).
   /// ComputePreliminaryPrices stays serial — it is a non-binding local
   /// simulation either way.
   std::size_t distributed_proxy_nodes = 0;

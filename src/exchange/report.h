@@ -183,9 +183,10 @@ struct AuctionReport {
   std::vector<double> post_utilization;
 
   /// Wall-clock phase spans (collect/bisect from the auction, settle
-  /// from the settlement section) when MarketConfig::phase_timings is
-  /// on; the federation copies them into the profiler at the epoch
-  /// barrier. Never read by any deterministic export.
+  /// from the settlement section) when the market's
+  /// auction.collect_phase_timings is on; the federation copies them
+  /// into the profiler at the epoch barrier. Never read by any
+  /// deterministic export.
   std::vector<PhaseSpan> phases;
 };
 

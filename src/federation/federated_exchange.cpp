@@ -52,7 +52,7 @@ FederatedExchange::FederatedExchange(std::vector<ShardSpec> specs,
     // Profiler wall channel: shard markets record collect/bisect/settle
     // spans into their reports; the barrier copies them into the
     // profiler. Wall-only — deterministic outputs are untouched.
-    spec.market.phase_timings =
+    spec.market.auction.collect_phase_timings =
         config_.telemetry.enabled && config_.telemetry.profiler.wall_clock;
     PM_CHECK_MSG(!spec.market.wire_faults.Enabled(),
                  "set FederationConfig::wire_faults, not "
@@ -296,7 +296,7 @@ void FederatedExchange::SubmitFederatedBid(FederatedBid bid) {
     }
     PM_CHECK_MSG(known, "unknown home shard '" << bid.home_shard << "'");
   }
-  if (telemetry_ != nullptr && config_.telemetry.trace_bids) {
+  if (telemetry_ != nullptr) {
     // A supervisor re-queue re-enters through pending_ directly and keeps
     // its trace; only a fresh bid opens a lifecycle here.
     if (bid.trace == 0) bid.trace = telemetry_->tracer().NewTrace();
@@ -465,71 +465,69 @@ void FederatedExchange::IngestShardTelemetry(
   // Bid lifecycles: one shard-auction span per routed part, then its
   // settlement fate — the matching award, an explicit gate rejection,
   // or no award at all.
-  if (config_.telemetry.trace_bids) {
-    for (const RoutedBid& routed : routing.routed) {
-      const std::uint64_t trace = epoch_traces[routed.bid_index];
-      if (trace == 0) continue;
-      const std::size_t k = routed.shard;
-      const ShardEpochSummary& s = summaries[k];
-      telemetry::Span& span = telemetry_->EmitSpan(
-          trace, "shard-auction", epoch, static_cast<int>(k));
-      span.attrs.emplace_back("bid", routed.bid.name);
-      if (s.failed) {
-        span.attrs.emplace_back("outcome", "crashed");
-      } else {
-        span.attrs.emplace_back("rounds",
-                                std::to_string(s.report.rounds));
-        span.attrs.emplace_back("converged",
-                                s.report.converged ? "true" : "false");
-      }
-      telemetry_->MirrorSpan(span);
-      if (s.failed) continue;
-
-      const exchange::AwardRecord* award = nullptr;
-      for (const exchange::AwardRecord& a : s.report.awards) {
-        if (a.team == routed.team && a.bid_name == routed.bid.name) {
-          award = &a;
-          break;
-        }
-      }
-      if (award != nullptr) {
-        telemetry::Span& settle = telemetry_->EmitSpan(
-            trace, "settle", epoch, static_cast<int>(k));
-        settle.attrs.emplace_back("bid", routed.bid.name);
-        settle.attrs.emplace_back("payment", FormatF(award->payment, 2));
-        settle.attrs.emplace_back(
-            "placement",
-            std::string(exchange::ToString(award->outcome.status)));
-        if (award->outcome.refund > 0.0) {
-          settle.attrs.emplace_back("refund",
-                                    FormatF(award->outcome.refund, 2));
-        }
-        telemetry_->MirrorSpan(settle);
-        continue;
-      }
-      const exchange::ExternalRejection* rejection = nullptr;
-      for (const exchange::ExternalRejection& rej :
-           s.report.external_rejections) {
-        if (rej.team == routed.team && rej.bid_name == routed.bid.name) {
-          rejection = &rej;
-          break;
-        }
-      }
-      if (rejection != nullptr) {
-        telemetry::Span& rejected = telemetry_->EmitSpan(
-            trace, "reject", epoch, static_cast<int>(k));
-        rejected.attrs.emplace_back("bid", routed.bid.name);
-        rejected.attrs.emplace_back(
-            "reason",
-            std::string(exchange::ToString(rejection->reason)));
-        telemetry_->MirrorSpan(rejected);
-        continue;
-      }
-      telemetry::Span& lost = telemetry_->EmitSpan(
-          trace, "no-award", epoch, static_cast<int>(k));
-      lost.attrs.emplace_back("bid", routed.bid.name);
-      telemetry_->MirrorSpan(lost);
+  for (const RoutedBid& routed : routing.routed) {
+    const std::uint64_t trace = epoch_traces[routed.bid_index];
+    if (trace == 0) continue;
+    const std::size_t k = routed.shard;
+    const ShardEpochSummary& s = summaries[k];
+    telemetry::Span& span = telemetry_->EmitSpan(
+        trace, "shard-auction", epoch, static_cast<int>(k));
+    span.attrs.emplace_back("bid", routed.bid.name);
+    if (s.failed) {
+      span.attrs.emplace_back("outcome", "crashed");
+    } else {
+      span.attrs.emplace_back("rounds",
+                              std::to_string(s.report.rounds));
+      span.attrs.emplace_back("converged",
+                              s.report.converged ? "true" : "false");
     }
+    telemetry_->MirrorSpan(span);
+    if (s.failed) continue;
+
+    const exchange::AwardRecord* award = nullptr;
+    for (const exchange::AwardRecord& a : s.report.awards) {
+      if (a.team == routed.team && a.bid_name == routed.bid.name) {
+        award = &a;
+        break;
+      }
+    }
+    if (award != nullptr) {
+      telemetry::Span& settle = telemetry_->EmitSpan(
+          trace, "settle", epoch, static_cast<int>(k));
+      settle.attrs.emplace_back("bid", routed.bid.name);
+      settle.attrs.emplace_back("payment", FormatF(award->payment, 2));
+      settle.attrs.emplace_back(
+          "placement",
+          std::string(exchange::ToString(award->outcome.status)));
+      if (award->outcome.refund > 0.0) {
+        settle.attrs.emplace_back("refund",
+                                  FormatF(award->outcome.refund, 2));
+      }
+      telemetry_->MirrorSpan(settle);
+      continue;
+    }
+    const exchange::ExternalRejection* rejection = nullptr;
+    for (const exchange::ExternalRejection& rej :
+         s.report.external_rejections) {
+      if (rej.team == routed.team && rej.bid_name == routed.bid.name) {
+        rejection = &rej;
+        break;
+      }
+    }
+    if (rejection != nullptr) {
+      telemetry::Span& rejected = telemetry_->EmitSpan(
+          trace, "reject", epoch, static_cast<int>(k));
+      rejected.attrs.emplace_back("bid", routed.bid.name);
+      rejected.attrs.emplace_back(
+          "reason",
+          std::string(exchange::ToString(rejection->reason)));
+      telemetry_->MirrorSpan(rejected);
+      continue;
+    }
+    telemetry::Span& lost = telemetry_->EmitSpan(
+        trace, "no-award", epoch, static_cast<int>(k));
+    lost.attrs.emplace_back("bid", routed.bid.name);
+    telemetry_->MirrorSpan(lost);
   }
 }
 
@@ -759,32 +757,30 @@ FederationReport FederatedExchange::RunEpochInternal(const int epoch) {
       }
       reg.AddCounter("fed_router_parts_placed", telemetry::Labels{},
                      static_cast<double>(routing.routed.size()));
-      if (config_.telemetry.trace_bids) {
-        for (std::size_t i = 0; i < routing.decisions.size(); ++i) {
-          if (epoch_traces[i] == 0) continue;
-          const RouteDecision& decision = routing.decisions[i];
-          telemetry::Span& span =
-              telemetry_->EmitSpan(epoch_traces[i], "route", epoch, -1);
-          span.attrs.emplace_back("policy",
-                                  std::string(ToString(decision.policy)));
-          span.attrs.emplace_back(
-              "parts", std::to_string(decision.shards.size()));
-          span.attrs.emplace_back("spilled",
-                                  decision.spilled ? "true" : "false");
-          if (!decision.shards.empty()) {
-            span.attrs.emplace_back("heat",
-                                    FormatF(decision.preferred_heat, 3));
-          }
+      for (std::size_t i = 0; i < routing.decisions.size(); ++i) {
+        if (epoch_traces[i] == 0) continue;
+        const RouteDecision& decision = routing.decisions[i];
+        telemetry::Span& span =
+            telemetry_->EmitSpan(epoch_traces[i], "route", epoch, -1);
+        span.attrs.emplace_back("policy",
+                                std::string(ToString(decision.policy)));
+        span.attrs.emplace_back(
+            "parts", std::to_string(decision.shards.size()));
+        span.attrs.emplace_back("spilled",
+                                decision.spilled ? "true" : "false");
+        if (!decision.shards.empty()) {
+          span.attrs.emplace_back("heat",
+                                  FormatF(decision.preferred_heat, 3));
         }
-        for (const RoutedBid& routed : routing.routed) {
-          const std::uint64_t trace = epoch_traces[routed.bid_index];
-          if (trace == 0) continue;
-          telemetry::Span& span = telemetry_->EmitSpan(
-              trace, "enqueue", epoch, static_cast<int>(routed.shard));
-          span.attrs.emplace_back("bid", routed.bid.name);
-          span.attrs.emplace_back("limit", FormatF(routed.bid.limit, 2));
-          telemetry_->MirrorSpan(span);
-        }
+      }
+      for (const RoutedBid& routed : routing.routed) {
+        const std::uint64_t trace = epoch_traces[routed.bid_index];
+        if (trace == 0) continue;
+        telemetry::Span& span = telemetry_->EmitSpan(
+            trace, "enqueue", epoch, static_cast<int>(routed.shard));
+        span.attrs.emplace_back("bid", routed.bid.name);
+        span.attrs.emplace_back("limit", FormatF(routed.bid.limit, 2));
+        telemetry_->MirrorSpan(span);
       }
     }
   }
@@ -916,7 +912,7 @@ FederationReport FederatedExchange::RunEpochInternal(const int epoch) {
         // Containment flight dump: the failed shard's recent ring (the
         // health event above included) plus the full span chain of every
         // traced bid that touched it this epoch.
-        if (summaries[k].failed && config_.telemetry.flight_recorder) {
+        if (summaries[k].failed) {
           std::vector<std::pair<std::uint64_t, std::vector<std::string>>>
               chains;
           for (const RoutedBid& routed : routing.routed) {
@@ -985,14 +981,14 @@ FederationReport FederatedExchange::RunEpochInternal(const int epoch) {
           failed_parts == decision.shards.size()) {
         pending_.push_back(epoch_bids[i]);
         ++health_block.rerouted_bids;
-        if (trace != 0 && config_.telemetry.trace_bids) {
+        if (trace != 0) {
           telemetry::Span& span =
               telemetry_->EmitSpan(trace, "reroute", epoch, -1);
           span.attrs.emplace_back("reason", "every part on a failed shard");
         }
       } else {
         health_block.refunded_bids += failed_parts;
-        if (trace != 0 && config_.telemetry.trace_bids) {
+        if (trace != 0) {
           telemetry::Span& span =
               telemetry_->EmitSpan(trace, "refund-part", epoch, -1);
           span.attrs.emplace_back("failed_parts",

@@ -90,10 +90,8 @@ struct FederationConfig {
   std::size_t num_threads = 0;
 
   /// When > 0, every shard's binding auctions run over the pm::net wire
-  /// protocol behind this many proxy nodes. Requires each ShardSpec's
-  /// auction config to be distributed-compatible (no intra-round
-  /// bisection, thread pool, or trajectory recording) — construction
-  /// fails loudly otherwise.
+  /// protocol behind this many proxy nodes, with the same results as the
+  /// in-process engine bit for bit.
   std::size_t proxy_nodes_per_shard = 0;
 
   /// Treasury / arbitrage / rebalancing (all default off).

@@ -4,7 +4,7 @@
 #include <atomic>
 #include <memory>
 #include <optional>
-#include <string>
+#include <span>
 #include <thread>
 
 #include "auction/demand_engine.h"
@@ -102,7 +102,7 @@ class ProxyNode {
     }
     engine_.CollectDemand(announce->prices, nullptr, workspace_);
     DemandReply reply;
-    reply.round = announce->round;
+    reply.collection = announce->collection;
     reply.node = node_id_;
     reply.decisions.reserve(users_.size());
     const std::vector<auction::ProxyDecision>& decisions =
@@ -135,262 +135,239 @@ class ProxyNode {
   std::atomic<long long> decode_failures_{0};
 };
 
-std::unique_ptr<auction::IncrementPolicy> BuildPolicy(
-    const auction::ClockAuctionConfig& config, std::size_t num_pools) {
-  using Kind = auction::ClockAuctionConfig::PolicyKind;
-  switch (config.policy_kind) {
-    case Kind::kAdditive:
-      return auction::MakeAdditivePolicy(config.alpha);
-    case Kind::kCapped:
-      return auction::MakeCappedPolicy(config.alpha, config.delta);
-    case Kind::kRelativeCapped:
-      return auction::MakeRelativeCappedPolicy(config.alpha, config.delta,
-                                               config.step_floor);
-    case Kind::kCostNormalized:
-      PM_CHECK_MSG(config.base_costs.size() == num_pools,
-                   "base_costs must have one entry per pool");
-      return auction::MakeCostNormalizedPolicy(config.alpha, config.delta,
-                                               config.base_costs);
-    case Kind::kMultiplicative:
-      return auction::MakeMultiplicativePolicy(config.alpha, config.delta,
-                                               config.step_floor);
-  }
-  PM_CHECK_MSG(false, "unknown policy kind");
-  return nullptr;
-}
+/// Line 4 of Algorithm 1 answered by proxy nodes over serialized frames.
+/// Owns the whole fabric (nodes, their threads, the auctioneer's inbox,
+/// the lossy links); destruction closes every inbox and joins every node
+/// thread, so a CheckFailure thrown anywhere in the run surfaces to the
+/// caller with no thread left behind.
+class WireSource final : public auction::DemandSource {
+ public:
+  WireSource(const auction::ClockAuction& auction,
+             const DistributedConfig& config)
+      : engine_(auction.engine()),
+        pool_(config.auction.thread_pool),
+        lossy_(config.faults.Enabled()) {
+    const std::vector<bid::Bid>& bids = auction.bids();
+    const std::size_t num_pools = auction.NumPools();
+    const std::size_t num_nodes = std::min(
+        config.num_proxy_nodes, std::max<std::size_t>(1, bids.size()));
 
-}  // namespace
-
-DistributedResult RunDistributedAuction(
-    const auction::ClockAuction& auction, const DistributedConfig& config) {
-  PM_CHECK_MSG(config.num_proxy_nodes >= 1, "need at least one proxy node");
-  const std::string incompatible =
-      auction::DistributedIncompatibility(config.auction);
-  PM_CHECK_MSG(incompatible.empty(), incompatible);
-
-  const std::vector<bid::Bid>& bids = auction.bids();
-  const std::size_t num_pools = auction.NumPools();
-  const std::size_t num_nodes =
-      std::max<std::size_t>(1, std::min(config.num_proxy_nodes,
-                                        std::max<std::size_t>(1,
-                                                              bids.size())));
-
-  DistributedResult out;
-  Channel<Frame> to_auctioneer;
-
-  // Shard users round-robin across proxy nodes.
-  std::vector<std::vector<std::uint32_t>> shards(num_nodes);
-  for (std::size_t u = 0; u < bids.size(); ++u) {
-    shards[u % num_nodes].push_back(static_cast<std::uint32_t>(u));
-  }
-  const bool lossy = config.faults.Enabled();
-  std::vector<std::unique_ptr<ProxyNode>> nodes;
-  nodes.reserve(num_nodes);
-  for (std::size_t n = 0; n < num_nodes; ++n) {
-    nodes.push_back(std::make_unique<ProxyNode>(
-        static_cast<std::uint32_t>(n), &bids, std::move(shards[n]),
-        num_pools, num_nodes, config.faults, &to_auctioneer));
-  }
-  // Directed links under loss: auctioneer→node n is link n, node
-  // n→auctioneer is link num_nodes+n (owned by the node). Reassemblers
-  // index the uplinks by node.
-  std::vector<FaultyLink> down_links;
-  std::vector<LinkReassembler> up_links;
-  if (lossy) {
-    down_links.reserve(num_nodes);
-    for (std::size_t n = 0; n < num_nodes; ++n) {
-      down_links.emplace_back(static_cast<std::uint32_t>(n), config.faults,
-                              &nodes[n]->inbox());
+    // Shard users round-robin across proxy nodes.
+    std::vector<std::vector<std::uint32_t>> shards(num_nodes);
+    for (std::size_t u = 0; u < bids.size(); ++u) {
+      shards[u % num_nodes].push_back(static_cast<std::uint32_t>(u));
     }
-    up_links.resize(num_nodes);
-  }
-  std::vector<std::thread> threads;
-  threads.reserve(num_nodes);
-  for (auto& node : nodes) {
-    threads.emplace_back([&node] { node->Run(); });
+    nodes_.reserve(num_nodes);
+    for (std::size_t n = 0; n < num_nodes; ++n) {
+      nodes_.push_back(std::make_unique<ProxyNode>(
+          static_cast<std::uint32_t>(n), &bids, std::move(shards[n]),
+          num_pools, num_nodes, config.faults, &to_auctioneer_));
+    }
+    // Directed links under loss: auctioneer→node n is link n, node
+    // n→auctioneer is link num_nodes+n (owned by the node). Reassemblers
+    // index the uplinks by node.
+    if (lossy_) {
+      down_links_.reserve(num_nodes);
+      for (std::size_t n = 0; n < num_nodes; ++n) {
+        down_links_.emplace_back(static_cast<std::uint32_t>(n),
+                                 config.faults, &nodes_[n]->inbox());
+      }
+      up_links_.resize(num_nodes);
+    }
+    decisions_.assign(bids.size(), auction::ProxyDecision{});
+    excess_.assign(num_pools, 0.0);
+    threads_.reserve(num_nodes);
+    try {
+      for (auto& node : nodes_) {
+        threads_.emplace_back([node = node.get()] { node->Run(); });
+      }
+    } catch (...) {
+      Shutdown();
+      throw;
+    }
   }
 
-  // Containment exit: a link died (retry exhaustion on either side).
-  // Unwind the whole auction — wake and join every node thread — before
-  // throwing, so the CheckFailure surfaces to the caller with no threads
-  // left behind.
-  auto fail_link = [&](const std::string& what) {
-    for (auto& node : nodes) node->inbox().Close();
-    for (std::thread& t : threads) t.join();
-    to_auctioneer.Close();
-    PM_CHECK_MSG(false, what);
-  };
+  // The nodes hold the address of to_auctioneer_.
+  WireSource(const WireSource&) = delete;
+  WireSource& operator=(const WireSource&) = delete;
+  ~WireSource() { Shutdown(); }
+
+  void Collect(std::span<const double> prices) override {
+    const std::int32_t collection = next_collection_++;
+    Broadcast(Encode(
+        PriceAnnounce{collection, {prices.begin(), prices.end()}}));
+    GatherReplies(collection);
+    // Replies arrive in nondeterministic order, but excess is derived
+    // from the assembled user-indexed decision vector with the engine's
+    // deterministic arithmetic: blocked accumulation on full collections,
+    // ascending-user decision diffs on incremental ones. The full-vs-
+    // incremental branch mirrors DemandEngine's hybrid rule on the
+    // touched-pool count, keeping this source bit-exact with the
+    // in-process engine collection by collection.
+    std::size_t touched = 0;
+    for (std::size_t r = 0; collection > 0 && r < prices.size(); ++r) {
+      if (prices[r] - prev_prices_[r] != 0.0) ++touched;
+    }
+    if (collection == 0 ||
+        auction::DemandEngine::PrefersFullCollect(touched, prices.size())) {
+      engine_.ExcessFromDecisions(decisions_, pool_, excess_);
+    } else {
+      engine_.UpdateExcess(prev_decisions_, decisions_, excess_);
+    }
+    prev_decisions_ = decisions_;
+    prev_prices_.assign(prices.begin(), prices.end());
+  }
+
+  const std::vector<auction::ProxyDecision>& decisions() const override {
+    return decisions_;
+  }
+  const std::vector<double>& excess() const override { return excess_; }
+
+  /// Ends the auction: sends Terminate, joins the nodes, and returns the
+  /// transport counters.
+  TransportStats Finish(bool converged) {
+    // Terminate is control-plane: it is delivered reliably (never
+    // wrapped, dropped, or delayed) so a finished auction cannot be
+    // aborted by the fault process on its way out.
+    const Frame term = Encode(Terminate{converged});
+    for (auto& node : nodes_) {
+      node->inbox().Push(term);
+      ++transport_.messages_sent;
+      transport_.bytes_sent += static_cast<long long>(term.size());
+    }
+    Shutdown();
+    for (auto& node : nodes_) {
+      transport_.decode_failures += node->decode_failures().load();
+    }
+    if (lossy_) {
+      LinkFaultStats wire;
+      for (const FaultyLink& link : down_links_) wire += link.stats();
+      for (const auto& node : nodes_) {
+        if (const LinkFaultStats* s = node->ReplyLinkStats()) wire += *s;
+      }
+      transport_.frames_dropped = wire.dropped;
+      transport_.frames_retried = wire.retries;
+      transport_.frames_duplicated = wire.duplicated;
+      transport_.frames_stale = wire.stale_redelivered;
+    }
+    return transport_;
+  }
+
+ private:
+  /// Wakes and joins every node thread. Idempotent.
+  void Shutdown() {
+    for (auto& node : nodes_) node->inbox().Close();
+    for (std::thread& t : threads_) {
+      if (t.joinable()) t.join();
+    }
+    to_auctioneer_.Close();
+  }
 
   // Transport counters under loss must stay scheduling-independent, so
   // they count the *logical* payload stream (one frame per link per
-  // round); the fault counters summed after the join cover the physical
-  // extras (drops, retries, duplicates, stale copies).
-  auto broadcast = [&](const Frame& frame) {
-    for (std::size_t n = 0; n < nodes.size(); ++n) {
-      if (lossy) {
-        if (!down_links[n].Send(frame)) {
-          fail_link("wire: link to proxy node " + std::to_string(n) +
-                    " down after retry exhaustion");
-        }
+  // collection); the fault counters summed after the join cover the
+  // physical extras (drops, retries, duplicates, stale copies).
+  void Broadcast(const Frame& frame) {
+    for (std::size_t n = 0; n < nodes_.size(); ++n) {
+      if (lossy_) {
+        PM_CHECK_MSG(down_links_[n].Send(frame),
+                     "wire: link to proxy node "
+                         << n << " down after retry exhaustion");
       } else {
-        nodes[n]->inbox().Push(frame);
+        nodes_[n]->inbox().Push(frame);
       }
-      ++out.transport.messages_sent;
-      out.transport.bytes_sent += static_cast<long long>(frame.size());
+      ++transport_.messages_sent;
+      transport_.bytes_sent += static_cast<long long>(frame.size());
     }
-  };
+  }
 
-  const std::unique_ptr<auction::IncrementPolicy> policy =
-      BuildPolicy(config.auction, num_pools);
-
-  // The auctioneer reuses the serial auction's compiled engine for excess
-  // bookkeeping: a full blocked accumulation on the first round, then
-  // decision-diff updates — the same deterministic arithmetic the serial
-  // engine applies, which keeps the two paths bit-identical.
-  const auction::DemandEngine& engine = auction.engine();
-
-  auction::ClockAuctionResult& result = out.result;
-  result.prices = auction.reserve_prices();
-  result.decisions.assign(bids.size(), auction::ProxyDecision{});
-  result.excess.assign(num_pools, 0.0);
-  std::vector<auction::ProxyDecision> prev_decisions;
-  std::vector<double> prev_prices;
-  std::vector<double> normalized(num_pools, 0.0);
-  std::vector<double> step(num_pools, 0.0);
-
-  for (int round = 0; round < config.auction.max_rounds; ++round) {
-    broadcast(Encode(PriceAnnounce{round, result.prices}));
-
-    // Collect one reply per node (FIFO channels; replies for this round
-    // only, enforced by the round tag). Under loss the channel carries
-    // envelopes: stale and duplicate frames are shed by the per-link
-    // reassemblers, and a LinkDown aborts the auction.
+  /// Collects one reply per node (FIFO channels; replies for this
+  /// collection only, enforced by the sequence tag). Under loss the
+  /// channel carries envelopes: stale and duplicate frames are shed by
+  /// the per-link reassemblers, and a LinkDown aborts the auction.
+  void GatherReplies(std::int32_t collection) {
+    const std::size_t num_nodes = nodes_.size();
     auto consume_reply = [&](Frame payload) {
-      ++out.transport.messages_sent;
-      out.transport.bytes_sent += static_cast<long long>(payload.size());
+      ++transport_.messages_sent;
+      transport_.bytes_sent += static_cast<long long>(payload.size());
       const auto reply = DecodeDemandReply(std::move(payload));
       if (!reply.has_value()) {
-        ++out.transport.decode_failures;
+        ++transport_.decode_failures;
         return false;
       }
-      PM_CHECK_MSG(reply->round == round,
-                   "reply for round " << reply->round << " during round "
-                                      << round);
+      PM_CHECK_MSG(reply->collection == collection,
+                   "reply for collection " << reply->collection
+                                           << " during collection "
+                                           << collection);
       for (const WireDecision& d : reply->decisions) {
-        result.decisions[d.user] =
-            auction::ProxyDecision{d.bundle_index, d.cost};
+        decisions_[d.user] = auction::ProxyDecision{d.bundle_index, d.cost};
       }
       return true;
     };
     std::size_t replies = 0;
     while (replies < num_nodes) {
-      std::optional<Frame> frame = to_auctioneer.Pop();
+      std::optional<Frame> frame = to_auctioneer_.Pop();
       PM_CHECK_MSG(frame.has_value(),
-                   "auctioneer channel closed mid-round");
-      if (!lossy) {
+                   "auctioneer channel closed mid-collection");
+      if (!lossy_) {
         if (consume_reply(std::move(*frame))) ++replies;
         continue;
       }
       const auto type = PeekType(*frame);
       if (!type.has_value()) {
-        ++out.transport.decode_failures;
+        ++transport_.decode_failures;
         continue;
       }
       if (*type == MessageType::kLinkDown) {
         const auto down = DecodeLinkDown(std::move(*frame));
-        fail_link("wire: proxy reply link " +
-                  std::to_string(down ? down->link : 0) +
-                  " down after retry exhaustion");
+        PM_CHECK_MSG(false, "wire: proxy reply link "
+                                << (down ? down->link : 0)
+                                << " down after retry exhaustion");
       }
       if (*type != MessageType::kEnvelope) {
-        ++out.transport.decode_failures;
+        ++transport_.decode_failures;
         continue;
       }
       auto env = DecodeEnvelope(std::move(*frame));
       if (!env.has_value()) {
-        ++out.transport.decode_failures;
+        ++transport_.decode_failures;
         continue;
       }
       PM_CHECK_MSG(env->link >= num_nodes && env->link < 2 * num_nodes,
                    "envelope on unknown link " << env->link);
       const std::size_t n = env->link - num_nodes;
       for (Frame& payload :
-           up_links[n].Accept(env->seq, std::move(env->payload))) {
+           up_links_[n].Accept(env->seq, std::move(env->payload))) {
         if (consume_reply(std::move(payload))) ++replies;
       }
     }
-    // Replies arrive in nondeterministic order, but excess is derived
-    // from the assembled user-indexed decision vector with the engine's
-    // deterministic arithmetic: blocked accumulation on full rounds,
-    // ascending-user decision diffs on incremental ones. The full-vs-
-    // incremental branch mirrors DemandEngine's hybrid rule on the
-    // touched-pool count, keeping this path bit-exact with the serial
-    // engine round by round.
-    std::size_t touched = 0;
-    for (std::size_t r = 0; round > 0 && r < num_pools; ++r) {
-      if (result.prices[r] - prev_prices[r] != 0.0) ++touched;
-    }
-    if (round == 0 ||
-        auction::DemandEngine::PrefersFullCollect(touched, num_pools)) {
-      engine.ExcessFromDecisions(result.decisions, nullptr, result.excess);
-    } else {
-      engine.UpdateExcess(prev_decisions, result.decisions, result.excess);
-    }
-    prev_decisions = result.decisions;
-    prev_prices = result.prices;
-    for (std::size_t r = 0; r < num_pools; ++r) {
-      normalized[r] = config.auction.normalize_excess
-                          ? result.excess[r] /
-                                std::max(auction.supply()[r], 1.0)
-                          : result.excess[r];
-    }
-    result.rounds = round + 1;
-    result.demand_evaluations += static_cast<long long>(bids.size());
-
-    const bool cleared =
-        std::all_of(normalized.begin(), normalized.end(),
-                    [&](double z) { return z <= config.auction.demand_eps; });
-    if (cleared) {
-      result.converged = true;
-      break;
-    }
-    policy->ComputeStep(normalized, result.prices, step);
-    for (std::size_t r = 0; r < num_pools; ++r) {
-      if (normalized[r] > config.auction.demand_eps && step[r] <= 0.0) {
-        step[r] = config.auction.step_floor;
-      }
-      result.prices[r] += step[r];
-    }
   }
 
-  // Terminate is control-plane: it is delivered reliably (never wrapped,
-  // dropped, or delayed) so a finished auction cannot be aborted by the
-  // fault process on its way out.
-  {
-    const Frame term = Encode(Terminate{result.converged});
-    for (auto& node : nodes) {
-      node->inbox().Push(term);
-      ++out.transport.messages_sent;
-      out.transport.bytes_sent += static_cast<long long>(term.size());
-    }
-  }
-  for (auto& node : nodes) node->inbox().Close();
-  for (std::thread& t : threads) t.join();
-  to_auctioneer.Close();
-  for (auto& node : nodes) {
-    out.transport.decode_failures += node->decode_failures().load();
-  }
-  if (lossy) {
-    LinkFaultStats wire;
-    for (const FaultyLink& link : down_links) wire += link.stats();
-    for (const auto& node : nodes) {
-      if (const LinkFaultStats* s = node->ReplyLinkStats()) wire += *s;
-    }
-    out.transport.frames_dropped = wire.dropped;
-    out.transport.frames_retried = wire.retries;
-    out.transport.frames_duplicated = wire.duplicated;
-    out.transport.frames_stale = wire.stale_redelivered;
-  }
+  const auction::DemandEngine& engine_;
+  ThreadPool* pool_;
+  bool lossy_;
+  Channel<Frame> to_auctioneer_;
+  std::vector<std::unique_ptr<ProxyNode>> nodes_;
+  std::vector<FaultyLink> down_links_;
+  std::vector<LinkReassembler> up_links_;
+  std::vector<std::thread> threads_;
+  std::vector<auction::ProxyDecision> decisions_;
+  std::vector<auction::ProxyDecision> prev_decisions_;
+  std::vector<double> excess_;
+  std::vector<double> prev_prices_;
+  std::int32_t next_collection_ = 0;
+  TransportStats transport_;
+};
+
+}  // namespace
+
+DistributedResult RunDistributedAuction(
+    const auction::ClockAuction& auction, const DistributedConfig& config) {
+  PM_CHECK_MSG(config.num_proxy_nodes >= 1, "need at least one proxy node");
+  WireSource wire(auction, config);
+  DistributedResult out;
+  out.result = auction.Run(config.auction, wire);
+  out.transport = wire.Finish(out.result.converged);
   return out;
 }
 

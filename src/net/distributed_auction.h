@@ -1,18 +1,18 @@
 // planetmarket: the distributed clock auction (Figures 1 and 5).
 //
 // Runs Algorithm 1 with the auctioneer and bidder proxies as separate
-// threads exchanging *serialized* protocol frames over channels: each
-// round the auctioneer broadcasts PriceAnnounce, every proxy node decodes
-// it, evaluates G_u for the users it hosts, and replies with an encoded
-// DemandReply; the auctioneer aggregates excess demand and either
-// terminates or raises the clocks.
+// threads exchanging *serialized* protocol frames over channels. The loop
+// itself is ClockAuction::Run, the only implementation of Algorithm 1;
+// this file supplies its line 4 as an auction::DemandSource. Every demand
+// collection (a clock round or a bisection probe) broadcasts
+// PriceAnnounce, every proxy node decodes it, evaluates G_u for the users
+// it hosts, and replies with an encoded DemandReply; the auctioneer
+// assembles the decisions and derives excess demand.
 //
-// With the same increment policy the distributed engine produces
-// bit-identical prices and allocations to ClockAuction::Run (asserted by
+// Every ClockAuctionConfig runs here and produces prices, decisions,
+// rounds and trajectories bit-identical to ClockAuction::Run (asserted by
 // the integration tests): distribution changes where the work runs, not
-// the mechanism. Intra-round bisection is intentionally unsupported here —
-// its demand probes are a serial-search refinement that does not map onto
-// the broadcast protocol.
+// the mechanism.
 #pragma once
 
 #include <cstddef>
@@ -27,11 +27,10 @@ struct DistributedConfig {
   /// Proxy processes; users are sharded round-robin across them.
   std::size_t num_proxy_nodes = 4;
 
-  /// Clock parameters. Serial-only knobs are rejected, not dropped:
-  /// RunDistributedAuction CHECKs that
-  /// auction::DistributedIncompatibility(auction) is empty, so a config
-  /// with intra_round_bisection, thread_pool, or record_trajectory set
-  /// fails loudly instead of silently running something else.
+  /// Clock parameters, exactly as for ClockAuction::Run. A thread_pool
+  /// only fans out the auctioneer's excess accumulation (block-ordered,
+  /// so the sum does not depend on the thread count); the demand work
+  /// runs on the proxy-node threads.
   auction::ClockAuctionConfig auction;
 
   /// Lossy-wire injection (off by default). When enabled, every directed
@@ -63,7 +62,11 @@ struct DistributedResult {
 };
 
 /// Runs the auction distributed. The auction object provides bids, supply
-/// and reserve prices exactly as for the serial engine.
+/// and reserve prices exactly as for the serial engine. Any CheckFailure
+/// (a bad config, a dead link, a protocol violation) is thrown after every
+/// proxy-node thread has been joined. The engine-side counters of the
+/// result (proxies_reevaluated, full/incremental_collections, dot_blocks,
+/// dirty_bidders) stay zero: the engines live inside the proxy nodes.
 DistributedResult RunDistributedAuction(const auction::ClockAuction& auction,
                                         const DistributedConfig& config);
 

@@ -5,7 +5,7 @@ namespace pm::net {
 std::vector<std::uint8_t> Encode(const PriceAnnounce& msg) {
   Serializer s;
   s.WriteU8(static_cast<std::uint8_t>(MessageType::kPriceAnnounce));
-  s.WriteI32(msg.round);
+  s.WriteI32(msg.collection);
   s.WriteDoubleVector(msg.prices);
   return std::move(s).FinishWithChecksum();
 }
@@ -13,7 +13,7 @@ std::vector<std::uint8_t> Encode(const PriceAnnounce& msg) {
 std::vector<std::uint8_t> Encode(const DemandReply& msg) {
   Serializer s;
   s.WriteU8(static_cast<std::uint8_t>(MessageType::kDemandReply));
-  s.WriteI32(msg.round);
+  s.WriteI32(msg.collection);
   s.WriteU32(msg.node);
   s.WriteU32(static_cast<std::uint32_t>(msg.decisions.size()));
   for (const WireDecision& d : msg.decisions) {
@@ -74,10 +74,10 @@ std::optional<PriceAnnounce> DecodePriceAnnounce(
     return std::nullopt;
   }
   PriceAnnounce msg;
-  const auto round = d.ReadI32();
+  const auto collection = d.ReadI32();
   auto prices = d.ReadDoubleVector();
-  if (!round || !prices || !d.Exhausted()) return std::nullopt;
-  msg.round = *round;
+  if (!collection || !prices || !d.Exhausted()) return std::nullopt;
+  msg.collection = *collection;
   msg.prices = std::move(*prices);
   return msg;
 }
@@ -92,11 +92,11 @@ std::optional<DemandReply> DecodeDemandReply(
     return std::nullopt;
   }
   DemandReply msg;
-  const auto round = d.ReadI32();
+  const auto collection = d.ReadI32();
   const auto node = d.ReadU32();
   const auto count = d.ReadU32();
-  if (!round || !node || !count) return std::nullopt;
-  msg.round = *round;
+  if (!collection || !node || !count) return std::nullopt;
+  msg.collection = *collection;
   msg.node = *node;
   msg.decisions.reserve(*count);
   for (std::uint32_t i = 0; i < *count; ++i) {

@@ -1,7 +1,7 @@
 // planetmarket: the clock-auction wire protocol (Figure 1).
 //
-//   auctioneer ──PriceAnnounce{round, prices}──► every proxy node
-//   proxy node ──DemandReply{round, node, per-user decisions}──► auctioneer
+//   auctioneer ──PriceAnnounce{collection, prices}──► every proxy node
+//   proxy node ──DemandReply{collection, node, decisions}──► auctioneer
 //   auctioneer ──Terminate{converged}──► every proxy node
 //
 // Frames are Serializer-encoded with a checksum; Decode* returns nullopt
@@ -25,9 +25,11 @@ enum class MessageType : std::uint8_t {
   kLinkDown = 5,
 };
 
-/// Auctioneer → proxies: the current clocks.
+/// Auctioneer → proxies: the current clocks. `collection` numbers the
+/// auctioneer's demand collections (clock rounds and bisection probes
+/// alike) from 0.
 struct PriceAnnounce {
-  std::int32_t round = 0;
+  std::int32_t collection = 0;
   std::vector<double> prices;
 };
 
@@ -40,7 +42,7 @@ struct WireDecision {
 
 /// Proxy node → auctioneer: the demands of the users it hosts.
 struct DemandReply {
-  std::int32_t round = 0;
+  std::int32_t collection = 0;  // Echoes the announce being answered.
   std::uint32_t node = 0;
   std::vector<WireDecision> decisions;
 };

@@ -71,7 +71,6 @@ Span& Telemetry::EmitSpan(std::uint64_t trace, std::string name,
 
 void Telemetry::RecordEvent(std::size_t shard, int epoch,
                             std::string line) {
-  if (!config_.flight_recorder) return;
   FlightEvent event;
   event.epoch = epoch;
   event.line = "[e" + std::to_string(epoch) + "] " + std::move(line);
@@ -79,7 +78,7 @@ void Telemetry::RecordEvent(std::size_t shard, int epoch,
 }
 
 void Telemetry::MirrorSpan(const Span& span) {
-  if (!config_.flight_recorder || span.shard < 0) return;
+  if (span.shard < 0) return;
   FlightEvent event;
   event.epoch = span.epoch;
   event.seq = span.seq;

@@ -65,13 +65,8 @@ struct TelemetryConfig {
   /// outputs are bit-identical to a build without the telemetry plane.
   bool enabled = false;
 
-  /// Bid-lifecycle span emission (submit/route/auction/settle/refund).
-  bool trace_bids = true;
-
-  /// Per-shard event rings + supervisor containment dumps.
-  bool flight_recorder = true;
-
-  /// Ring capacity per shard.
+  /// Ring capacity per shard (the flight recorder: per-shard event rings
+  /// and supervisor containment dumps).
   std::size_t flight_recorder_capacity = 128;
 
   /// The watchdog plane (recording rules + alerts), both gates off by

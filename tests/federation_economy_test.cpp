@@ -309,8 +309,6 @@ TEST(FederationEconomyTest, OutcomeConservationUnderFullEconomyAndProxyWire) {
       cluster::TaskShape{0.001, 0.001, 0.001};
   std::vector<ShardSpec> specs = HotCoolShards(/*cool=*/2);
   for (ShardSpec& spec : specs) {
-    // Proxy compatibility (no intra-round bisection) + the refund gate.
-    spec.market.auction.intra_round_bisection = false;
     spec.market.settlement.refund_unplaced = true;
     // No task splitting: large routed buys materialize as single tasks,
     // which guarantees some bin-packing failures to exercise the refund

@@ -233,10 +233,7 @@ TEST(FederatedExchangeTest, EpochIsBitIdenticalAcrossThreadCounts) {
 // --------------------------------------------------------- proxy-node path --
 
 TEST(FederatedExchangeTest, SerialAndProxyNodePathsAreBitIdentical) {
-  // The wire protocol cannot host the serial-only bisection refinement,
-  // so both paths run the pure clock for this comparison.
-  exchange::MarketConfig market = FastMarket();
-  market.auction.intra_round_bisection = false;
+  const exchange::MarketConfig market = FastMarket();
 
   FederationConfig serial_config;
   serial_config.seed = 31337;
@@ -260,17 +257,6 @@ TEST(FederatedExchangeTest, SerialAndProxyNodePathsAreBitIdentical) {
     EXPECT_GT(proxy_report.shards[k].report.transport_bytes, 0);
   }
   EXPECT_GT(proxy_report.transport_messages, 0);
-}
-
-TEST(FederatedExchangeTest, ProxyModeRejectsSerialOnlyKnobs) {
-  FederationConfig config;
-  config.proxy_nodes_per_shard = 2;
-  // Default market auction config enables intra-round bisection, which the
-  // wire path cannot host: construction must fail loudly, not silently
-  // drop the knob.
-  EXPECT_THROW(FederatedExchange(FourShards(exchange::MarketConfig{}),
-                                 config),
-               CheckFailure);
 }
 
 TEST(FederatedExchangeTest, RejectsBadFederatedBidsAtSubmitTime) {

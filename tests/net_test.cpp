@@ -2,7 +2,9 @@
 // distributed clock auction's equivalence with the serial engine.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "auction/settlement.h"
 #include "common/rng.h"
@@ -147,17 +149,17 @@ TEST(SerializerTest, FnvIsStable) {
 
 TEST(WireTest, PriceAnnounceRoundTrip) {
   PriceAnnounce msg;
-  msg.round = 17;
+  msg.collection = 17;
   msg.prices = {1.5, 0.0, 42.0};
   const auto decoded = DecodePriceAnnounce(Encode(msg));
   ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(decoded->round, 17);
+  EXPECT_EQ(decoded->collection, 17);
   EXPECT_EQ(decoded->prices, msg.prices);
 }
 
 TEST(WireTest, DemandReplyRoundTrip) {
   DemandReply msg;
-  msg.round = 3;
+  msg.collection = 3;
   msg.node = 2;
   msg.decisions = {WireDecision{0, 1, 12.5}, WireDecision{7, -1, 0.0}};
   const auto decoded = DecodeDemandReply(Encode(msg));
@@ -223,69 +225,108 @@ auction::ClockAuction RandomAuction(std::uint64_t seed,
                                std::move(reserve));
 }
 
-TEST(DistributedAuctionTest, MatchesSerialExactly) {
+/// One named ClockAuctionConfig for the serial-vs-wire equivalence tests.
+struct NamedConfig {
+  std::string name;
+  auction::ClockAuctionConfig config;
+};
+
+/// Every knob of the one auction loop, each of which the wire path must
+/// run exactly like the serial path: the plain clock, the market default
+/// (multiplicative steps + intra-round bisection), trajectory recording,
+/// binding price caps, and a caller thread pool.
+std::vector<NamedConfig> EquivalenceConfigs(const auction::ClockAuction& a,
+                                            ThreadPool* pool) {
+  auction::ClockAuctionConfig plain;
+  plain.alpha = 0.4;
+  plain.delta = 0.08;
+  std::vector<NamedConfig> configs(5, NamedConfig{"plain", plain});
+  configs[1].name = "bisection";
+  configs[1].config.policy_kind =
+      auction::ClockAuctionConfig::PolicyKind::kMultiplicative;
+  configs[1].config.demand_eps = 2e-3;
+  configs[1].config.intra_round_bisection = true;
+  configs[2].name = "trajectory";
+  configs[2].config.record_trajectory = true;
+  configs[3].name = "caps";
+  for (const double reserve : a.reserve_prices()) {
+    configs[3].config.price_caps.push_back(reserve * 1.1);
+  }
+  configs[4].name = "pool";
+  configs[4].config.thread_pool = pool;
+  return configs;
+}
+
+/// Runs every EquivalenceConfigs input on seeds 1-3 serially and over a
+/// 4-node wire with `faults`, and asserts the results are bit-identical.
+void ExpectWireMatchesSerial(const FaultConfig& faults) {
+  ThreadPool pool(2);
+  bool caps_bound = false;
   for (std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
     const auction::ClockAuction auction = RandomAuction(seed, 30);
-    auction::ClockAuctionConfig serial_config;
-    serial_config.alpha = 0.4;
-    serial_config.delta = 0.08;
-    const auction::ClockAuctionResult serial =
-        auction.Run(serial_config);
+    for (const NamedConfig& c : EquivalenceConfigs(auction, &pool)) {
+      SCOPED_TRACE(c.name + " seed " + std::to_string(seed));
+      const auction::ClockAuctionResult serial = auction.Run(c.config);
+      caps_bound |= !serial.capped_pools.empty();
 
-    DistributedConfig dist;
-    dist.num_proxy_nodes = 4;
-    dist.auction = serial_config;
-    const DistributedResult distributed =
-        RunDistributedAuction(auction, dist);
-
-    ASSERT_EQ(serial.converged, distributed.result.converged);
-    EXPECT_EQ(serial.rounds, distributed.result.rounds);
-    EXPECT_EQ(serial.prices, distributed.result.prices);  // Bit-exact.
-    for (std::size_t u = 0; u < auction.NumUsers(); ++u) {
-      EXPECT_EQ(serial.decisions[u].bundle_index,
-                distributed.result.decisions[u].bundle_index);
+      DistributedConfig dist;
+      dist.num_proxy_nodes = 4;
+      dist.auction = c.config;
+      dist.faults = faults;
+      dist.faults.seed ^= seed;
+      const DistributedResult wire = RunDistributedAuction(auction, dist);
+      const auction::ClockAuctionResult& w = wire.result;
+      ASSERT_EQ(serial.converged, w.converged);
+      EXPECT_EQ(serial.rounds, w.rounds);
+      EXPECT_EQ(serial.prices, w.prices);  // Bit-exact.
+      EXPECT_EQ(serial.excess, w.excess);
+      EXPECT_EQ(serial.capped_pools, w.capped_pools);
+      EXPECT_EQ(serial.demand_evaluations, w.demand_evaluations);
+      EXPECT_EQ(serial.bisection_probes, w.bisection_probes);
+      for (std::size_t u = 0; u < auction.NumUsers(); ++u) {
+        EXPECT_EQ(serial.decisions[u].bundle_index,
+                  w.decisions[u].bundle_index);
+        EXPECT_EQ(serial.decisions[u].cost, w.decisions[u].cost);
+      }
+      ASSERT_EQ(serial.trajectory.size(), w.trajectory.size());
+      for (std::size_t t = 0; t < serial.trajectory.size(); ++t) {
+        EXPECT_EQ(serial.trajectory[t].prices, w.trajectory[t].prices);
+        EXPECT_EQ(serial.trajectory[t].excess, w.trajectory[t].excess);
+      }
+      // Per collection one announce and one reply per node; plus the
+      // terminates.
+      const long long collections =
+          w.demand_evaluations / static_cast<long long>(auction.NumUsers());
+      EXPECT_EQ(wire.transport.messages_sent, 2 * 4 * collections + 4);
+      EXPECT_EQ(wire.transport.decode_failures, 0);
+      if (faults.Enabled()) {
+        // The wire must actually have been hostile.
+        EXPECT_GT(wire.transport.frames_dropped, 0);
+        EXPECT_GT(wire.transport.frames_duplicated, 0);
+        EXPECT_GT(wire.transport.frames_stale, 0);
+        EXPECT_EQ(wire.transport.frames_retried,
+                  wire.transport.frames_dropped);
+      }
     }
-    EXPECT_EQ(distributed.transport.decode_failures, 0);
   }
+  EXPECT_TRUE(caps_bound) << "the caps input must pin some pool";
+}
+
+TEST(DistributedAuctionTest, MatchesSerialExactly) {
+  ExpectWireMatchesSerial(FaultConfig{});
 }
 
 TEST(DistributedAuctionTest, MatchesSerialExactlyUnderLossyWire) {
-  // The lossy-wire extension of MatchesSerialExactly: drops, duplicates
-  // and stale redeliveries on every link must be absorbed by the
-  // retry/dedup layer without perturbing a single bit of the result.
-  for (std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
-    const auction::ClockAuction auction = RandomAuction(seed, 30);
-    auction::ClockAuctionConfig serial_config;
-    serial_config.alpha = 0.4;
-    serial_config.delta = 0.08;
-    const auction::ClockAuctionResult serial =
-        auction.Run(serial_config);
-
-    DistributedConfig dist;
-    dist.num_proxy_nodes = 4;
-    dist.auction = serial_config;
-    dist.faults.drop = 0.10;
-    dist.faults.duplicate = 0.10;
-    dist.faults.delay_window = 2;
-    dist.faults.max_retries = 8;  // Never plausibly exhausted at 10%.
-    dist.faults.seed = seed ^ 0xfaull;
-    const DistributedResult lossy = RunDistributedAuction(auction, dist);
-
-    ASSERT_EQ(serial.converged, lossy.result.converged);
-    EXPECT_EQ(serial.rounds, lossy.result.rounds);
-    EXPECT_EQ(serial.prices, lossy.result.prices);  // Bit-exact.
-    for (std::size_t u = 0; u < auction.NumUsers(); ++u) {
-      EXPECT_EQ(serial.decisions[u].bundle_index,
-                lossy.result.decisions[u].bundle_index);
-    }
-    EXPECT_EQ(lossy.transport.decode_failures, 0);
-    // The wire must actually have been hostile.
-    EXPECT_GT(lossy.transport.frames_dropped, 0);
-    EXPECT_GT(lossy.transport.frames_duplicated, 0);
-    EXPECT_GT(lossy.transport.frames_stale, 0);
-    EXPECT_EQ(lossy.transport.frames_retried,
-              lossy.transport.frames_dropped);
-  }
+  // Drops, duplicates and stale redeliveries on every link must be
+  // absorbed by the retry/dedup layer without perturbing a single bit of
+  // the result.
+  FaultConfig faults;
+  faults.drop = 0.10;
+  faults.duplicate = 0.10;
+  faults.delay_window = 2;
+  faults.max_retries = 8;  // Never plausibly exhausted at 10%.
+  faults.seed = 0xfa;
+  ExpectWireMatchesSerial(faults);
 }
 
 TEST(DistributedAuctionTest, LossyWireIsDeterministicPerSeed) {
@@ -367,30 +408,15 @@ TEST(DistributedAuctionTest, SettlementWorksOnDistributedResult) {
   EXPECT_EQ(s.awards.size() + s.losers.size(), auction.NumUsers());
 }
 
-TEST(DistributedAuctionTest, RejectsBisection) {
+TEST(DistributedAuctionTest, ConfigErrorThrowsAfterJoiningTheNodes) {
+  // The policy is built by the shared loop while the proxy-node threads
+  // are already running; the failure must surface as a CheckFailure,
+  // not kill the process with joinable threads.
   const auction::ClockAuction auction = RandomAuction(15, 5);
   DistributedConfig dist;
-  dist.auction.intra_round_bisection = true;
+  dist.auction.policy_kind =
+      auction::ClockAuctionConfig::PolicyKind::kCostNormalized;
   EXPECT_THROW(RunDistributedAuction(auction, dist), pm::CheckFailure);
-}
-
-TEST(DistributedAuctionTest, RejectsSerialOnlyKnobsInsteadOfDroppingThem) {
-  // Regression: these knobs were silently ignored; now they fail loudly.
-  const auction::ClockAuction auction = RandomAuction(15, 5);
-  {
-    pm::ThreadPool pool(2);
-    DistributedConfig dist;
-    dist.auction.thread_pool = &pool;
-    EXPECT_THROW(RunDistributedAuction(auction, dist), pm::CheckFailure);
-  }
-  {
-    DistributedConfig dist;
-    dist.auction.record_trajectory = true;
-    EXPECT_THROW(RunDistributedAuction(auction, dist), pm::CheckFailure);
-  }
-  EXPECT_TRUE(
-      auction::DistributedIncompatibility(auction::ClockAuctionConfig{})
-          .empty());
 }
 
 }  // namespace

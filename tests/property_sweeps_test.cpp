@@ -269,7 +269,7 @@ TEST_P(FuzzSweepTest, WireDecodersNeverCrashOnGarbage) {
 TEST_P(FuzzSweepTest, CorruptedRealFramesAreRejectedOrEqual) {
   RandomStream rng(4500 + static_cast<std::uint64_t>(GetParam()));
   net::PriceAnnounce msg;
-  msg.round = 12;
+  msg.collection = 12;
   for (int i = 0; i < 16; ++i) msg.prices.push_back(rng.Uniform(0, 10));
   const std::vector<std::uint8_t> good = net::Encode(msg);
   for (int trial = 0; trial < 100; ++trial) {

@@ -396,9 +396,6 @@ scenario::ScenarioSpec LossyOutageSpec() {
   spec.federation.wire_faults.delay_window = 2;
   spec.federation.wire_faults.max_retries = 8;
   spec.federation.wire_faults.seed = 4242;
-  for (ShardSpec& shard : spec.shards) {
-    shard.market.auction.intra_round_bisection = false;
-  }
   return spec;
 }
 
