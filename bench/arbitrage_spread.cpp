@@ -17,10 +17,12 @@
 // the same number RunEpoch stamps on every report — should shrink across
 // epochs with arbitrage and stay comparatively flat without.
 //
-// Writes BENCH_arbitrage_spread.json with both series, the shrinkage
-// verdicts, and machine-collected host metadata.
+// Writes both series, the shrinkage verdicts and machine-collected host
+// metadata to --out (default BENCH_arbitrage_spread.json in the working
+// directory). A git-tracked --out is refused with exit 73 before any
+// work.
 //
-//   $ ./bench_arbitrage_spread [teams_per_shard] [epochs]
+//   $ ./bench_arbitrage_spread [teams_per_shard] [epochs] [--out FILE]
 //   defaults: 40 teams/shard, 8 epochs
 #include <cstdlib>
 #include <fstream>
@@ -124,8 +126,23 @@ double NonWideningFraction(const std::vector<double>& xs) {
 
 int main(int argc, char** argv) {
   const unsigned threads = pm::ParseThreadsFlag(&argc, argv, 0);
-  const int teams = argc > 1 ? std::max(4, std::atoi(argv[1])) : 40;
-  const int epochs = argc > 2 ? std::max(2, std::atoi(argv[2])) : 8;
+  std::string out_path = "BENCH_arbitrage_spread.json";
+  std::vector<std::string> positional;
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg == "--out" && i + 1 < argc) {
+      out_path = argv[++i];
+    } else {
+      positional.push_back(arg);
+    }
+  }
+  const int teams =
+      positional.size() > 0 ? std::max(4, std::atoi(positional[0].c_str()))
+                            : 40;
+  const int epochs =
+      positional.size() > 1 ? std::max(2, std::atoi(positional[1].c_str()))
+                            : 8;
+  if (pm::RefuseTrackedOutput(out_path)) return pm::kRefusedOutputExit;
 
   std::cout << "running " << epochs << " epochs x " << teams
             << " teams/shard, baseline vs arbitrage...\n";
@@ -158,7 +175,7 @@ int main(int argc, char** argv) {
             << (converges ? " (arbitrage converges prices)\n"
                           : " (NO convergence advantage)\n");
 
-  std::ofstream json("BENCH_arbitrage_spread.json");
+  std::ofstream json(out_path);
   json << "{\n  \"benchmark\": \"arbitrage_spread\",\n";
   json << "  \"metadata\": {\n"
        << "    \"teams_per_shard\": " << teams << ",\n"
@@ -177,6 +194,6 @@ int main(int argc, char** argv) {
        << pm::FormatF(arb_stats.back().warehouse, 1) << ",\n";
   json << "  \"arbitrage_ends_tighter_than_baseline\": "
        << (converges ? "true" : "false") << "\n}\n";
-  std::cout << "wrote BENCH_arbitrage_spread.json\n";
+  std::cout << "wrote " << out_path << "\n";
   return 0;
 }

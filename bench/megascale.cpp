@@ -21,9 +21,9 @@
 // gates into the exit code: 2 = a byte-identity gate failed,
 // 3 = the megascale epoch failed convergence/conservation. The full run
 // applies the same gates (a broken artifact should not look healthy).
-// A --smoke run refuses (exit 73, before any work) to overwrite an --out
-// file that holds a full-size document, so a smoke run from the repo
-// root cannot clobber the committed full-size baseline.
+// Any run refuses (exit 73, before any work) an --out path that git
+// tracks, so a run from the repo root cannot clobber a committed
+// baseline.
 //
 // --chrome-trace-out arms the profiler's wall-clock channel on the first
 // federation of section 1 and writes its chrome://tracing JSON (one
@@ -37,9 +37,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -98,22 +95,6 @@ double MsPerEpoch(pm::federation::FederatedExchange& fed, int epochs) {
   return MillisSince(t0) / epochs;
 }
 
-/// True when `path` holds a full-size megascale document
-/// (`metadata.smoke` false) — a baseline a smoke run must not replace.
-bool HoldsFullSizeDocument(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return false;
-  std::ostringstream contents;
-  contents << in.rdbuf();
-  const std::string doc = contents.str();
-  const std::size_t meta = doc.find("\"metadata\"");
-  if (meta == std::string::npos) return false;
-  std::size_t at = doc.find("\"smoke\":", meta);
-  if (at == std::string::npos) return false;
-  at = doc.find_first_not_of(" \t\n", at + std::strlen("\"smoke\":"));
-  return at != std::string::npos && doc.compare(at, 5, "false") == 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -147,13 +128,7 @@ int main(int argc, char** argv) {
       return 64;
     }
   }
-  if (smoke && HoldsFullSizeDocument(out_path)) {
-    std::fprintf(stderr,
-                 "refusing to overwrite full-size document %s with smoke "
-                 "output; pass --out elsewhere\n",
-                 out_path.c_str());
-    return 73;
-  }
+  if (pm::RefuseTrackedOutput(out_path)) return pm::kRefusedOutputExit;
   if (smoke) {
     bidders = std::min<long long>(bidders, 1000);
     shards = std::min<std::size_t>(shards, 4);

@@ -1,11 +1,14 @@
 // Scenario suite: sweep every registered scenario at its default epoch
-// count, record wall time, headline metrics and SLO verdicts, and emit
-// BENCH_scenario_suite.json (with machine-collected host metadata).
+// count, record wall time, headline metrics and SLO verdicts, and write
+// them to --out (default BENCH_scenario_suite.json in the working
+// directory, with machine-collected host metadata). A git-tracked --out
+// is refused with exit 73 before any work.
 //
 // The per-scenario metrics JSON is deterministic (docs/scenarios.md);
 // only the wall-time numbers and the host block vary across machines.
 //
-//   $ ./bench_scenario_suite [--epochs E] [--seed S]
+//   $ ./bench_scenario_suite [--epochs E] [--seed S] [--threads T]
+//                            [--out FILE]
 //   defaults: each scenario's default_epochs, seed 20090425
 #include <chrono>
 #include <cstdlib>
@@ -22,6 +25,7 @@
 
 int main(int argc, char** argv) {
   pm::scenario::RunnerConfig config;
+  std::string out_path = "BENCH_scenario_suite.json";
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--epochs" && i + 1 < argc) {
@@ -31,12 +35,15 @@ int main(int argc, char** argv) {
     } else if (arg == "--threads" && i + 1 < argc) {
       config.num_threads = static_cast<std::size_t>(
           std::max(0, std::atoi(argv[++i])));
+    } else if (arg == "--out" && i + 1 < argc) {
+      out_path = argv[++i];
     } else {
       std::cerr << "usage: bench_scenario_suite [--epochs E] [--seed S] "
-                   "[--threads T]\n";
+                   "[--threads T] [--out FILE]\n";
       return 2;
     }
   }
+  if (pm::RefuseTrackedOutput(out_path)) return pm::kRefusedOutputExit;
 
   struct Row {
     pm::scenario::ScenarioMetrics metrics;
@@ -71,7 +78,7 @@ int main(int argc, char** argv) {
   }
   std::cout << table.Render();
 
-  std::ofstream json("BENCH_scenario_suite.json");
+  std::ofstream json(out_path);
   json << "{\n  \"benchmark\": \"scenario_suite\",\n";
   json << "  \"metadata\": {\n"
        << "    \"seed\": " << config.seed << ",\n"
@@ -94,6 +101,6 @@ int main(int argc, char** argv) {
     json << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
   }
   json << "  ]\n}\n";
-  std::cout << "wrote BENCH_scenario_suite.json\n";
+  std::cout << "wrote " << out_path << "\n";
   return all_pass ? 0 : 1;
 }

@@ -3,12 +3,13 @@
 
 Compares a freshly produced benchmark JSON document against one or more
 committed baselines and fails (exit 1) when a deterministic work counter
-drifts outside its tolerance band, when a boolean invariant the benchmark
-guarantees (convergence, conservation, byte-identity gates) flipped to
-false, or when a wall-clock metric regressed beyond its (deliberately
-loose) band on a host whose timings are trustworthy.
+drifts outside its tolerance band or changes at all where it must be
+exact, when a boolean invariant the benchmark guarantees (convergence,
+conservation, byte-identity gates) flipped to false, or when a
+wall-clock metric regressed beyond its (deliberately loose) band on a
+host whose timings are trustworthy.
 
-Three metric classes, three levels of trust:
+Four metric classes, three levels of trust:
 
   signature   Size/shape facts (bidder counts, shard counts, epochs).
               Numeric comparison only makes sense between runs of the
@@ -27,10 +28,19 @@ Three metric classes, three levels of trust:
               host-noise-immune by construction (the profiler's
               work-accounting channel is built on the same property),
               so real drift means the algorithm changed.
+  exact       Values that must equal the baseline's, of any JSON type:
+              planetbench's outcome digests, failed-op and unplaced-unit
+              shares, and per-layer work counts. A failure names the
+              path, e.g. `workloads.big-clusters.per_layer.
+              exchange.jobs_added.value: fresh 3 vs baseline 2`.
   wall        Wall-clock timings. Loose bands, and skipped entirely
               when either document carries a single-vCPU stamp
               (`invalid_on_single_vcpu` / `single_vcpu` guard paths) —
               a 1-vCPU container cannot produce comparable timings.
+
+When signatures match, every work, exact or wall path the baseline
+carries must be in the fresh document too: a bench that stopped
+emitting a counter fails instead of passing unchecked.
 
 Usage:
   bench_gate.py --benchmark NAME --fresh FILE --baseline FILE
@@ -46,28 +56,53 @@ though CI re-measures at smoke size.
 --trajectory appends a one-line record (benchmark, git_sha and
 timestamp taken from inside the fresh document, verdict, counter
 values) to a JSON-array file, building the perf trajectory CI uploads
-as an artifact.
+as an artifact. It refuses (exit 2, nothing written) a document whose
+`metadata.host.git_sha` is missing, "unknown" or `-dirty`: a trajectory
+record must name the commit it measured.
 
---self-test runs the gate against synthetic documents and verifies the
-gate itself: a >=20% work-counter regression must fail, a within-band
-fresh run must pass, and a flipped or absent invariant must fail. Wired
-as a tier-1 ctest so the gate cannot silently rot.
+--self-test runs the gate against synthetic megascale and planetbench
+documents and verifies the gate itself: a >=20% work-counter regression
+must fail, a within-band fresh run must pass, a flipped or absent
+invariant must fail, a lost counter must fail, any change to an exact
+value must fail and name its path, and a dirty trajectory record must
+be refused. Wired as a tier-1 ctest so the gate cannot silently rot.
 
 Exit codes: 0 gate passed, 1 regression or invariant failure,
-2 usage / unreadable input.
+2 usage / unreadable input / a --trajectory document without a clean
+commit.
 """
 
 import argparse
+import copy
+import importlib.util
 import json
+import os
 import sys
+import tempfile
+from pathlib import Path
+
+
+def planetbench_layer_counts():
+    """The per-op work counts planetbench reports per layer: run.py's
+    LAYER_COUNTS, read from the benchmark itself so the gate and the
+    documents it checks name the same counters."""
+    path = Path(__file__).resolve().parent.parent / "bench/planet/run.py"
+    spec = importlib.util.spec_from_file_location("planetbench_run", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return [name for name, _ in module.LAYER_COUNTS]
+
+
+PLANETBENCH_COUNTS = planetbench_layer_counts()
 
 # --------------------------------------------------------------- specs --
 
-# Per-benchmark comparison plan. Paths are dot-separated; a `[*]`
-# segment fans out over a JSON array (fresh and baseline arrays are
-# paired by index; a length mismatch is treated as a signature mismatch
-# for that path, i.e. skipped with a note, because it means the two
-# documents measured different sweeps).
+# Per-benchmark comparison plan. A path is a dot-separated string, or a
+# tuple of keys where a key itself contains a dot (planetbench's
+# per-layer names). A `key[*]` segment fans out over a JSON array and a
+# `*` segment over an object's members; fresh and baseline values pair
+# by their concrete path (`sweeps[2].shards`, `workloads.market-1k.
+# digest`).
 SPECS = {
     "megascale": {
         "signature": [
@@ -88,20 +123,17 @@ SPECS = {
         "wall": [("megascale_epoch.epoch_ms", 0.5)],
         "wall_guards": ["metadata.host.single_vcpu"],
     },
-    "federated_exchange": {
-        "signature": [
-            "metadata.total_bidders",
-            "metadata.epochs_per_config",
-            "sweeps[*].shards",
-            "sweeps[*].bidders_per_shard",
-        ],
-        "invariants": ["sweeps[*].all_converged"],
-        "work": [("sweeps[*].rounds_total", 1e-6)],
-        "wall": [
-            ("sweeps[*].epoch_ms_serial", 0.5),
-            ("sweeps[*].epoch_ms_pooled", 0.5),
-        ],
-        "wall_guards": ["metadata.host.single_vcpu"],
+    "planetbench": {
+        # Everything compared is a deterministic function of (seed,
+        # smoke). There is no wall class: a 2-20-op smoke against a
+        # baseline from another host cannot support a wall bound, and
+        # BENCHMARK.json's bounds already gate full-size walls.
+        "signature": ["schema", "seed", "smoke"],
+        "invariants": ["correct"],
+        "exact": [("workloads", "*", key) for key in
+                  ("digest", "failed_op_share", "unplaced_unit_share")]
+        + [("workloads", "*", "per_layer", name, "value")
+           for name in PLANETBENCH_COUNTS],
     },
     "scenario_suite": {
         "signature": [
@@ -132,35 +164,41 @@ SPECS = {
             ("arbitrage_realized_pnl", 1e-3),
             ("arbitrage_non_widening_fraction", 1e-3),
         ],
-        "wall": [],
-        "wall_guards": [],
     },
 }
 
 # ---------------------------------------------------------- path walks --
 
 
+def dotted(path):
+    return path if isinstance(path, str) else ".".join(path)
+
+
+def children(node, segment):
+    """[(name, child)] that one path segment selects under `node`."""
+    if segment == "*":
+        return list(node.items()) if isinstance(node, dict) else []
+    fanout = segment.endswith("[*]")
+    key = segment[:-3] if fanout else segment
+    if not isinstance(node, dict) or key not in node:
+        return []
+    value = node[key]
+    if not fanout:
+        return [(key, value)]
+    if not isinstance(value, list):
+        return []
+    return [(f"{key}[{i}]", item) for i, item in enumerate(value)]
+
+
 def resolve(doc, path):
-    """Returns [(concrete_path, value)] for a dotted path, fanning out
-    over `[*]` array segments. Missing paths resolve to []."""
+    """Returns [(concrete_path, value)] for a path, fanning out over
+    `[*]` and `*` segments. Missing paths resolve to []."""
+    segments = path.split(".") if isinstance(path, str) else path
     results = [("", doc)]
-    for segment in path.split("."):
-        fanout = segment.endswith("[*]")
-        key = segment[:-3] if fanout else segment
-        next_results = []
-        for prefix, node in results:
-            if not isinstance(node, dict) or key not in node:
-                continue
-            value = node[key]
-            label = f"{prefix}.{key}" if prefix else key
-            if fanout:
-                if not isinstance(value, list):
-                    continue
-                for i, item in enumerate(value):
-                    next_results.append((f"{label}[{i}]", item))
-            else:
-                next_results.append((label, value))
-        results = next_results
+    for segment in segments:
+        results = [(f"{prefix}.{name}" if prefix else name, child)
+                   for prefix, node in results
+                   for name, child in children(node, segment)]
     return results
 
 
@@ -224,26 +262,34 @@ def check_invariants(spec, fresh, gate):
 
 
 def wall_guard_tripped(spec, doc):
-    for path in spec["wall_guards"]:
+    for path in spec.get("wall_guards", []):
         for label, value in resolve(doc, path):
             if value is True:
                 return label
     return None
 
 
-def compare_numeric(path, rel_tol, fresh, baseline, gate, kind):
-    f_entries = resolve(fresh, path)
+def compare(path, fresh, baseline, gate, kind, rel_tol=None):
+    """Compares each value `path` selects in the baseline with the fresh
+    value at the same concrete path: equal when `rel_tol` is None,
+    within the relative band otherwise. A value the baseline has and
+    the fresh document lacks fails."""
     b_entries = resolve(baseline, path)
-    if not f_entries and not b_entries:
-        gate.note(f"{kind} path absent in both documents: {path}")
+    if not b_entries:
+        gate.note(f"{kind} path absent in the baseline: {dotted(path)}")
         return
-    if len(f_entries) != len(b_entries):
-        gate.skip(
-            f"{kind} {path}: cardinality {len(f_entries)} vs "
-            f"{len(b_entries)} (different sweep shape)"
-        )
-        return
-    for (label, f), (_, b) in zip(f_entries, b_entries):
+    fresh_values = dict(resolve(fresh, path))
+    for label, b in b_entries:
+        if label not in fresh_values:
+            gate.fail(f"{kind} {label} is absent from the fresh document")
+            continue
+        f = fresh_values[label]
+        if rel_tol is None:
+            if f == b:
+                gate.ok(f"{kind} {label}: {f}")
+            else:
+                gate.fail(f"{kind} {label}: fresh {f} vs baseline {b}")
+            continue
         if not isinstance(f, (int, float)) or not isinstance(b, (int, float)):
             gate.skip(f"{kind} {label}: non-numeric value")
             continue
@@ -279,22 +325,34 @@ def run_gate(benchmark, fresh, baselines, verbose):
             )
             continue
         compatible += 1
-        for path, tol in spec["work"]:
-            compare_numeric(path, tol, fresh, baseline, gate, "work")
+        for path, tol in spec.get("work", []):
+            compare(path, fresh, baseline, gate, "work", tol)
+        for path in spec.get("exact", []):
+            compare(path, fresh, baseline, gate, "exact")
         guard = wall_guard_tripped(spec, fresh) or wall_guard_tripped(
             spec, baseline
         )
-        if guard is not None:
-            for path, _ in spec["wall"]:
+        for path, tol in spec.get("wall", []):
+            if guard is not None:
                 gate.skip(f"wall {path}: guard {guard} stamped")
-        else:
-            for path, tol in spec["wall"]:
-                compare_numeric(path, tol, fresh, baseline, gate, "wall")
+            else:
+                compare(path, fresh, baseline, gate, "wall", tol)
     if baselines and compatible == 0:
         gate.note(
             "no signature-compatible baseline; gated on invariants only"
         )
     return gate
+
+
+def provenance_problem(fresh):
+    """Why a trajectory record of `fresh` would not name a clean commit,
+    or None when it would."""
+    sha = resolve_one(fresh, "metadata.host.git_sha")
+    if not isinstance(sha, str) or sha in ("", "unknown"):
+        return f"git_sha {sha!r} names no commit"
+    if sha.endswith("-dirty"):
+        return f"git_sha {sha} was measured on an uncommitted tree"
+    return None
 
 
 def append_trajectory(path, benchmark, fresh, gate):
@@ -307,7 +365,7 @@ def append_trajectory(path, benchmark, fresh, gate):
         trajectory = []
     spec = SPECS[benchmark]
     counters = {}
-    for work_path, _ in spec["work"]:
+    for work_path, _ in spec.get("work", []):
         for label, value in resolve(fresh, work_path):
             counters[label] = value
     record = {
@@ -356,11 +414,61 @@ def synthetic_megascale(rounds, converged, epoch_ms):
     }
 
 
+def synthetic_planetbench():
+    def workload(digest):
+        return {
+            "digest": [digest],
+            "failed_op_share": 0.0,
+            "unplaced_unit_share": 0.25,
+            "end_to_end": {"epoch_ms_p50": {"value": 10.0, "unit": "ms"}},
+            "per_layer": {name: {"value": 2.0, "unit": "count"}
+                          for name in PLANETBENCH_COUNTS},
+        }
+    return {
+        "schema": "planetbench/1",
+        "seed": 20090425,
+        "smoke": True,
+        "correct": True,
+        "workloads": {"big-clusters": workload("c51a93bd73e6ecde"),
+                      "clock-dense": workload("5e1f0d2c3b4a6978")},
+    }
+
+
+def edited(doc, edit):
+    doc = copy.deepcopy(doc)
+    edit(doc)
+    return doc
+
+
 def self_test():
-    baseline = synthetic_megascale(rounds=1000, converged=True,
-                                   epoch_ms=100.0)
-    cases = [
-        # (description, fresh document, expect_pass)
+    results = []
+
+    def check(description, ok, detail):
+        results.append(ok)
+        print(f"self-test [{'ok' if ok else 'FAIL'}] {description} "
+              f"({detail})")
+
+    def gate_case(description, benchmark, baseline, fresh, expect_pass,
+                  names=None):
+        gate = run_gate(benchmark, fresh, [("synthetic", baseline)],
+                        verbose=False)
+        passed = not gate.failures
+        ok = passed == expect_pass
+        if names is not None:
+            ok = ok and any(names in m for m in gate.failures)
+        check(description, ok, f"gate {'passed' if passed else 'failed'}")
+
+    mega = synthetic_megascale(rounds=1000, converged=True, epoch_ms=100.0)
+    # A single-vCPU stamp must turn a wall blowup into a skip.
+    stamped = synthetic_megascale(1000, True, 300.0)
+    stamped["metadata"]["host"]["single_vcpu"] = True
+    # A smoke-vs-full signature mismatch must skip numerics but still
+    # enforce invariants.
+    resized = synthetic_megascale(5000, True, 100.0)
+    resized["metadata"]["bidders"] = 1000000
+    resized_bad = synthetic_megascale(5000, False, 100.0)
+    resized_bad["metadata"]["bidders"] = 1000000
+    for description, fresh, expect_pass in [
         ("within-band run passes",
          synthetic_megascale(1000, True, 110.0), True),
         ("20% work-counter regression fails",
@@ -369,35 +477,70 @@ def self_test():
          synthetic_megascale(1000, False, 100.0), False),
         ("wall blowup beyond the loose band fails",
          synthetic_megascale(1000, True, 300.0), False),
-    ]
-    # A single-vCPU stamp must turn the wall blowup into a skip.
-    stamped = synthetic_megascale(1000, True, 300.0)
-    stamped["metadata"]["host"]["single_vcpu"] = True
-    cases.append(("wall blowup under a single-vCPU stamp passes",
-                  stamped, True))
-    # A smoke-vs-full signature mismatch must skip numerics but still
-    # enforce invariants.
-    resized = synthetic_megascale(5000, True, 100.0)
-    resized["metadata"]["bidders"] = 1000000
-    cases.append(("signature mismatch skips numerics", resized, True))
-    resized_bad = synthetic_megascale(5000, False, 100.0)
-    resized_bad["metadata"]["bidders"] = 1000000
-    cases.append(("signature mismatch still enforces invariants",
-                  resized_bad, False))
-    # A bench that dies before writing a section must not pass.
-    truncated = synthetic_megascale(1000, True, 100.0)
-    del truncated["megascale_epoch"]
-    cases.append(("absent invariant fails", truncated, False))
+        ("wall blowup under a single-vCPU stamp passes", stamped, True),
+        ("signature mismatch skips numerics", resized, True),
+        ("signature mismatch still enforces invariants", resized_bad,
+         False),
+        # A bench that dies before writing a section must not pass.
+        ("absent invariant fails",
+         edited(mega, lambda d: d.pop("megascale_epoch")), False),
+        # Nor may one that stopped emitting a work counter.
+        ("lost work counter fails",
+         edited(mega, lambda d: d["megascale_epoch"].pop("auction_rounds")),
+         False),
+    ]:
+        gate_case(description, "megascale", mega, fresh, expect_pass)
 
-    all_ok = True
-    for description, fresh, expect_pass in cases:
-        gate = run_gate("megascale", fresh, [("synthetic", baseline)],
-                        verbose=False)
-        passed = not gate.failures
-        ok = passed == expect_pass
-        all_ok = all_ok and ok
-        print(f"self-test [{'ok' if ok else 'FAIL'}] {description} "
-              f"(gate {'passed' if passed else 'failed'})")
+    planet = synthetic_planetbench()
+    jobs = "workloads.big-clusters.per_layer.exchange.jobs_added.value"
+    for description, fresh, expect_pass, names in [
+        ("planetbench: identical document passes", planet, True, None),
+        ("planetbench: changed digest fails",
+         edited(planet, lambda d: d["workloads"]["clock-dense"].update(
+             digest=["0000000000000000"])),
+         False, "workloads.clock-dense.digest"),
+        ("planetbench: a per-layer count off by one fails and is named",
+         edited(planet, lambda d: d["workloads"]["big-clusters"]
+                ["per_layer"]["exchange.jobs_added"].update(value=3.0)),
+         False, jobs),
+        ("planetbench: correct false fails",
+         edited(planet, lambda d: d.update(correct=False)), False,
+         "invariant correct"),
+        ("planetbench: a missing workload fails",
+         edited(planet, lambda d: d["workloads"].pop("clock-dense")),
+         False, "workloads.clock-dense"),
+        ("planetbench: changed end-to-end walls alone pass",
+         edited(planet, lambda d: [
+             w["end_to_end"]["epoch_ms_p50"].update(value=99.0)
+             for w in d["workloads"].values()]),
+         True, None),
+    ]:
+        gate_case(description, "planetbench", planet, fresh, expect_pass,
+                  names)
+
+    # --trajectory only records documents that name a clean commit.
+    with tempfile.TemporaryDirectory() as tmp:
+        fresh_path = os.path.join(tmp, "fresh.json")
+        trajectory = os.path.join(tmp, "trajectory.json")
+        for sha, expect_code in [(None, 2), ("unknown", 2),
+                                 ("369d04e7ecf4-dirty", 2),
+                                 ("369d04e7ecf4", 0)]:
+            doc = synthetic_megascale(1000, True, 100.0)
+            if sha is None:
+                del doc["metadata"]["host"]["git_sha"]
+            else:
+                doc["metadata"]["host"]["git_sha"] = sha
+            with open(fresh_path, "w") as f:
+                json.dump(doc, f)
+            code = main(["--benchmark", "megascale", "--fresh", fresh_path,
+                         "--baseline", fresh_path,
+                         "--trajectory", trajectory])
+            written = os.path.exists(trajectory)
+            check(f"trajectory with git_sha {sha!r} exits {expect_code}",
+                  code == expect_code and written == (expect_code == 0),
+                  f"exit {code}, {'wrote' if written else 'wrote nothing'}")
+
+    all_ok = all(results)
     print(f"self-test: {'PASS' if all_ok else 'FAIL'}")
     return 0 if all_ok else 1
 
@@ -414,7 +557,7 @@ def load(path):
         return None
 
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(
         description="perf-regression gate over BENCH_*.json documents"
     )
@@ -424,7 +567,7 @@ def main():
     parser.add_argument("--trajectory")
     parser.add_argument("--verbose", action="store_true")
     parser.add_argument("--self-test", action="store_true")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     if args.self_test:
         return self_test()
@@ -435,6 +578,12 @@ def main():
     fresh = load(args.fresh)
     if fresh is None:
         return 2
+    if args.trajectory:
+        problem = provenance_problem(fresh)
+        if problem is not None:
+            print(f"refusing to append to {args.trajectory}: {problem}",
+                  file=sys.stderr)
+            return 2
     baselines = []
     for path in args.baseline:
         doc = load(path)

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <ctime>
+#include <filesystem>
 #include <sstream>
 #include <thread>
 
@@ -29,6 +30,19 @@ std::string GitSha() {
   }
   ::pclose(pipe);
   return sha.empty() ? "unknown" : sha;
+}
+
+/// `text` single-quoted for /bin/sh.
+std::string ShellQuote(const std::string& text) {
+  std::string quoted = "'";
+  for (char c : text) {
+    if (c == '\'') {
+      quoted += "'\\''";
+    } else {
+      quoted += c;
+    }
+  }
+  return quoted + "'";
 }
 
 std::string UtcNow() {
@@ -69,6 +83,30 @@ std::string HostMetadataJson(const HostMetadata& meta) {
 
 std::string HostMetadataJson() {
   return HostMetadataJson(CollectHostMetadata());
+}
+
+bool RefuseTrackedOutput(const std::string& path) {
+  // Ask from the file's own directory, so a path into another checkout
+  // (or outside any) is judged by that checkout's index.
+  const std::filesystem::path file(path);
+  const std::string dir =
+      file.has_parent_path() ? file.parent_path().string() : ".";
+  const std::string command = "git -C " + ShellQuote(dir) +
+                              " ls-files -- " +
+                              ShellQuote(file.filename().string()) +
+                              " 2>/dev/null";
+  FILE* pipe = ::popen(command.c_str(), "r");
+  if (pipe == nullptr) return false;
+  char buffer[8];
+  const bool tracked = std::fgets(buffer, sizeof(buffer), pipe) != nullptr;
+  ::pclose(pipe);
+  if (tracked) {
+    std::fprintf(stderr,
+                 "refusing to write %s: the path is tracked by git; pass "
+                 "--out elsewhere\n",
+                 path.c_str());
+  }
+  return tracked;
 }
 
 unsigned ParseThreadsFlag(int* argc, char** argv, unsigned fallback) {

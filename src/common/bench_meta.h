@@ -55,4 +55,13 @@ std::string HostMetadataJson(const HostMetadata& meta);
 /// Convenience: CollectHostMetadata() rendered.
 std::string HostMetadataJson();
 
+/// Exit status of a bench that RefuseTrackedOutput stopped.
+inline constexpr int kRefusedOutputExit = 73;
+
+/// True when git tracks `path`, after printing the refusal to stderr: a
+/// bench checks its output path before any work and exits
+/// kRefusedOutputExit instead of overwriting a committed BENCH_*.json.
+/// Outside a git checkout (or without git) nothing is tracked.
+bool RefuseTrackedOutput(const std::string& path);
+
 }  // namespace pm

@@ -10,6 +10,7 @@
 // runs from the same seeds migrate the same clusters at the same epochs.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -732,6 +733,18 @@ TEST(BenchMetaTest, HostMetadataIsMachineChecked) {
   // hand-written: present iff the host really is single-vCPU.
   EXPECT_EQ(json.find("\"caveat\"") != std::string::npos,
             meta.single_vcpu);
+}
+
+TEST(BenchMetaTest, RefusesOnlyGitTrackedOutputPaths) {
+  const std::string root = PM_REPO_ROOT;
+  if (!std::filesystem::exists(root + "/.git")) {
+    GTEST_SKIP() << "source tree is not a git checkout";
+  }
+  // A committed baseline is refused; a fresh temporary path is not.
+  EXPECT_TRUE(RefuseTrackedOutput(root + "/BENCH_megascale.json"));
+  EXPECT_FALSE(RefuseTrackedOutput(root + "/BENCH_no_such_bench.json"));
+  EXPECT_FALSE(RefuseTrackedOutput(testing::TempDir() +
+                                   "bench_meta_fresh_output.json"));
 }
 
 }  // namespace
