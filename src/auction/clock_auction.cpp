@@ -9,6 +9,9 @@ namespace pm::auction {
 
 namespace {
 
+/// Intra-round bisection iterations (each costs one demand collection).
+constexpr int kBisectionIters = 24;
+
 /// Builds the configured increment policy.
 std::unique_ptr<IncrementPolicy> BuildPolicy(
     const ClockAuctionConfig& config, std::size_t num_pools) {
@@ -252,7 +255,7 @@ ClockAuctionResult ClockAuction::Run(const ClockAuctionConfig& config,
     if (timed && bisect_begin_ns == 0) bisect_begin_ns = PhaseNowNs();
     double lo = 0.0;  // Known: z(lo) has positive excess somewhere.
     double hi = 1.0;  // Known: z(hi) ≤ 0.
-    for (int it = 0; it < config.bisection_iters; ++it) {
+    for (int it = 0; it < kBisectionIters; ++it) {
       const double mid = 0.5 * (lo + hi);
       if (demand_at(mid)) {
         hi = mid;

@@ -76,9 +76,6 @@ struct ClockAuctionConfig {
   /// our implementation of the clock-proxy family's undersell control.
   bool intra_round_bisection = false;
 
-  /// Bisection iterations (each costs one demand collection).
-  int bisection_iters = 24;
-
   /// Optional pool for parallel proxy evaluation (line 4 fan-out).
   ThreadPool* thread_pool = nullptr;
 

@@ -29,25 +29,6 @@ std::string_view ToString(ExternalRejection::Reason reason) {
   return "?";
 }
 
-double RecentPlacementFailureRate(const std::vector<AuctionReport>& history,
-                                  int window) {
-  if (window <= 0) return 0.0;
-  double awarded = 0.0;
-  double unplaced = 0.0;
-  const std::size_t first =
-      history.size() > static_cast<std::size_t>(window)
-          ? history.size() - static_cast<std::size_t>(window)
-          : 0;
-  for (std::size_t i = first; i < history.size(); ++i) {
-    for (const AwardRecord& award : history[i].awards) {
-      if (award.outcome.quota_only) continue;  // No placement intended.
-      awarded += award.outcome.awarded_units;
-      unplaced += award.outcome.awarded_units - award.outcome.placed_units;
-    }
-  }
-  return awarded > 0.0 ? unplaced / awarded : 0.0;
-}
-
 std::vector<double> PriceRatios(const AuctionReport& report) {
   PM_CHECK(report.settled_prices.size() == report.fixed_prices.size());
   std::vector<double> ratios(report.settled_prices.size());

@@ -208,12 +208,4 @@ stats::BoxplotSummary TradeBoxplot(const AuctionReport& report,
 /// metric tracked by the reserve ablation and the timeline bench.
 double UtilizationSpread(const std::vector<double>& utilization);
 
-/// Unit-weighted placement-failure rate over the last `window` reports:
-/// Σ (awarded − placed) / Σ awarded across every award's buy-side
-/// outcome, 0 when nothing was awarded. The federation router folds this
-/// into shard heat — a shard that keeps winning quota it cannot place is
-/// hot in a way reserve prices alone do not show.
-double RecentPlacementFailureRate(const std::vector<AuctionReport>& history,
-                                  int window);
-
 }  // namespace pm::exchange

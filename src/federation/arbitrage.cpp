@@ -117,8 +117,8 @@ std::vector<ArbitragePlan> ArbitrageAgent::PlanEpoch(
                    : std::numeric_limits<double>::quiet_NaN();
   }
 
-  // Risk pass: mark the warehouse to this epoch's price signal and run
-  // the drawdown stop. Unpriced kinds carry at basis (zero unrealized).
+  // Mark the warehouse to this epoch's price signal. Unpriced kinds carry
+  // at basis (zero unrealized).
   {
     double mark = 0.0;
     for (std::size_t k = 0; k < holdings_.size(); ++k) {
@@ -139,7 +139,7 @@ std::vector<ArbitragePlan> ArbitrageAgent::PlanEpoch(
         mark += holding.units * (price - holding.basis);
       }
     }
-    UpdateRisk(mark);
+    mark_to_market_ = mark;
   }
 
   // Buy targets first (the decision, not yet the bids): per kind, the
@@ -221,10 +221,8 @@ std::vector<ArbitragePlan> ArbitrageAgent::PlanEpoch(
   }
 
   // Buys: materialize the targets chosen above (lowest shard/pool index
-  // wins ties) — unless the drawdown stop tripped: a warehouse deep
-  // under water stops averaging down and lets the sell side de-risk.
+  // wins ties).
   for (ResourceKind kind : kAllResourceKinds) {
-    if (halted_) break;
     const std::size_t cheap = buy_target[KindIndex(kind)];
     if (cheap == views.size()) continue;
     const double price_cheap = signal[cheap][KindIndex(kind)];
@@ -266,15 +264,6 @@ std::vector<ArbitragePlan> ArbitrageAgent::PlanEpoch(
     last_plans_.push_back(std::move(plan));
   }
   return last_plans_;
-}
-
-void ArbitrageAgent::UpdateRisk(double mark_to_market) {
-  mark_to_market_ = mark_to_market;
-  const double equity = realized_pnl_ + mark_to_market_;
-  peak_equity_ = std::max(peak_equity_, equity);
-  halted_ = config_.drawdown_stop > 0.0 &&
-            peak_equity_ - equity >
-                config_.drawdown_stop * config_.margin.ToDouble();
 }
 
 void ArbitrageAgent::ObserveEpoch(const FederationReport& report) {

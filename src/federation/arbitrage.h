@@ -84,13 +84,6 @@ struct ArbitrageConfig {
   /// quota-layer promises. Off (default) keeps the quota-based
   /// accounting bit for bit.
   bool outcome_aware = false;
-
-  /// Mark-to-market drawdown stop: each epoch the warehouse is valued at
-  /// the previous epoch's median prices; when equity (realized P&L +
-  /// unrealized value over basis) falls more than this fraction of the
-  /// margin below its running peak, new buys halt (sells continue — they
-  /// shed risk). 0 (default) disables the stop.
-  double drawdown_stop = 0.0;
 };
 
 /// One bid the agent decided to place this epoch. (A sell bundle can mix
@@ -163,15 +156,6 @@ class ArbitrageAgent {
   /// price signal (updated by PlanEpoch; holdings of unpriced kinds are
   /// carried at basis, contributing zero).
   double MarkToMarket() const { return mark_to_market_; }
-  /// Running peak of equity = realized P&L + mark-to-market.
-  double PeakEquity() const { return peak_equity_; }
-  /// Whether the drawdown stop is currently suppressing new buys.
-  bool Halted() const { return halted_; }
-
-  /// Digests one epoch's mark-to-market into the equity peak and the
-  /// halt flag (called by PlanEpoch; public so the risk rule is testable
-  /// without fabricating a whole federation).
-  void UpdateRisk(double mark_to_market);
 
   /// The per-(shard, kind) price signal: median settled price over the
   /// shard's positive-capacity pools of that kind, NaN when the kind has
@@ -192,8 +176,6 @@ class ArbitrageAgent {
   std::vector<ArbitragePlan> last_plans_;
   double realized_pnl_ = 0.0;
   double mark_to_market_ = 0.0;
-  double peak_equity_ = 0.0;
-  bool halted_ = false;
 };
 
 }  // namespace pm::federation

@@ -192,15 +192,6 @@ std::vector<ShardView> FederatedExchange::BuildShardViews() const {
       units *= shard->market->supply_fraction();
     }
     view.fixed_prices = shard->market->fixed_prices();
-    // Outcome feedback for the router: the unit-weighted fraction of
-    // recently awarded buys this shard failed to place. Only computed
-    // when the router actually folds it into heat — the scan over
-    // recent awards is wasted work otherwise.
-    view.placement_failure_rate =
-        config_.router.failure_heat_weight > 0.0
-            ? exchange::RecentPlacementFailureRate(
-                  shard->market->History(), config_.router.failure_window)
-            : 0.0;
     // Failure-domain gating: the router refuses quarantined shards and
     // sheds load off degraded/recovering ones.
     view.health = health_[views.size()].status;
@@ -574,6 +565,13 @@ void FederatedExchange::CloseEpochTelemetry(const int epoch,
 
 FederationReport FederatedExchange::RunEpochInternal(const int epoch) {
   const bool supervised = config_.supervisor.enabled;
+  // One-shot fault injections are consumed at epoch start, so a failure
+  // that propagates out of this epoch cannot leave them armed for the
+  // next one.
+  const std::vector<char> inject_fail =
+      std::exchange(inject_fail_, std::vector<char>(shards_.size(), 0));
+  const std::vector<int> inject_round_budget = std::exchange(
+      inject_round_budget_, std::vector<int>(shards_.size(), -1));
 
   // Profiler wall channel: federation-track spans (epoch, route, barrier)
   // are recorded here on the single epoch thread. Null when unarmed. The
@@ -709,20 +707,7 @@ FederationReport FederatedExchange::RunEpochInternal(const int epoch) {
         epoch_traces.push_back(fed.trace);
       }
     }
-    MarketRouter router(config_.router, std::move(views));
-    if (treasury_ != nullptr && config_.router.budget_pressure > 0.0) {
-      // Treasury-aware routing: a team low on planet money spills to
-      // cheaper shards earlier (its effective spill threshold tightens
-      // with its remaining balance).
-      std::unordered_map<std::string, double> balances;
-      for (const std::string& team : treasury_->Teams()) {
-        balances.emplace(team,
-                         treasury_->PlanetBalance(team).ToDouble());
-      }
-      routing = router.Route(pending_, balances);
-    } else {
-      routing = router.Route(pending_);
-    }
+    routing = MarketRouter(config_.router, std::move(views)).Route(pending_);
     pending_.clear();
     // Batched per-shard submission: one gate call per shard instead of
     // one per routed part, keeping each shard's intra-batch order (the
@@ -805,10 +790,10 @@ FederationReport FederatedExchange::RunEpochInternal(const int epoch) {
       exchange::AuctionReport r = shards_[k]->market->RunAuction();
       // Injected crash: the auction ran to completion and mutated the
       // shard before the fault lands — the worst case for containment.
-      PM_CHECK_MSG(inject_fail_[k] == 0,
+      PM_CHECK_MSG(inject_fail[k] == 0,
                    "injected failure: shard " << k << " ('"
                        << shards_[k]->name << "') crashed mid-epoch");
-      const int budget = inject_round_budget_[k];
+      const int budget = inject_round_budget[k];
       PM_CHECK_MSG(budget < 0 || r.rounds <= budget,
                    "epoch budget exceeded: shard "
                        << k << " ('" << shards_[k]->name << "') took "
@@ -832,9 +817,6 @@ FederationReport FederatedExchange::RunEpochInternal(const int epoch) {
   } else {
     for (std::size_t k = 0; k < shards_.size(); ++k) run_shard(k);
   }
-  // One-shot injections are consumed by the epoch that ran them.
-  std::fill(inject_fail_.begin(), inject_fail_.end(), 0);
-  std::fill(inject_round_budget_.begin(), inject_round_budget_.end(), -1);
 
   // T1. Telemetry ingest at the epoch barrier: the shard auctions are
   // done and the epoch is single-threaded again, so every write in
@@ -963,10 +945,10 @@ FederationReport FederatedExchange::RunEpochInternal(const int epoch) {
 
     // Failed shards' routed federated bids. A bid all of whose parts
     // landed on failed shards is re-queued whole for next epoch's router
-    // pass (reroute_failed_bids); parts whose sibling parts settled on
-    // healthy shards — splits and mirrors — are counted refunded instead
-    // (their money never left the planet ledger, and re-buying them
-    // would double the quantities the healthy parts already won).
+    // pass; parts whose sibling parts settled on healthy shards — splits
+    // and mirrors — are counted refunded instead (their money never left
+    // the planet ledger, and re-buying them would double the quantities
+    // the healthy parts already won).
     for (std::size_t i = 0; i < routing.decisions.size(); ++i) {
       const RouteDecision& decision = routing.decisions[i];
       if (decision.shards.empty()) continue;
@@ -977,8 +959,7 @@ FederationReport FederatedExchange::RunEpochInternal(const int epoch) {
       if (failed_parts == 0) continue;
       const std::uint64_t trace =
           telemetry_ != nullptr ? epoch_traces[i] : 0;
-      if (config_.supervisor.reroute_failed_bids &&
-          failed_parts == decision.shards.size()) {
+      if (failed_parts == decision.shards.size()) {
         pending_.push_back(epoch_bids[i]);
         ++health_block.rerouted_bids;
         if (trace != 0) {
@@ -1042,7 +1023,6 @@ FederationReport FederatedExchange::RunEpochInternal(const int epoch) {
     report.arbitrage.holdings_units = arbitrage_->TotalHoldingsUnits();
     report.arbitrage.realized_pnl = arbitrage_->RealizedPnl();
     report.arbitrage.mark_to_market = arbitrage_->MarkToMarket();
-    report.arbitrage.halted = arbitrage_->Halted();
   }
 
   // 5. Settlement sweep: every federated team's shard-local balance is

@@ -10,9 +10,10 @@
 // the auction/settlement path, a wire link going down after retry
 // exhaustion) or blew through its injected round budget. The supervisor
 // contains the failure — the shard is rolled back to its epoch-boundary
-// checkpoint, its treasury float refunded, its routed bids re-routed or
-// refunded — and this record decides what the shard is allowed to do next
-// epoch. Backoff is denominated in epochs (virtual time), doubling per
+// checkpoint, its treasury float refunded, a federated bid whose every
+// part landed on it re-queued for next epoch's router pass (a split or
+// mirror part whose siblings survived is refunded instead, never re-bought)
+// — and this record decides what the shard is allowed to do next epoch. Backoff is denominated in epochs (virtual time), doubling per
 // quarantine up to a cap, so the whole trajectory is deterministic and
 // bit-identical across reruns and thread counts.
 #pragma once
@@ -46,13 +47,6 @@ struct SupervisorConfig {
   /// quarantine (base, 2·base, 4·base, ...) up to `backoff_cap`.
   int backoff_base = 1;
   int backoff_cap = 8;
-
-  /// What happens to a failed/quarantined shard's routed federated bids:
-  /// true re-queues the original FederatedBids for next epoch's router
-  /// pass over the healthy shards; false drops them (their money was never
-  /// spent — the restore reverted the shard and the treasury refunded the
-  /// float — so "refunded" is bookkeeping, not a transfer).
-  bool reroute_failed_bids = true;
 };
 
 /// One shard's live health record, owned by FederatedExchange and

@@ -121,10 +121,7 @@ std::string RenderFederationSummary(const FederationReport& report) {
        << FormatF(report.arbitrage.holdings_units, 1)
        << " units, realized P&L $"
        << FormatF(report.arbitrage.realized_pnl, 2) << ", mark $"
-       << FormatF(report.arbitrage.mark_to_market, 2)
-       << (report.arbitrage.halted ? " [drawdown stop: buys halted]"
-                                   : "")
-       << '\n';
+       << FormatF(report.arbitrage.mark_to_market, 2) << '\n';
   }
   if (report.health.supervised) {
     os << "health: " << report.health.failed_shards << " failed, "

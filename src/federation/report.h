@@ -84,7 +84,6 @@ struct ArbitrageSummary {
   double holdings_units = 0.0;  // Warehoused units across all shards.
   double realized_pnl = 0.0;    // Cumulative realized arbitrage P&L.
   double mark_to_market = 0.0;  // Unrealized value over basis.
-  bool halted = false;          // Drawdown stop suppressing new buys.
 };
 
 /// One whole-cluster migration executed by the fleet rebalancer.

@@ -88,11 +88,6 @@ ShardQuote MarketRouter::Quote(std::size_t shard,
     if (quote.fit == kInf) quote.fit = 0.0;  // Nothing was requested.
     quote.heat =
         quote.fixed_cost > 0.0 ? quote.reserve_cost / quote.fixed_cost : 1.0;
-    // Outcome-aware heat: a shard that recently failed to place awarded
-    // buys is congested below the price signal (machines fragmented or
-    // capacity gone); count that against it.
-    quote.heat *=
-        1.0 + config_.failure_heat_weight * view.placement_failure_rate;
     // Failure-domain shedding: a shard still proving itself after a
     // contained failure reads hotter than its prices claim.
     quote.heat *= 1.0 + health_penalty;
@@ -140,32 +135,8 @@ bid::Bid MarketRouter::Materialize(const ShardQuote& quote,
   return bid;
 }
 
-double MarketRouter::EffectiveSpillThreshold(const FederatedBid& bid,
-                                             double planet_balance) const {
-  if (config_.budget_pressure <= 0.0 || !(bid.limit > 0.0)) {
-    return config_.spill_threshold;
-  }
-  // Squeeze ramps 0 → 1 as the team's remaining planet balance falls
-  // from budget_comfort × limit to nothing; a squeezed team's threshold
-  // tightens proportionally (floored just above 1 so heat == 1 shards —
-  // priced at their fixed baseline — are never spilled from).
-  const double comfort =
-      std::max(1e-9, config_.budget_comfort) * bid.limit;
-  const double squeeze =
-      1.0 - std::clamp(planet_balance / comfort, 0.0, 1.0);
-  const double tightened =
-      config_.spill_threshold * (1.0 - config_.budget_pressure * squeeze);
-  return std::max(1.0 + 1e-9, tightened);
-}
-
 RoutingResult MarketRouter::Route(
     const std::vector<FederatedBid>& bids) const {
-  return Route(bids, {});
-}
-
-RoutingResult MarketRouter::Route(
-    const std::vector<FederatedBid>& bids,
-    const std::unordered_map<std::string, double>& planet_balances) const {
   RoutingResult result;
   result.decisions.reserve(bids.size());
   const std::size_t num_shards = views_.size();
@@ -199,16 +170,10 @@ RoutingResult MarketRouter::Route(
 
   for (std::size_t bid_index = 0; bid_index < bids.size(); ++bid_index) {
     const FederatedBid& fed = bids[bid_index];
-    const auto balance = planet_balances.find(fed.team);
-    const double spill =
-        balance != planet_balances.end()
-            ? EffectiveSpillThreshold(fed, balance->second)
-            : config_.spill_threshold;
     RouteDecision decision;
     decision.team = fed.team;
     decision.tag = fed.tag;
     decision.policy = config_.policy;
-    decision.spill_threshold = spill;
     if (!HasPositiveQuantity(fed.quantity) || !(fed.limit > 0.0)) {
       result.decisions.push_back(std::move(decision));  // Unroutable.
       continue;
@@ -233,7 +198,7 @@ RoutingResult MarketRouter::Route(
         const bool need_fit = pass == 0;
         for (std::size_t s = 0; s < num_shards; ++s) {
           if (!quotes[s].viable) continue;
-          if (require_cool && quotes[s].heat > spill) {
+          if (require_cool && quotes[s].heat > config_.spill_threshold) {
             continue;
           }
           if (need_fit && quotes[s].fit < 1.0) continue;
@@ -266,7 +231,7 @@ RoutingResult MarketRouter::Route(
         decision.preferred_heat = quotes[home].heat;
         std::size_t target = home;
         if (!quotes[home].viable ||
-            quotes[home].heat > spill) {
+            quotes[home].heat > config_.spill_threshold) {
           // Unquotable or overheated home: spill to the cheapest cool
           // shard, or the globally cheapest when the whole planet runs
           // hot. any_viable guarantees cheapest(false) finds one.
@@ -302,7 +267,7 @@ RoutingResult MarketRouter::Route(
         for (std::size_t s = 0; s < num_shards; ++s) {
           if (!quotes[s].viable) continue;
           ++viable_count;
-          if (quotes[s].heat <= spill) {
+          if (quotes[s].heat <= config_.spill_threshold) {
             candidates.push_back(s);
           }
         }

@@ -24,7 +24,6 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "bid/bid.h"
@@ -67,12 +66,6 @@ struct ShardView {
   std::vector<double> reserve_prices;  // Current congestion-weighted p̃.
   std::vector<double> free_capacity;   // Operator-sellable units per pool.
   std::vector<double> fixed_prices;    // Pre-market baseline prices.
-  /// Unit-weighted fraction of recently awarded buy units the shard
-  /// failed to place (exchange::RecentPlacementFailureRate). Folded into
-  /// quote heat when RouterConfig::failure_heat_weight > 0: a shard that
-  /// keeps selling quota it cannot deliver physically is hot in a way
-  /// reserve prices alone do not show.
-  double placement_failure_rate = 0.0;
   /// Failure-domain status from the epoch supervisor. Quarantined shards
   /// quote viable == false (they run no auction this epoch, so routing a
   /// bid there would strand it); degraded and recovering shards shed load
@@ -102,9 +95,6 @@ struct RouteDecision {
   std::vector<std::size_t> shards;    // Where parts actually landed.
   bool spilled = false;               // Re-routed off the preferred shard.
   double preferred_heat = 1.0;        // Reserve/fixed cost ratio there.
-  /// The spill threshold this bid was actually routed under — equal to
-  /// RouterConfig::spill_threshold unless budget pressure tightened it.
-  double spill_threshold = 0.0;
 };
 
 /// Router tuning.
@@ -118,29 +108,6 @@ struct RouterConfig {
 
   /// Copies placed by kMirrored (clamped to the shard count).
   std::size_t mirror_ways = 2;
-
-  // ------------------------------------------------ outcome-aware gates --
-  /// Placement-failure heat: every quote's heat is scaled by
-  /// (1 + failure_heat_weight × shard placement_failure_rate), so shards
-  /// that recently sold quota they could not place read hotter than
-  /// their reserve prices claim. 0 (default) ignores failure rates.
-  double failure_heat_weight = 0.0;
-
-  /// Epochs of shard history the failure rate is averaged over (consumed
-  /// by FederatedExchange::BuildShardViews).
-  int failure_window = 3;
-
-  /// Treasury-aware spill: > 0 tightens a bid's effective spill
-  /// threshold as the team's remaining planet balance shrinks toward the
-  /// bid's limit — a team running out of planet money spills to cheaper
-  /// shards earlier instead of paying hot-shard prices. The threshold
-  /// scales by (1 − budget_pressure × squeeze) where squeeze ramps from
-  /// 0 (balance ≥ budget_comfort × limit) to 1 (balance 0). 0 (default)
-  /// ignores balances; balances reach the router via the Route overload.
-  double budget_pressure = 0.0;
-
-  /// Multiples of the bid limit the team must hold for zero squeeze.
-  double budget_comfort = 4.0;
 
   // ---------------------------------------------- failure-domain gates --
   /// Heat multiplier applied to degraded and recovering shards: their
@@ -189,19 +156,6 @@ class MarketRouter {
   /// limit, or no viable shard are recorded with an empty `shards` list
   /// and produce no parts.
   RoutingResult Route(const std::vector<FederatedBid>& bids) const;
-
-  /// Treasury-aware overload: `planet_balances` (team → remaining planet
-  /// balance in dollars) lets budget_pressure tighten each bid's
-  /// effective spill threshold. Teams absent from the map route as if
-  /// unconstrained.
-  RoutingResult Route(
-      const std::vector<FederatedBid>& bids,
-      const std::unordered_map<std::string, double>& planet_balances) const;
-
-  /// The spill threshold a bid routes under, given the team's remaining
-  /// planet balance (exposed for tests).
-  double EffectiveSpillThreshold(const FederatedBid& bid,
-                                 double planet_balance) const;
 
  private:
   bid::Bid Materialize(const ShardQuote& quote, std::size_t shard,

@@ -7,13 +7,19 @@
 #include "common/check.h"
 
 namespace pm::telemetry {
+namespace {
+
+/// Ring capacity per shard (the flight recorder: per-shard event rings
+/// and supervisor containment dumps).
+constexpr std::size_t kFlightRecorderCapacity = 128;
+
+}  // namespace
 
 Telemetry::Telemetry(TelemetryConfig config,
                      std::vector<std::string> shard_names)
     : config_(std::move(config)),
       shard_names_(std::move(shard_names)),
-      recorder_(shard_names_.size(),
-                config_.flight_recorder_capacity) {
+      recorder_(shard_names_.size(), kFlightRecorderCapacity) {
   PM_CHECK_MSG(config_.enabled,
                "construct Telemetry only behind the enabled gate");
   PM_CHECK_MSG(!shard_names_.empty(), "telemetry needs shard names");

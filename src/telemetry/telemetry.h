@@ -65,10 +65,6 @@ struct TelemetryConfig {
   /// outputs are bit-identical to a build without the telemetry plane.
   bool enabled = false;
 
-  /// Ring capacity per shard (the flight recorder: per-shard event rings
-  /// and supervisor containment dumps).
-  std::size_t flight_recorder_capacity = 128;
-
   /// The watchdog plane (recording rules + alerts), both gates off by
   /// default. `WatchdogConfig{true, true}` arms the shipped packs.
   WatchdogConfig watchdog;

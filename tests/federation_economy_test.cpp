@@ -282,9 +282,8 @@ TEST(FederationEconomyTest, RetireFederatedTeamBurnsRemainingMoney) {
 
 // ------------------------------------- outcome-aware conservation ------
 
-// The ISSUE-4 acceptance property: with every outcome gate on (refunds,
-// outcome-aware arbitrage warehouse, priced moves, drawdown stop, budget
-// pressure, failure heat) and the shards running over the pm::net proxy
+// With every outcome gate on (refunds, outcome-aware arbitrage
+// warehouse, priced moves) and the shards running over the pm::net proxy
 // wire path, every award's buy side conserves units —
 // awarded == placed + refunded — and the treasury invariant keeps
 // covering the refund flow (refunds land in the team's shard-local
@@ -294,15 +293,12 @@ TEST(FederationEconomyTest, OutcomeConservationUnderFullEconomyAndProxyWire) {
   FederationConfig config;
   config.seed = 20090425;
   config.proxy_nodes_per_shard = 2;
-  config.router.budget_pressure = 0.5;
-  config.router.failure_heat_weight = 2.0;
   config.economy.treasury = true;
   config.economy.arbitrage.enabled = true;
   config.economy.arbitrage.margin = Money::FromDollars(500000);
   config.economy.arbitrage.min_spread = 0.05;
   config.economy.arbitrage.buy_fraction = 0.20;
   config.economy.arbitrage.outcome_aware = true;
-  config.economy.arbitrage.drawdown_stop = 0.50;
   config.economy.rebalance.enabled = true;
   config.economy.rebalance.spread_threshold = 0.20;
   config.economy.rebalance.consecutive_epochs = 2;
@@ -617,36 +613,10 @@ TEST(ArbitrageAgentTest, MigrationRehomesWarehouseEntries) {
   EXPECT_DOUBLE_EQ(agent.TotalHoldingsUnits(), 240.0);
 }
 
-TEST(ArbitrageAgentTest, UpdateRiskTracksPeakAndTripsTheStop) {
-  ArbitrageConfig config;
-  config.enabled = true;
-  config.margin = Money::FromDollars(1000);
-  config.drawdown_stop = 0.10;  // Halt past $100 under the peak.
-  ArbitrageAgent agent(config);
-  agent.UpdateRisk(0.0);
-  EXPECT_FALSE(agent.Halted());
-  agent.UpdateRisk(50.0);  // New peak.
-  EXPECT_DOUBLE_EQ(agent.PeakEquity(), 50.0);
-  EXPECT_FALSE(agent.Halted());
-  agent.UpdateRisk(-49.0);  // Down 99 from the peak: still inside.
-  EXPECT_FALSE(agent.Halted());
-  agent.UpdateRisk(-51.0);  // Down 101: stop.
-  EXPECT_TRUE(agent.Halted());
-  agent.UpdateRisk(-45.0);  // Recovered inside the band: buys resume.
-  EXPECT_FALSE(agent.Halted());
-
-  // With the stop disabled the same path never halts.
-  config.drawdown_stop = 0.0;
-  ArbitrageAgent unguarded(config);
-  unguarded.UpdateRisk(50.0);
-  unguarded.UpdateRisk(-100000.0);
-  EXPECT_FALSE(unguarded.Halted());
-}
-
-TEST(ArbitrageAgentTest, DrawdownStopHaltsBuysNotSells) {
-  // Two fabricated shards with a clean 2x price spread: the healthy
-  // agent buys in the cheap shard; the same agent marked deep under
-  // water plans no buys.
+TEST(ArbitrageAgentTest, MarkToMarketValuesAnUnderwaterWarehouse) {
+  // Two fabricated shards with a clean 2x price spread: the agent buys in
+  // the cheap shard, and a warehouse seeded deep under water marks at a
+  // large unrealized loss.
   agents::World w0 = GenerateWorld(SmallWorkload());
   agents::World w1 = GenerateWorld(SmallWorkload());
   const std::vector<const cluster::Fleet*> fleets{&w0.fleet, &w1.fleet};
@@ -670,25 +640,19 @@ TEST(ArbitrageAgentTest, DrawdownStopHaltsBuysNotSells) {
   config.enabled = true;
   config.margin = Money::FromDollars(1000);
   config.min_spread = 0.05;
-  config.drawdown_stop = 0.10;
   ArbitrageAgent agent(config);
 
-  std::vector<ArbitragePlan> plans =
+  const std::vector<ArbitragePlan> plans =
       agent.PlanEpoch(&prev, views, fleets, 1);
-  EXPECT_FALSE(agent.Halted());
+  EXPECT_DOUBLE_EQ(agent.MarkToMarket(), 0.0);  // Nothing warehoused yet.
   bool any_buy = false;
   for (const ArbitragePlan& plan : plans) any_buy |= plan.is_buy;
-  EXPECT_TRUE(any_buy) << "a 2x spread must attract buys when healthy";
+  EXPECT_TRUE(any_buy) << "a 2x spread must attract buys";
 
-  // A warehouse bought at basis 50 now marking at ~1: unrealized −490,
-  // far past 10% of the $1000 margin.
+  // A warehouse bought at basis 50 now marking at ~1: unrealized ~−490.
   agent.SeedHoldingsForTest(0, /*pool=*/0, /*units=*/10.0, /*basis=*/50.0);
-  plans = agent.PlanEpoch(&prev, views, fleets, 2);
-  EXPECT_TRUE(agent.Halted());
+  agent.PlanEpoch(&prev, views, fleets, 2);
   EXPECT_LT(agent.MarkToMarket(), -400.0);
-  for (const ArbitragePlan& plan : plans) {
-    EXPECT_FALSE(plan.is_buy) << "the stop must suppress new buys";
-  }
 }
 
 TEST(ArbitrageAgentTest, SitsOutWithoutAPriceSignal) {

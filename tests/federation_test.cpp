@@ -500,75 +500,6 @@ TEST(MarketRouterTest, ShardsMissingARequestedKindAreSkippedNotFatal) {
   EXPECT_TRUE(none.decisions[0].shards.empty());
 }
 
-TEST(MarketRouterTest, PlacementFailureRateHeatsShardQuotes) {
-  // shard0 is cheap but has recently failed to place everything it
-  // awarded; shard1 is pricier and delivers. Without the heat gate the
-  // home bid stays on shard0; with it, shard0 reads hot and the bid
-  // spills.
-  RouterFixture fixture({{1.0, 100.0}, {1.5, 100.0}});
-  fixture.views[0].placement_failure_rate = 1.0;
-  RouterConfig config;
-  config.policy = RoutingPolicy::kHomeAffinity;
-  config.spill_threshold = 3.0;
-  FederatedBid bid;
-  bid.team = "t";
-  bid.quantity = cluster::TaskShape{10.0, 10.0, 1.0};
-  bid.limit = 1000.0;
-  bid.home_shard = "shard0";
-
-  MarketRouter blind(config, fixture.views);
-  const RoutingResult stay = blind.Route({bid});
-  EXPECT_FALSE(stay.decisions[0].spilled);
-  EXPECT_EQ(stay.routed[0].shard, 0u);
-
-  config.failure_heat_weight = 10.0;  // Heat 1.0 → 11.0 on shard0.
-  MarketRouter aware(config, fixture.views);
-  const RoutingResult spill = aware.Route({bid});
-  EXPECT_TRUE(spill.decisions[0].spilled);
-  EXPECT_EQ(spill.routed[0].shard, 1u);
-  EXPECT_GT(spill.decisions[0].preferred_heat, config.spill_threshold);
-}
-
-TEST(MarketRouterTest, BudgetPressureTightensTheSpillThreshold) {
-  // Home shard warm (heat 2.5, inside the 3.0 threshold); shard1 cool.
-  RouterFixture fixture({{2.5, 100.0}, {1.0, 100.0}});
-  RouterConfig config;
-  config.policy = RoutingPolicy::kHomeAffinity;
-  config.spill_threshold = 3.0;
-  config.budget_pressure = 1.0;
-  config.budget_comfort = 4.0;
-  MarketRouter router(config, fixture.views);
-  FederatedBid bid;
-  bid.team = "t";
-  bid.quantity = cluster::TaskShape{10.0, 10.0, 1.0};
-  bid.limit = 1000.0;
-  bid.home_shard = "shard0";
-
-  // The threshold ramps with the remaining planet balance.
-  EXPECT_DOUBLE_EQ(router.EffectiveSpillThreshold(bid, 4000.0), 3.0);
-  EXPECT_DOUBLE_EQ(router.EffectiveSpillThreshold(bid, 2000.0), 1.5);
-  EXPECT_NEAR(router.EffectiveSpillThreshold(bid, 0.0), 1.0, 1e-6);
-
-  // A rich team pays the warm home price; a broke one spills to the
-  // cool shard early.
-  const RoutingResult rich = router.Route({bid}, {{"t", 1000000.0}});
-  EXPECT_FALSE(rich.decisions[0].spilled);
-  EXPECT_EQ(rich.routed[0].shard, 0u);
-  EXPECT_DOUBLE_EQ(rich.decisions[0].spill_threshold, 3.0);
-
-  const RoutingResult broke = router.Route({bid}, {{"t", 0.0}});
-  EXPECT_TRUE(broke.decisions[0].spilled);
-  EXPECT_EQ(broke.routed[0].shard, 1u);
-  EXPECT_LT(broke.decisions[0].spill_threshold, 2.5);
-
-  // Teams absent from the balance map route as if unconstrained, and
-  // the balance-free overload is the rich case.
-  const RoutingResult unknown = router.Route({bid}, {{"other", 0.0}});
-  EXPECT_FALSE(unknown.decisions[0].spilled);
-  const RoutingResult legacy = router.Route({bid});
-  EXPECT_FALSE(legacy.decisions[0].spilled);
-}
-
 TEST(MarketRouterTest, UnroutableBidsAreRecordedWithoutParts) {
   RouterFixture fixture({{1.0, 100.0}});
   MarketRouter router(RouterConfig{}, fixture.views);

@@ -20,6 +20,7 @@
 //       byte-identical metrics JSON across reruns and thread counts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <string>
@@ -234,21 +235,29 @@ TEST(SupervisorTest, FailedShardBidsAreRerouted) {
   EXPECT_EQ(fed.PendingFederatedBids(), 0u);
 }
 
-TEST(SupervisorTest, FailedShardBidsAreRefundedWhenRerouteIsOff) {
+TEST(SupervisorTest, FailedSplitPartIsRefundedNotRerouted) {
+  // A split whose sibling parts survive must not re-buy: the failed part
+  // is counted refunded and nothing goes back in the queue, or the
+  // healthy parts' quantities would be bought twice.
   FederationConfig config;
   config.seed = 17;
   config.supervisor.enabled = true;
-  config.supervisor.reroute_failed_bids = false;
-  config.router.policy = RoutingPolicy::kHomeAffinity;
-  config.router.spill_threshold = 1e9;
+  config.router.policy = RoutingPolicy::kSplit;
+  config.router.spill_threshold = 1e9;  // Every viable shard is a candidate.
   FederatedExchange fed(ThreeShards(), config);
   fed.EndowFederatedTeam("globex", Money::FromDollars(50000));
 
   fed.SubmitFederatedBid(SampleBid("globex", "region-0"));
-  fed.InjectShardFailure(0);
+  fed.InjectShardFailure(1);
   const FederationReport report = fed.RunEpoch();
-  EXPECT_EQ(report.health.rerouted_bids, 0u);
+
+  ASSERT_EQ(report.routing.size(), 1u);
+  const std::vector<std::size_t>& parts = report.routing[0].shards;
+  ASSERT_GT(parts.size(), 1u);
+  ASSERT_NE(std::find(parts.begin(), parts.end(), 1u), parts.end());
+  EXPECT_EQ(report.health.failed_shards, 1u);
   EXPECT_EQ(report.health.refunded_bids, 1u);
+  EXPECT_EQ(report.health.rerouted_bids, 0u);
   EXPECT_EQ(fed.PendingFederatedBids(), 0u);
 }
 
@@ -275,6 +284,11 @@ TEST(SupervisorTest, UnsupervisedCrashSweepsTreasuryBeforePropagating) {
     EXPECT_EQ(fed.treasury()->Outstanding("globex", k), Money());
   }
   ExpectConserved(*fed.treasury());
+
+  // The injection was one-shot: the propagated failure consumed it, so
+  // the next epoch runs clean.
+  EXPECT_NO_THROW(fed.RunEpoch());
+  EXPECT_EQ(fed.EpochCount(), 2);
 }
 
 // ------------------------------------------------- health machine (3) --

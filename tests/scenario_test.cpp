@@ -8,7 +8,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <fstream>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -93,6 +95,11 @@ TEST(ScenarioRunnerTest, RejectsInvalidTimelines) {
 
 // -------------------------------------------------------- determinism --
 
+// Every scenario's seed-77 document is also pinned against
+// tests/golden/scenarios/<name>.json. After an intended behaviour change,
+// regenerate each one from the build directory with
+//   ./example_scenario_runner --scenario <name> --seed 77 \
+//       --out ../tests/golden/scenarios/<name>.json
 TEST(ScenarioDeterminismTest, EveryScenarioIsByteIdenticalAcrossReruns) {
   for (const ScenarioSpec& spec : ScenarioLibrary()) {
     RunnerConfig config;
@@ -102,6 +109,15 @@ TEST(ScenarioDeterminismTest, EveryScenarioIsByteIdenticalAcrossReruns) {
     const std::string second =
         ScenarioRunner(spec, config).Run().ToJson();
     EXPECT_EQ(first, second) << spec.name;
+
+    const std::string path = std::string(PM_REPO_ROOT) +
+                             "/tests/golden/scenarios/" + spec.name +
+                             ".json";
+    std::ifstream golden(path);
+    ASSERT_TRUE(golden.good()) << "missing golden file " << path;
+    std::ostringstream expected;
+    expected << golden.rdbuf();
+    EXPECT_EQ(first, expected.str()) << spec.name;
   }
 }
 

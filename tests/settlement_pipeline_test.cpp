@@ -603,38 +603,5 @@ TEST(SettlementPipelineTest, ExternalRejectionsCarryTheirReason) {
   EXPECT_EQ(ToString(ExternalRejection::Reason::kValidation), "validation");
 }
 
-// --------------------------------------------- failure-rate windowing --
-
-TEST(ReportTest, RecentPlacementFailureRateWindowsOverHistory) {
-  std::vector<AuctionReport> history;
-  const auto report_with = [](double awarded, double placed) {
-    AuctionReport report;
-    AwardRecord award;
-    award.outcome.awarded_units = awarded;
-    award.outcome.placed_units = placed;
-    report.awards.push_back(std::move(award));
-    return report;
-  };
-  EXPECT_EQ(RecentPlacementFailureRate(history, 3), 0.0);
-  history.push_back(report_with(10.0, 0.0));   // Epoch 0: all failed.
-  EXPECT_DOUBLE_EQ(RecentPlacementFailureRate(history, 3), 1.0);
-  history.push_back(report_with(10.0, 10.0));  // Epoch 1: all placed.
-  history.push_back(report_with(10.0, 5.0));   // Epoch 2: half.
-  EXPECT_DOUBLE_EQ(RecentPlacementFailureRate(history, 3), 0.5);
-  // The window slides: epoch 0's disaster ages out.
-  history.push_back(report_with(10.0, 10.0));  // Epoch 3.
-  EXPECT_DOUBLE_EQ(RecentPlacementFailureRate(history, 3), 5.0 / 30.0);
-  EXPECT_DOUBLE_EQ(RecentPlacementFailureRate(history, 1), 0.0);
-  // Quota-only awards never count against a shard.
-  AuctionReport quota_only;
-  AwardRecord warehouse;
-  warehouse.outcome.quota_only = true;
-  warehouse.outcome.awarded_units = 100.0;
-  warehouse.outcome.placed_units = 100.0;
-  quota_only.awards.push_back(std::move(warehouse));
-  history.assign(1, std::move(quota_only));
-  EXPECT_EQ(RecentPlacementFailureRate(history, 3), 0.0);
-}
-
 }  // namespace
 }  // namespace pm::exchange
