@@ -1,4 +1,4 @@
-// Scenario suite: sweep every registered scenario at its default epoch
+// Scenario suite: sweep every registered scenario at the default epoch
 // count, record wall time, headline metrics and SLO verdicts, and write
 // them to --out (default BENCH_scenario_suite.json in the working
 // directory, with machine-collected host metadata). A git-tracked --out
@@ -9,7 +9,7 @@
 //
 //   $ ./bench_scenario_suite [--epochs E] [--seed S] [--threads T]
 //                            [--out FILE]
-//   defaults: each scenario's default_epochs, seed 20090425
+//   defaults: scenario::kDefaultEpochs (8) epochs, seed 20090425
 #include <chrono>
 #include <cstdlib>
 #include <fstream>

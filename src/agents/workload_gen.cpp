@@ -63,7 +63,7 @@ World GenerateWorld(const WorkloadConfig& config) {
         rng.UniformInt(config.min_machines_per_cluster,
                        config.max_machines_per_cluster));
     clusters.push_back(cluster::Cluster::Homogeneous(
-        ClusterName(c), machines, config.machine_shape));
+        ClusterName(c), machines, kMachineShape));
   }
   cluster::Fleet fleet(std::move(clusters), config.unit_costs);
 

@@ -112,12 +112,8 @@ ClockAuctionResult ClockAuction::Run(
 ClockAuctionResult ClockAuction::Run(const ClockAuctionConfig& config,
                                      DemandSource& source) const {
   const std::size_t num_pools = supply_.size();
-  std::unique_ptr<IncrementPolicy> owned_policy;
-  const IncrementPolicy* policy = config.policy;
-  if (policy == nullptr) {
-    owned_policy = BuildPolicy(config, num_pools);
-    policy = owned_policy.get();
-  }
+  const std::unique_ptr<IncrementPolicy> policy =
+      BuildPolicy(config, num_pools);
 
   const bool has_caps = !config.price_caps.empty();
   if (has_caps) {
@@ -163,10 +159,6 @@ ClockAuctionResult ClockAuction::Run(const ClockAuctionConfig& config,
   };
 
   auto normalize = [&](std::span<const double> raw) {
-    if (!config.normalize_excess) {
-      std::copy(raw.begin(), raw.end(), normalized.begin());
-      return;
-    }
     for (std::size_t r = 0; r < num_pools; ++r) {
       normalized[r] = raw[r] / std::max(supply_[r], 1.0);
     }

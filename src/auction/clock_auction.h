@@ -32,14 +32,15 @@ namespace pm::auction {
 /// Tuning knobs for one clock-auction run. Defaults converge briskly on
 /// markets with supply-normalized excess demand.
 struct ClockAuctionConfig {
-  /// Step scale α (interpretation depends on normalize_excess).
+  /// Step scale α: relative price step per 100 % oversubscription (the
+  /// auction divides excess demand by max(supply, 1) before applying the
+  /// policy, so α is scale-free across markets).
   double alpha = 0.25;
 
   /// Per-round cap δ for the capped policies.
   double delta = 0.05;
 
-  /// Which g(x, p) family to use; built lazily from alpha/delta unless
-  /// `policy` is set explicitly.
+  /// Which g(x, p) family to use; built from alpha/delta per run.
   enum class PolicyKind {
     kAdditive,
     kCapped,
@@ -49,20 +50,12 @@ struct ClockAuctionConfig {
   };
   PolicyKind policy_kind = PolicyKind::kRelativeCapped;
 
-  /// Explicit policy instance; overrides policy_kind when non-null.
-  const IncrementPolicy* policy = nullptr;
-
   /// Base costs for PolicyKind::kCostNormalized (one per pool).
   std::vector<double> base_costs;
 
   /// Floor for relative/multiplicative steps on zero-priced pools, in
   /// price units.
   double step_floor = 1e-3;
-
-  /// Divide excess demand by max(supply, 1) before applying the policy, so
-  /// α reads as "relative price step per 100 % oversubscription" and is
-  /// scale-free across markets. Set false for the literal Eq. (3).
-  bool normalize_excess = true;
 
   /// Safety cap on rounds; hitting it reports converged = false (traders
   /// can cycle forever, §III.C.3).

@@ -18,8 +18,9 @@
 namespace pm::auction {
 
 /// Strategy interface mapping (excess demand, prices) to a non-negative
-/// additive price step. `excess` is the *normalized* excess demand the
-/// auction provides (see ClockAuctionConfig::normalize_excess).
+/// additive price step. `excess` is the excess demand the auction
+/// provides, normalized by max(supply, 1) per pool (see
+/// ClockAuctionConfig::alpha).
 class IncrementPolicy {
  public:
   virtual ~IncrementPolicy() = default;

@@ -8,6 +8,22 @@
 #include "common/table.h"
 
 namespace pm::exchange {
+namespace {
+
+/// Auctions considered (the most recent kWindow reports).
+constexpr std::size_t kWindow = 3;
+
+/// A pool is an expansion candidate when its mean price ratio is at
+/// least kHotRatio and its mean utilization at least kHotUtilization.
+constexpr double kHotRatio = 1.30;
+constexpr double kHotUtilization = 0.60;
+
+/// A pool is a repurposing candidate when its mean price ratio is at
+/// most kColdRatio and its mean utilization at most kColdUtilization.
+constexpr double kColdRatio = 0.75;
+constexpr double kColdUtilization = 0.30;
+
+}  // namespace
 
 std::string_view ToString(CapacityAction action) {
   switch (action) {
@@ -21,16 +37,24 @@ std::string_view ToString(CapacityAction action) {
 
 std::vector<CapacityAdvice> AdviseCapacity(
     const std::vector<AuctionReport>& history,
-    const PoolRegistry& registry, const AdvicePolicy& policy) {
-  PM_CHECK_MSG(policy.window >= 1, "window must be at least 1");
+    const PoolRegistry& registry) {
   std::vector<CapacityAdvice> advice;
   if (history.empty()) return advice;
 
   const std::size_t first =
-      history.size() > static_cast<std::size_t>(policy.window)
-          ? history.size() - static_cast<std::size_t>(policy.window)
-          : 0;
+      history.size() > kWindow ? history.size() - kWindow : 0;
   const std::size_t num_pools = registry.size();
+  // The registry only grows, so an older report may cover a prefix of
+  // it; one covering more pools than the registry is from another market.
+  for (std::size_t h = first; h < history.size(); ++h) {
+    const AuctionReport& report = history[h];
+    PM_CHECK_MSG(report.settled_prices.size() <= num_pools &&
+                     report.fixed_prices.size() ==
+                         report.settled_prices.size() &&
+                     report.pre_utilization.size() ==
+                         report.settled_prices.size(),
+                 "report does not match registry");
+  }
 
   for (PoolId r = 0; r < num_pools; ++r) {
     double ratio_sum = 0.0;
@@ -38,8 +62,7 @@ std::vector<CapacityAdvice> AdviseCapacity(
     int n = 0;
     for (std::size_t h = first; h < history.size(); ++h) {
       const AuctionReport& report = history[h];
-      PM_CHECK_MSG(report.settled_prices.size() == num_pools,
-                   "report does not match registry");
+      if (r >= report.settled_prices.size()) continue;  // Interned since.
       if (report.fixed_prices[r] <= 0.0) continue;
       ratio_sum += report.settled_prices[r] / report.fixed_prices[r];
       util_sum += report.pre_utilization[r];
@@ -49,8 +72,7 @@ std::vector<CapacityAdvice> AdviseCapacity(
     const double mean_ratio = ratio_sum / n;
     const double mean_util = util_sum / n;
 
-    if (mean_ratio >= policy.hot_ratio &&
-        mean_util >= policy.hot_utilization) {
+    if (mean_ratio >= kHotRatio && mean_util >= kHotUtilization) {
       CapacityAdvice a;
       a.pool = r;
       a.action = CapacityAction::kExpand;
@@ -63,8 +85,7 @@ std::vector<CapacityAdvice> AdviseCapacity(
          << " auction(s): demand persistently exceeds supply";
       a.rationale = os.str();
       advice.push_back(std::move(a));
-    } else if (mean_ratio <= policy.cold_ratio &&
-               mean_util <= policy.cold_utilization) {
+    } else if (mean_ratio <= kColdRatio && mean_util <= kColdUtilization) {
       CapacityAdvice a;
       a.pool = r;
       a.action = CapacityAction::kRepurpose;

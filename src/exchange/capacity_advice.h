@@ -40,28 +40,16 @@ struct CapacityAdvice {
   std::string rationale;
 };
 
-/// Tuning for AdviseCapacity.
-struct AdvicePolicy {
-  /// Auctions considered (most recent `window` reports).
-  int window = 3;
-
-  /// A pool is an expansion candidate when its mean price ratio is at
-  /// least this and its mean utilization at least `hot_utilization`.
-  double hot_ratio = 1.30;
-  double hot_utilization = 0.60;
-
-  /// A pool is a repurposing candidate when its mean price ratio is at
-  /// most this and its mean utilization at most `cold_utilization`.
-  double cold_ratio = 0.75;
-  double cold_utilization = 0.30;
-};
-
-/// Analyzes the trailing reports and returns recommendations, expansion
-/// candidates first, each group sorted by decreasing severity. Returns
-/// nothing when `history` is empty.
+/// Analyzes the last three reports and returns recommendations: pools
+/// that persistently clear far above the fixed price at high utilization
+/// are expansion candidates, discounted idle pools are repurposing
+/// candidates. Expansion candidates come first, each group sorted by
+/// decreasing severity. A pool interned after a report (a cluster adopted
+/// since) is judged on the reports that price it. Returns nothing when
+/// `history` is empty.
 std::vector<CapacityAdvice> AdviseCapacity(
     const std::vector<AuctionReport>& history,
-    const PoolRegistry& registry, const AdvicePolicy& policy = {});
+    const PoolRegistry& registry);
 
 /// Renders recommendations as a text table for operator reports.
 std::string RenderCapacityAdvice(const std::vector<CapacityAdvice>& advice,

@@ -5,6 +5,15 @@
 #include "common/check.h"
 
 namespace pm::exchange {
+namespace {
+
+/// Per-task shape ranges for arriving jobs.
+constexpr double kMinTaskCpu = 0.5;
+constexpr double kMaxTaskCpu = 4.0;
+constexpr int kMinTasks = 2;
+constexpr int kMaxTasks = 24;
+
+}  // namespace
 
 ChurnProcess::ChurnProcess(sim::EventQueue& queue, cluster::Fleet* fleet,
                            std::vector<agents::TeamAgent>* agents,
@@ -44,13 +53,11 @@ bool ChurnProcess::OnArrival() {
   cluster::Job job;
   job.id = next_job_id_++;
   job.team = profile.name;
-  const double task_cpu =
-      rng_.Uniform(config_.min_task_cpu, config_.max_task_cpu);
+  const double task_cpu = rng_.Uniform(kMinTaskCpu, kMaxTaskCpu);
   job.shape = cluster::TaskShape{task_cpu,
                                  task_cpu * rng_.Uniform(2.0, 6.0),
                                  rng_.Uniform(0.05, 1.0)};
-  job.tasks = static_cast<int>(
-      rng_.UniformInt(config_.min_tasks, config_.max_tasks));
+  job.tasks = static_cast<int>(rng_.UniformInt(kMinTasks, kMaxTasks));
 
   if (!fleet_->HasCluster(profile.home_cluster)) {
     ++stats_.placement_failures;

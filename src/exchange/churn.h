@@ -33,12 +33,6 @@ struct ChurnConfig {
   /// physical settlement removes them); that is handled gracefully.
   double mean_lifetime = 300.0;
 
-  /// Per-task shape ranges for arriving jobs.
-  double min_task_cpu = 0.5;
-  double max_task_cpu = 4.0;
-  int min_tasks = 2;
-  int max_tasks = 24;
-
   std::uint64_t seed = 1;
 };
 

@@ -16,18 +16,41 @@ std::size_t KindIndex(ResourceKind kind) {
   return static_cast<std::size_t>(kind);
 }
 
+constexpr char kTeam[] = "fed/arbitrage";
+
+/// Buy limit = qty × clearing price × kBuyMarkup.
+constexpr double kBuyMarkup = 1.10;
+
+/// Sell ask = qty × clearing price × kSellMarkdown (the uniform price
+/// still pays at least the ask when the offer settles).
+constexpr double kSellMarkdown = 0.90;
+
+/// Fraction of a sellable holding released per epoch. Dumping a whole
+/// warehouse at once crashes the receiving shard's prices and re-opens
+/// the spread from the other side; metering the release keeps the
+/// correction one-sided.
+constexpr double kSellFraction = 0.35;
+
+/// Sells require the shard's price ≥ this fraction of the cross-shard
+/// mean for the kind. 1.0 releases only in above-average shards (most
+/// convergent); slightly below 1.0 lets profits realize near the mean
+/// at negligible spread cost.
+constexpr double kSellGateFraction = 0.9;
+
+/// Trades below this many units are not worth placing.
+constexpr double kMinTradeUnits = 1.0;
+
 }  // namespace
 
 ArbitrageAgent::ArbitrageAgent(ArbitrageConfig config)
     : config_(std::move(config)) {
-  PM_CHECK_MSG(!config_.team.empty(), "arbitrage agent needs a team name");
   PM_CHECK_MSG(config_.min_spread > 0.0 && config_.min_margin >= 0.0,
                "arbitrage thresholds must be positive");
   PM_CHECK_MSG(config_.buy_fraction > 0.0 && config_.buy_fraction <= 1.0,
                "buy_fraction must be in (0, 1]");
-  PM_CHECK_MSG(config_.sell_fraction > 0.0 && config_.sell_fraction <= 1.0,
-               "sell_fraction must be in (0, 1]");
 }
+
+std::string ArbitrageAgent::team() const { return kTeam; }
 
 double ArbitrageAgent::KindPrice(const exchange::AuctionReport& report,
                                  const PoolRegistry& registry,
@@ -191,29 +214,26 @@ std::vector<ArbitragePlan> ArbitrageAgent::PlanEpoch(
     std::sort(held.begin(), held.end());
     for (const PoolId pool : held) {
       const Holding& holding = holdings_[k].at(pool);
-      double qty = holding.units * config_.sell_fraction;
+      double qty = holding.units * kSellFraction;
       // Geometric metering alone would strand the tail of every holding
-      // below min_trade_units/sell_fraction forever; once the metered
+      // below kMinTradeUnits/kSellFraction forever; once the metered
       // slice falls under the floor, drain the whole position instead.
-      if (qty < config_.min_trade_units) qty = holding.units;
-      if (qty < config_.min_trade_units) continue;
+      if (qty < kMinTradeUnits) qty = holding.units;
+      if (qty < kMinTradeUnits) continue;
       const ResourceKind kind = fleets[k]->registry().KeyOf(pool).kind;
       const double price = signal[k][KindIndex(kind)];
       if (std::isnan(price) || price <= 0.0) continue;
       if (price < holding.basis * (1.0 + config_.min_margin)) continue;
-      if (price <
-          kind_mean[KindIndex(kind)] * config_.sell_gate_fraction) {
-        continue;
-      }
+      if (price < kind_mean[KindIndex(kind)] * kSellGateFraction) continue;
       items.push_back(bid::BundleItem{pool, -qty});
-      ask += qty * price * config_.sell_markdown;
+      ask += qty * price * kSellMarkdown;
     }
     if (items.empty()) continue;
     ArbitragePlan plan;
     plan.shard = k;
     plan.is_buy = false;
     for (const bid::BundleItem& item : items) plan.qty += -item.qty;
-    plan.bid.name = config_.team + "/arb-sell-e" +
+    plan.bid.name = std::string(kTeam) + "/arb-sell-e" +
                     std::to_string(epoch) + "-s" + std::to_string(k);
     plan.bid.bundles.emplace_back(std::move(items));
     plan.bid.limit = -std::max(ask, 1.0);
@@ -243,7 +263,7 @@ std::vector<ArbitragePlan> ArbitrageAgent::PlanEpoch(
     for (const PoolId pool : view.registry->PoolsOfKind(kind)) {
       if (pool >= view.free_capacity.size()) continue;
       const double qty = view.free_capacity[pool] * fraction;
-      if (qty < config_.min_trade_units) continue;
+      if (qty < kMinTradeUnits) continue;
       items.push_back(bid::BundleItem{pool, qty});
       total_qty += qty;
     }
@@ -253,10 +273,10 @@ std::vector<ArbitragePlan> ArbitrageAgent::PlanEpoch(
     plan.shard = cheap;
     plan.is_buy = true;
     plan.qty = total_qty;
-    plan.bid.name = config_.team + "/arb-buy-e" + std::to_string(epoch) +
+    plan.bid.name = std::string(kTeam) + "/arb-buy-e" + std::to_string(epoch) +
                     "-" + std::string(pm::ToString(kind));
     plan.bid.bundles.emplace_back(std::move(items));
-    plan.bid.limit = total_qty * price_cheap * config_.buy_markup;
+    plan.bid.limit = total_qty * price_cheap * kBuyMarkup;
     // Fund the limit (rounded up a dollar) so the budget gate never
     // clamps the bid below what was planned.
     plan.funding =
@@ -274,7 +294,7 @@ void ArbitrageAgent::ObserveEpoch(const FederationReport& report) {
     if (plan.shard >= report.shards.size()) continue;
     const exchange::AuctionReport& shard = report.shards[plan.shard].report;
     for (const exchange::AwardRecord& award : shard.awards) {
-      if (award.team != config_.team) continue;
+      if (award.team != kTeam) continue;
       if (award.bid_name != plan.bid.name) continue;
       if (plan.is_buy && config_.outcome_aware) {
         // Exact physical backing: only the units the bin-packer landed

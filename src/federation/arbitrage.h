@@ -38,9 +38,6 @@ namespace pm::federation {
 struct ArbitrageConfig {
   bool enabled = false;
 
-  /// Billing identity of the agent's bids ("fed/<team>/arb-…").
-  std::string team = "fed/arbitrage";
-
   /// Planet-wide working capital, minted into the treasury once at
   /// federation construction.
   Money margin = Money::FromDollars(100000);
@@ -54,28 +51,6 @@ struct ArbitrageConfig {
 
   /// Fraction of the cheapest shard's free capacity bought per trade.
   double buy_fraction = 0.10;
-
-  /// Buy limit = qty × clearing price × buy_markup.
-  double buy_markup = 1.10;
-
-  /// Sell ask = qty × clearing price × sell_markdown (the uniform price
-  /// still pays at least the ask when the offer settles).
-  double sell_markdown = 0.90;
-
-  /// Fraction of a sellable holding released per epoch. Dumping a whole
-  /// warehouse at once crashes the receiving shard's prices and re-opens
-  /// the spread from the other side; metering the release keeps the
-  /// correction one-sided.
-  double sell_fraction = 0.35;
-
-  /// Sells require the shard's price ≥ this fraction of the cross-shard
-  /// mean for the kind. 1.0 releases only in above-average shards (most
-  /// convergent); slightly below 1.0 lets profits realize near the mean
-  /// at negligible spread cost.
-  double sell_gate_fraction = 0.9;
-
-  /// Trades below this many units are not worth placing.
-  double min_trade_units = 1.0;
 
   // ---------------------------------------------- outcome-aware gates --
   /// Warehouse accounting reads each award's PlacementOutcome: only
@@ -108,7 +83,8 @@ class ArbitrageAgent {
  public:
   explicit ArbitrageAgent(ArbitrageConfig config);
 
-  const std::string& team() const { return config_.team; }
+  /// Billing identity of the agent's bids ("fed/arbitrage/arb-…").
+  std::string team() const;
   const ArbitrageConfig& config() const { return config_; }
 
   /// Decides this epoch's bids from the previous epoch's clearing prices

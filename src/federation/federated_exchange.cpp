@@ -11,6 +11,14 @@
 #include "exchange/endowment.h"
 
 namespace pm::federation {
+namespace {
+
+/// Epochs of backoff on a shard's first quarantine; doubles per
+/// subsequent quarantine (1, 2, 4, ...) up to kBackoffCap.
+constexpr int kBackoffBase = 1;
+constexpr int kBackoffCap = 8;
+
+}  // namespace
 
 std::uint64_t FederatedExchange::ShardWorkloadSeed(
     std::uint64_t federation_seed, std::size_t shard) {
@@ -81,12 +89,8 @@ FederatedExchange::FederatedExchange(std::vector<ShardSpec> specs,
     pool_ = std::make_unique<ThreadPool>(config_.num_threads);
   }
   if (config_.supervisor.enabled) {
-    PM_CHECK_MSG(config_.supervisor.quarantine_streak >= 1 &&
-                     config_.supervisor.backoff_base >= 1 &&
-                     config_.supervisor.backoff_cap >=
-                         config_.supervisor.backoff_base,
-                 "supervisor: need quarantine_streak >= 1 and "
-                 "1 <= backoff_base <= backoff_cap");
+    PM_CHECK_MSG(config_.supervisor.quarantine_streak >= 1,
+                 "supervisor: need quarantine_streak >= 1");
   }
   health_.resize(shards_.size());
   inject_fail_.assign(shards_.size(), 0);
@@ -853,14 +857,12 @@ FederationReport FederatedExchange::RunEpochInternal(const int epoch) {
           // probation epoch re-quarantines immediately, with backoff
           // doubled per quarantine up to the cap.
           h.status = ShardHealth::kQuarantined;
-          int backoff = config_.supervisor.backoff_base;
-          for (int i = 0; i < h.quarantine_count &&
-                          backoff < config_.supervisor.backoff_cap;
+          int backoff = kBackoffBase;
+          for (int i = 0; i < h.quarantine_count && backoff < kBackoffCap;
                ++i) {
             backoff <<= 1;
           }
-          h.backoff_remaining =
-              std::min(backoff, config_.supervisor.backoff_cap);
+          h.backoff_remaining = std::min(backoff, kBackoffCap);
           ++h.quarantine_count;
         } else {
           h.status = ShardHealth::kDegraded;

@@ -40,13 +40,9 @@ struct SupervisorConfig {
   bool enabled = false;
 
   /// Consecutive failures before a shard is quarantined (a single failure
-  /// only degrades it).
+  /// only degrades it). Quarantine backoff is 1 epoch the first time and
+  /// doubles per subsequent quarantine, capped at 8.
   int quarantine_streak = 2;
-
-  /// Epochs of backoff on first quarantine; doubles per subsequent
-  /// quarantine (base, 2·base, 4·base, ...) up to `backoff_cap`.
-  int backoff_base = 1;
-  int backoff_cap = 8;
 };
 
 /// One shard's live health record, owned by FederatedExchange and

@@ -8,6 +8,21 @@
 #include "stats/descriptive.h"
 
 namespace pm::federation {
+namespace {
+
+/// Which percentile of each shard's per-pool utilization is compared
+/// (0.9 ranks shards by their hot tail).
+constexpr double kPercentile = 0.9;
+
+/// Seed for deterministic tie-breaks among equally-cool clusters.
+constexpr std::uint64_t kTieSeed = 0x9e3779b97f4a7c15ULL;
+
+/// Dollar value the hot shard gains per unit of donated *free* capacity
+/// per point of utilization spread. The gate: a candidate migrates only
+/// when spread × free units × kBenefitPerFreeUnit ≥ its priced move cost.
+constexpr double kBenefitPerFreeUnit = 1.0;
+
+}  // namespace
 
 FleetRebalancer::FleetRebalancer(RebalanceConfig config,
                                  std::size_t num_shards)
@@ -18,8 +33,6 @@ FleetRebalancer::FleetRebalancer(RebalanceConfig config,
                "spread_threshold must be positive");
   PM_CHECK_MSG(config_.consecutive_epochs >= 1,
                "consecutive_epochs must be at least 1");
-  PM_CHECK_MSG(config_.percentile >= 0.0 && config_.percentile <= 1.0,
-               "percentile must be in [0, 1]");
 }
 
 std::uint64_t FleetRebalancer::TieRank(std::uint64_t seed, int epoch,
@@ -44,7 +57,7 @@ std::vector<MigrationPlan> FleetRebalancer::Observe(
   std::vector<MigrationPlan> plans;
   if (report.shards.size() < 2) return plans;
 
-  // Rank shards by the configured percentile of their per-pool
+  // Rank shards by the kPercentile quantile of their per-pool
   // post-auction utilization. Pools of previously-extracted clusters
   // stay in the registry at zero capacity and zero utilization — they
   // must not count, or a donor shard would look ever cooler after each
@@ -62,7 +75,7 @@ std::vector<MigrationPlan> FleetRebalancer::Observe(
       if (capacity[r] > 0.0) live.push_back(post[r]);
     }
     utils[k] = live.empty() ? 0.0
-                            : stats::Quantile(live, config_.percentile);
+                            : stats::Quantile(live, kPercentile);
   }
   std::size_t hot = 0, cool = 0;
   for (std::size_t k = 1; k < utils.size(); ++k) {
@@ -104,7 +117,7 @@ std::vector<MigrationPlan> FleetRebalancer::Observe(
   for (const std::string& name : donor.ClusterNames()) {
     candidates.push_back(Candidate{
         donor.ClusterByName(name).MaxUtilization(),
-        TieRank(config_.seed, report.epoch, name), name});
+        TieRank(kTieSeed, report.epoch, name), name});
   }
   std::sort(candidates.begin(), candidates.end(),
             [](const Candidate& a, const Candidate& b) {
@@ -120,13 +133,11 @@ std::vector<MigrationPlan> FleetRebalancer::Observe(
   // donor→receiver spread times the donated free units. Candidates whose
   // priced cost exceeds the expected benefit stay put — with the default
   // all-zero weights every candidate clears, the legacy behavior.
+  // The first candidate that clears the gate is the epoch's one
+  // migration (the donor keeps at least one cluster behind).
   const double move_spread = utils[hot] - utils[cool];
-  const std::size_t moves =
-      std::min(config_.max_migrations_per_epoch,
-               donor.NumClusters() - 1);  // Keep one behind.
-  for (std::size_t i = 0; i < candidates.size() && plans.size() < moves;
-       ++i) {
-    const cluster::Cluster& cl = donor.ClusterByName(candidates[i].name);
+  for (const Candidate& candidate : candidates) {
+    const cluster::Cluster& cl = donor.ClusterByName(candidate.name);
     cluster::TaskShape used;
     cluster::TaskShape free;
     for (ResourceKind kind : kAllResourceKinds) {
@@ -136,14 +147,15 @@ std::vector<MigrationPlan> FleetRebalancer::Observe(
     MigrationPlan plan;
     plan.from_shard = cool;
     plan.to_shard = hot;
-    plan.cluster = candidates[i].name;
+    plan.cluster = candidate.name;
     plan.from_util = utils[cool];
     plan.to_util = utils[hot];
     plan.move_cost = cluster::Dot(used, config_.move_cost_weights);
     plan.expected_benefit = move_spread * cluster::TotalUnits(free) *
-                            config_.benefit_per_free_unit;
+                            kBenefitPerFreeUnit;
     if (plan.expected_benefit < plan.move_cost) continue;  // Not worth it.
     plans.push_back(std::move(plan));
+    break;
   }
   // The streak is consumed only by an executed migration; an epoch where
   // every candidate failed the donate/pricing gates keeps counting, so

@@ -38,28 +38,12 @@ struct RebalanceConfig {
   /// Consecutive epochs the gap must persist before capacity moves (K).
   int consecutive_epochs = 2;
 
-  /// Which percentile of each shard's per-pool utilization is compared
-  /// (0.9 ranks shards by their hot tail, 0.5 by their median pool).
-  double percentile = 0.9;
-
-  /// Whole clusters migrated per triggering epoch.
-  std::size_t max_migrations_per_epoch = 1;
-
-  /// Seed for deterministic tie-breaks among equally-cool clusters.
-  std::uint64_t seed = 0x9e3779b97f4a7c15ULL;
-
   // ----------------------------------------------- §V.B move pricing --
   /// Reconfiguration cost per unit of *used* capacity travelling with a
   /// migrated cluster — the running jobs that must be re-homed across
   /// shard boundaries. All-zero (default) keeps migrations free: every
   /// candidate clears the gate, the legacy behavior.
   cluster::TaskShape move_cost_weights;
-
-  /// Dollar value the hot shard gains per unit of donated *free*
-  /// capacity per point of utilization spread. The gate: a candidate
-  /// migrates only when spread × free units × benefit_per_free_unit ≥
-  /// its priced move cost.
-  double benefit_per_free_unit = 1.0;
 };
 
 /// One planned cluster move (executed by FederatedExchange).
@@ -80,8 +64,8 @@ class FleetRebalancer {
 
   /// Digests one epoch's post-auction utilizations. Returns the cluster
   /// moves to execute now: empty until the hot/cool spread has persisted
-  /// for `consecutive_epochs` epochs, then up to
-  /// `max_migrations_per_epoch` plans (and the streak resets).
+  /// for `consecutive_epochs` epochs, then at most one plan (and the
+  /// streak resets).
   std::vector<MigrationPlan> Observe(
       const FederationReport& report,
       const std::vector<const cluster::Fleet*>& fleets);
@@ -90,7 +74,7 @@ class FleetRebalancer {
   int Streak() const { return streak_; }
 
   /// Deterministic tie-break rank for a cluster name (FNV-1a folded
-  /// through SplitMix64 with the config seed and epoch). Exposed for the
+  /// through SplitMix64 with a seed and the epoch). Exposed for the
   /// determinism tests.
   static std::uint64_t TieRank(std::uint64_t seed, int epoch,
                                const std::string& cluster);

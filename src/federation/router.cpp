@@ -12,6 +12,9 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+/// Copies placed by kMirrored (clamped to the shard count).
+constexpr std::size_t kMirrorWays = 2;
+
 /// Kinds the requirement actually asks for.
 bool HasPositiveQuantity(const cluster::TaskShape& quantity) {
   for (ResourceKind kind : kAllResourceKinds) {
@@ -336,8 +339,7 @@ RoutingResult MarketRouter::Route(
                     }
                     return a < b;
                   });
-        const std::size_t ways = std::max<std::size_t>(
-            1, std::min(config_.mirror_ways, order.size()));
+        const std::size_t ways = std::min(kMirrorWays, order.size());
         decision.preferred_shard = order.front();
         decision.preferred_heat = quotes[order.front()].heat;
         for (std::size_t i = 0; i < ways; ++i) {

@@ -38,7 +38,7 @@ enum class RoutingPolicy {
   kHomeAffinity,   // The bid's home shard, spilling when it runs hot.
   kCheapestPrice,  // The shard quoting the lowest reserve-weighted cost.
   kSplit,          // Divided across cool shards by spare capacity.
-  kMirrored,       // Full copies on the cheapest k shards (may double-win).
+  kMirrored,       // Full copies on the two cheapest shards (may double-win).
 };
 
 std::string_view ToString(RoutingPolicy policy);
@@ -105,9 +105,6 @@ struct RouterConfig {
   /// fixed-price cost for the requirement (reserve prices grow with
   /// congestion, so heat is a pure congestion signal).
   double spill_threshold = 3.0;
-
-  /// Copies placed by kMirrored (clamped to the shard count).
-  std::size_t mirror_ways = 2;
 
   // ---------------------------------------------- failure-domain gates --
   /// Heat multiplier applied to degraded and recovering shards: their

@@ -150,7 +150,6 @@ ScenarioSpec OutageDuringPriceWar() {
   spec.federation.economy.treasury = true;
   spec.federation.supervisor.enabled = true;
   spec.federation.supervisor.quarantine_streak = 2;
-  spec.federation.supervisor.backoff_base = 1;
   // The war: four aggressors pin the contested shard at 8x fixed cost.
   spec.events.push_back(ScenarioEvent{EventKind::kPriceWar,
                                       /*epoch=*/1, /*duration=*/3,

@@ -17,6 +17,16 @@ namespace {
 /// draws from a different SplitMix64 orbit than any shard index.
 constexpr std::uint64_t kEventSalt = 0x5cea4210e7e47a1dULL;
 
+/// Max tolerated |Σ accounts − (minted − burned)| on the planet ledger,
+/// dollars (checked whenever the treasury is on).
+constexpr double kConservationTolerance = 1e-6;
+
+/// Max tolerated RELATIVE per-epoch unit gap
+/// |awarded − placed − refunded| / max(1, awarded) — normalized so the
+/// identity check means the same thing for 10-unit and 10k-unit epochs.
+/// Checked whenever the shards refund unplaced awards.
+constexpr double kRefundIdentityTolerance = 1e-9;
+
 /// `count` distinct indices in [0, n), sampled by rejection from the
 /// event's stream (deterministic; the index spaces here are small).
 std::vector<std::size_t> SampleDistinct(RandomStream& rng,
@@ -47,7 +57,7 @@ ScenarioRunner::ScenarioRunner(ScenarioSpec spec, RunnerConfig config)
     : spec_(std::move(spec)), config_(config) {
   PM_CHECK_MSG(!spec_.shards.empty(),
                "scenario '" << spec_.name << "' has no shards");
-  epochs_ = config_.epochs > 0 ? config_.epochs : spec_.default_epochs;
+  epochs_ = config_.epochs > 0 ? config_.epochs : kDefaultEpochs;
   PM_CHECK_MSG(epochs_ > 0, "scenario needs at least one epoch");
   for (const ScenarioEvent& event : spec_.events) {
     const std::string problem =
@@ -229,9 +239,7 @@ void ScenarioRunner::FireShardOutage(std::size_t event_index) {
 
 void ScenarioRunner::FireCapacityExpansion(std::size_t event_index) {
   const ScenarioEvent& event = spec_.events[event_index];
-  const agents::WorkloadConfig& workload =
-      spec_.shards[event.shard].workload;
-  cluster::TaskShape machine = workload.machine_shape * event.magnitude;
+  const cluster::TaskShape machine = agents::kMachineShape * event.magnitude;
   cluster::Cluster fresh = cluster::Cluster::Homogeneous(
       "exp" + std::to_string(event_index) + "@" +
           exchange_->ShardName(event.shard),
@@ -396,9 +404,9 @@ void ScenarioRunner::EvaluateSlos(ScenarioMetrics& metrics) const {
 
   if (exchange_->treasury() != nullptr) {
     check("treasury-conservation",
-          metrics.max_treasury_residual <= slo.conservation_tolerance,
+          metrics.max_treasury_residual <= kConservationTolerance,
           "max residual $" + FormatF(metrics.max_treasury_residual, 6) +
-              " <= $" + FormatF(slo.conservation_tolerance, 6));
+              " <= $" + FormatF(kConservationTolerance, 6));
   }
 
   bool refunds_on = false;
@@ -415,9 +423,9 @@ void ScenarioRunner::EvaluateSlos(ScenarioMetrics& metrics) const {
           worst, gap / std::max(1.0, sample.awarded_units));
     }
     check("awarded-equals-placed-plus-refunded",
-          worst <= slo.refund_identity_tolerance,
+          worst <= kRefundIdentityTolerance,
           "worst relative gap " + FormatF(worst, 9) + " <= " +
-              FormatF(slo.refund_identity_tolerance, 9));
+              FormatF(kRefundIdentityTolerance, 9));
   }
 
   if (slo.require_all_converged) {

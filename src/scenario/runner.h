@@ -43,7 +43,7 @@ namespace pm::scenario {
 /// Runner knobs; everything else comes from the spec.
 struct RunnerConfig {
   std::uint64_t seed = 20090425;  // Root seed (overrides the spec's).
-  int epochs = 0;                 // 0: the spec's default_epochs.
+  int epochs = 0;                 // 0: kDefaultEpochs.
   std::size_t num_threads = 0;    // Shard-auction concurrency.
 };
 

@@ -21,21 +21,12 @@ namespace pm::scenario {
 /// SLO-style assertions evaluated on a finished run's metrics. Checks
 /// that are trivially off (zero thresholds, false flags) are skipped;
 /// treasury conservation and the awarded == placed + refunded identity
-/// are always checked when the corresponding feature is enabled. Runs
-/// shorter than min_epochs (the 1-epoch CI smokes) skip evaluation
-/// entirely — their timelines have not played out.
+/// are always checked, at fixed tolerances, when the corresponding
+/// feature is enabled. Runs shorter than min_epochs (the 1-epoch CI
+/// smokes) skip evaluation entirely — their timelines have not played
+/// out.
 struct SloPolicy {
   int min_epochs = 4;
-
-  /// Max tolerated |Σ accounts − (minted − burned)| on the planet
-  /// ledger, dollars (always checked when the treasury is on).
-  double conservation_tolerance = 1e-6;
-
-  /// Max tolerated RELATIVE per-epoch unit gap
-  /// |awarded − placed − refunded| / max(1, awarded) — normalized so the
-  /// identity check means the same thing for 10-unit and 10k-unit
-  /// epochs. Always checked when the shards refund unplaced awards.
-  double refund_identity_tolerance = 1e-9;
 
   bool require_all_converged = false;
   bool expect_refunds = false;             // Total refunds must be > 0.
@@ -73,6 +64,10 @@ struct SloPolicy {
   std::vector<std::string> forbid_alerts;
 };
 
+/// Epochs a scenario runs unless the runner is told otherwise; every
+/// scenario's timeline plays out inside it.
+inline constexpr int kDefaultEpochs = 8;
+
 /// A complete named experiment.
 struct ScenarioSpec {
   std::string name;
@@ -81,7 +76,6 @@ struct ScenarioSpec {
   federation::FederationConfig federation;  // Seed is overridden by the
                                             // runner's root seed.
   std::vector<ScenarioEvent> events;
-  int default_epochs = 8;
   SloPolicy slo;
 };
 

@@ -46,59 +46,52 @@ std::string_view ToString(AlertState state) {
 }
 
 std::vector<AlertRule> DefaultAlertRules() {
-  using Kind = AlertRule::Kind;
   std::vector<AlertRule> rules;
   // Containment: the supervisor contained at least one shard failure
   // this epoch. Fires at the crash epoch, resolves once the planet goes
   // an epoch without a containment.
-  rules.push_back({"containment", Kind::kAbove,
-                   "derived:failed_shards_rate", {}, 0.0, 1,
+  rules.push_back({"containment", "derived:failed_shards_rate", 0.0, 1,
                    AlertSeverity::kCritical});
   // Quarantine: at least one shard sat this epoch out.
-  rules.push_back({"quarantine", Kind::kAbove,
-                   "derived:quarantined_shards_rate", {}, 0.0, 1,
-                   AlertSeverity::kWarning});
+  rules.push_back({"quarantine", "derived:quarantined_shards_rate", 0.0,
+                   1, AlertSeverity::kWarning});
   // Refund storm: more than half of a shard's awarded dollars came back
   // as refunds, two epochs running (one bad epoch is placement noise).
-  rules.push_back({"refund-storm", Kind::kAbove, "derived:refund_rate",
-                   {}, 0.5, 2, AlertSeverity::kWarning});
+  rules.push_back({"refund-storm", "derived:refund_rate", 0.5, 2,
+                   AlertSeverity::kWarning});
   // Spread blowout: a kind's cross-shard relative price spread exceeded
   // 100% two epochs running — arbitrage/rebalancing is not keeping the
   // planet coupled.
-  rules.push_back({"spread-blowout", Kind::kAbove, "derived:price_spread",
-                   {}, 1.0, 2, AlertSeverity::kWarning});
+  rules.push_back({"spread-blowout", "derived:price_spread", 1.0, 2,
+                   AlertSeverity::kWarning});
   // Treasury conservation drift: the planet ledger stopped summing to
   // minted − burned. Never expected to fire; scenarios forbid it.
-  rules.push_back({"treasury-conservation-drift", Kind::kAbove,
-                   "fed_treasury_conservation_residual_dollars", {}, 1e-6,
-                   1, AlertSeverity::kCritical});
+  rules.push_back({"treasury-conservation-drift",
+                   "fed_treasury_conservation_residual_dollars", 1e-6, 1,
+                   AlertSeverity::kCritical});
   return rules;
 }
 
 std::vector<AlertRule> DefaultWorkAlertRules() {
-  using Kind = AlertRule::Kind;
   std::vector<AlertRule> rules;
   // Work drift: the same shard's per-epoch logical work jumped by the
   // given factor two epochs running. One hot epoch is workload noise
   // (a flash crowd legitimately doubles demand); a sustained multiple
   // with no matching workload change is an engine regression —
   // incremental collections degenerating to full sweeps.
-  rules.push_back({"work-dot-block-drift", Kind::kAbove,
-                   "derived:work_dot_blocks_drift", {}, 2.0, 2,
-                   AlertSeverity::kWarning});
-  rules.push_back({"work-dirty-bidder-drift", Kind::kAbove,
-                   "derived:work_dirty_bidders_drift", {}, 3.0, 2,
+  rules.push_back({"work-dot-block-drift", "derived:work_dot_blocks_drift",
+                   2.0, 2, AlertSeverity::kWarning});
+  rules.push_back({"work-dirty-bidder-drift",
+                   "derived:work_dirty_bidders_drift", 3.0, 2,
                    AlertSeverity::kWarning});
   // Bisection storm: probes per auction round blew past anything the
   // per-round peek + one final search can produce.
-  rules.push_back({"work-bisection-storm", Kind::kAbove,
-                   "derived:work_probes_per_round", {}, 30.0, 2,
-                   AlertSeverity::kWarning});
+  rules.push_back({"work-bisection-storm", "derived:work_probes_per_round",
+                   30.0, 2, AlertSeverity::kWarning});
   // Wire-retry storm: the lossy wire is burning retries at a rate that
   // dwarfs the configured fault plan.
-  rules.push_back({"work-wire-retry-storm", Kind::kAbove,
-                   "derived:work_wire_retry_rate", {}, 50.0, 2,
-                   AlertSeverity::kWarning});
+  rules.push_back({"work-wire-retry-storm", "derived:work_wire_retry_rate",
+                   50.0, 2, AlertSeverity::kWarning});
   return rules;
 }
 
@@ -118,30 +111,21 @@ std::vector<AlertTransition> AlertEngine::EvaluateEpoch(
     std::map<std::string, Instance>& states = instances_[r];
 
     // This epoch's breach observations, keyed by canonical series key.
-    // Threshold rules discover label sets from the registry (counters
-    // first so an equally-named gauge overwrites — gauges win); absence
-    // rules watch one fixed key.
+    // Label sets are discovered from the registry (counters first so an
+    // equally-named gauge overwrites — gauges win).
     std::map<std::string, std::pair<bool, double>> observed;
-    if (rule.kind == AlertRule::Kind::kAbsent) {
-      observed[RenderKey(rule.metric, rule.labels)] = {
-          !registry.HasSeries(rule.metric, rule.labels), 0.0};
-    } else {
-      const auto scan = [&](const std::map<std::string, double>& values) {
-        for (const auto& [key, value] : values) {
-          if (KeyName(key) != rule.metric) continue;
-          const bool breach = rule.kind == AlertRule::Kind::kAbove
-                                  ? value > rule.threshold
-                                  : value < rule.threshold;
-          observed[key] = {breach, value};
-        }
-      };
-      scan(registry.counters());
-      scan(registry.gauges());
-    }
+    const auto scan = [&](const std::map<std::string, double>& values) {
+      for (const auto& [key, value] : values) {
+        if (KeyName(key) != rule.metric) continue;
+        observed[key] = {value > rule.threshold, value};
+      }
+    };
+    scan(registry.counters());
+    scan(registry.gauges());
 
-    // Instances with no observation this epoch (threshold series that
-    // vanished) read as cleared, so a firing alert on a retired series
-    // still resolves instead of firing forever.
+    // Instances with no observation this epoch (series that vanished)
+    // read as cleared, so a firing alert on a retired series still
+    // resolves instead of firing forever.
     for (auto& [key, instance] : states) {
       observed.emplace(key, std::make_pair(false, 0.0));
     }

@@ -41,25 +41,14 @@ enum class AlertState { kInactive, kPending, kFiring, kResolved };
 std::string_view ToString(AlertSeverity severity);
 std::string_view ToString(AlertState state);
 
-/// One declarative alert rule.
+/// One declarative alert rule: breach when the watched value exceeds
+/// `threshold`.
 struct AlertRule {
-  enum class Kind {
-    kAbove,   // Breach when value > threshold.
-    kBelow,   // Breach when value < threshold.
-    kAbsent,  // Breach when the exact (metric, labels) series does not
-              // exist in the registry — a shard that stopped reporting.
-  };
-
   std::string name;     // Alert name ("containment") — the SLO handle.
-  Kind kind = Kind::kAbove;
   /// Watched metric name (counter or gauge; gauges win when both exist),
   /// evaluated per label set. May carry the `derived:` prefix.
   std::string metric;
-  /// kAbsent only: the exact label set whose presence is required
-  /// (threshold rules discover label sets from the registry; an absence
-  /// rule cannot, since the series it watches is missing).
-  Labels labels;
-  double threshold = 0.0;  // kAbove/kBelow.
+  double threshold = 0.0;
   int for_epochs = 1;      // Consecutive breach epochs before firing.
   AlertSeverity severity = AlertSeverity::kWarning;
 };
@@ -72,7 +61,7 @@ struct AlertTransition {
   AlertState from = AlertState::kInactive;
   AlertState to = AlertState::kInactive;
   AlertSeverity severity = AlertSeverity::kWarning;
-  double value = 0.0;  // Observed value at the transition (0 for absence).
+  double value = 0.0;  // Observed value at the transition.
 };
 
 /// The shipped alert pack over DefaultRecordingRules() — containment,

@@ -157,12 +157,6 @@ double MetricsRegistry::GaugeValue(std::string_view name,
   return it == gauges_.end() ? 0.0 : it->second;
 }
 
-bool MetricsRegistry::HasSeries(std::string_view name,
-                                const Labels& labels) const {
-  const std::string key = RenderKey(name, labels);
-  return counters_.count(key) > 0 || gauges_.count(key) > 0;
-}
-
 const stats::Histogram* MetricsRegistry::FindHistogram(
     std::string_view name, const Labels& labels) const {
   const auto it = hists_.find(RenderKey(name, labels));

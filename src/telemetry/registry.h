@@ -91,10 +91,6 @@ class MetricsRegistry {
   // ------------------------------------------------------- introspection --
   double CounterValue(std::string_view name, const Labels& labels) const;
   double GaugeValue(std::string_view name, const Labels& labels) const;
-  /// True when the exact (name, labels) series exists as a counter or
-  /// gauge — the alert engine's absence rules need "never recorded",
-  /// which the zero-defaulting value readers cannot distinguish.
-  bool HasSeries(std::string_view name, const Labels& labels) const;
   /// Null when absent.
   const stats::Histogram* FindHistogram(std::string_view name,
                                         const Labels& labels) const;

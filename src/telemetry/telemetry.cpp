@@ -52,18 +52,6 @@ Telemetry::Telemetry(TelemetryConfig config,
   }
 }
 
-void Telemetry::SetRecordingRules(std::vector<RecordingRule> rules) {
-  PM_CHECK_MSG(config_.watchdog.recording_rules,
-               "arm watchdog.recording_rules before replacing the pack");
-  rules_ = std::make_unique<RuleEngine>(std::move(rules));
-}
-
-void Telemetry::SetAlertRules(std::vector<AlertRule> rules) {
-  PM_CHECK_MSG(config_.watchdog.alerts,
-               "arm watchdog.alerts before replacing the pack");
-  alerts_ = std::make_unique<AlertEngine>(std::move(rules));
-}
-
 std::vector<AlertTransition> Telemetry::EvaluateWatchdog(int epoch) {
   if (rules_ != nullptr) rules_->EvaluateEpoch(registry_);
   if (alerts_ != nullptr) return alerts_->EvaluateEpoch(registry_, epoch);

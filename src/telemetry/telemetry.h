@@ -103,11 +103,6 @@ class Telemetry {
   PhaseProfiler* profiler() { return profiler_.get(); }
   const PhaseProfiler* profiler() const { return profiler_.get(); }
 
-  /// Replaces the default rule/alert packs (tests, custom deployments).
-  /// Only legal when the corresponding sub-gate is armed.
-  void SetRecordingRules(std::vector<RecordingRule> rules);
-  void SetAlertRules(std::vector<AlertRule> rules);
-
   /// Runs the watchdog for epoch `epoch`: recording rules first (derived
   /// gauges land in the registry), then the alert pass. Call once per
   /// epoch at the T2 barrier, BEFORE the registry's SnapshotEpoch, so

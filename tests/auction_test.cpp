@@ -250,7 +250,6 @@ TEST(ClockAuctionTest, OpposingTradersCanCycleForever) {
   ClockAuctionConfig config;
   config.policy_kind = ClockAuctionConfig::PolicyKind::kAdditive;
   config.alpha = 0.2;
-  config.normalize_excess = true;
   config.max_rounds = 500;
   const ClockAuctionResult r = auction.Run(config);
   EXPECT_FALSE(r.converged);
@@ -285,7 +284,6 @@ TEST(ClockAuctionTest, BisectionTightensClearingPrice) {
   coarse.policy_kind = ClockAuctionConfig::PolicyKind::kCapped;
   coarse.alpha = 1.0;
   coarse.delta = 8.0;  // Deliberately huge steps.
-  coarse.normalize_excess = true;
 
   ClockAuction auction(make_bids(), {1.0}, {1.0});
   const ClockAuctionResult plain = auction.Run(coarse);
@@ -322,30 +320,6 @@ TEST(ClockAuctionTest, ParallelEvaluationMatchesSerial) {
     EXPECT_EQ(serial.decisions[u].bundle_index,
               parallel.decisions[u].bundle_index);
   }
-}
-
-TEST(ClockAuctionTest, LiteralEquation3ModeMatchesRawExcess) {
-  // normalize_excess = false runs the literal Eq. (3): the step is
-  // min(α·z⁺, δ) on *raw* excess demand, independent of supply scale.
-  std::vector<Bid> bids = {
-      MakeBid(0, {Bundle({{0, 10.0}})}, 1000.0),
-      MakeBid(1, {Bundle({{0, 10.0}})}, 15.0),  // In until p > 1.5.
-  };
-  ClockAuction auction(bids, {10.0}, {1.0});
-  ClockAuctionConfig config;
-  config.policy_kind = ClockAuctionConfig::PolicyKind::kCapped;
-  config.alpha = 1.0;
-  config.delta = 0.5;
-  config.normalize_excess = false;
-  ClockAuctionConfig recorded = config;
-  recorded.record_trajectory = true;
-  const ClockAuctionResult r = auction.Run(recorded);
-  ASSERT_TRUE(r.converged);
-  // Raw excess is 10 at the start (20 demanded, 10 supplied):
-  // min(1.0·10, 0.5) = 0.5 per round until the weak bidder drops.
-  ASSERT_GE(r.trajectory.size(), 2u);
-  EXPECT_NEAR(r.trajectory[1].prices[0] - r.trajectory[0].prices[0], 0.5,
-              1e-12);
 }
 
 TEST(ClockAuctionTest, DemandEvaluationCounterIsExact) {

@@ -6,6 +6,7 @@
 //    (§III.A / §IV)
 #include <gtest/gtest.h>
 
+#include "agents/workload_gen.h"
 #include "auction/clock_auction.h"
 #include "auction/greedy.h"
 #include "auction/settlement.h"
@@ -13,6 +14,7 @@
 #include "auction/wdp_exact.h"
 #include "common/check.h"
 #include "exchange/capacity_advice.h"
+#include "exchange/market.h"
 
 namespace pm {
 namespace {
@@ -422,15 +424,72 @@ TEST(CapacityAdviceTest, WindowLimitsLookback) {
       ReportWith(3.0, 0.95, 1.0, 0.5), ReportWith(3.0, 0.95, 1.0, 0.5),
       ReportWith(1.0, 0.5, 1.0, 0.5), ReportWith(1.0, 0.5, 1.0, 0.5),
       ReportWith(1.0, 0.5, 1.0, 0.5)};
-  exchange::AdvicePolicy policy;
-  policy.window = 3;
-  EXPECT_TRUE(exchange::AdviseCapacity(history, registry, policy).empty());
+  EXPECT_TRUE(exchange::AdviseCapacity(history, registry).empty());
 }
 
 TEST(CapacityAdviceTest, EmptyHistoryYieldsNothing) {
   PoolRegistry registry;
   registry.Intern("a", ResourceKind::kCpu);
   EXPECT_TRUE(exchange::AdviseCapacity({}, registry).empty());
+}
+
+TEST(CapacityAdviceTest, PoolsAdoptedInsideTheWindowAreAdvised) {
+  // Adopting a cluster interns new pools, so the reports from before the
+  // adoption cover only a prefix of the registry.
+  agents::WorkloadConfig workload;
+  workload.num_clusters = 4;
+  workload.num_teams = 12;
+  workload.min_machines_per_cluster = 10;
+  workload.max_machines_per_cluster = 20;
+  agents::World world = agents::GenerateWorld(workload);
+  workload.seed = 7;
+  agents::World donor = agents::GenerateWorld(workload);
+  exchange::MarketConfig config;
+  config.auction.alpha = 0.4;
+  config.auction.delta = 0.08;
+  exchange::Market market(&world.fleet, &world.agents, world.fixed_prices,
+                          config);
+  exchange::Market donor_market(&donor.fleet, &donor.agents,
+                                donor.fixed_prices, config);
+
+  market.RunAuction();
+  cluster::Cluster adopted =
+      donor_market.ExtractCluster(donor.fleet.ClusterNames().front());
+  adopted.SetName("adopted");
+  market.AdoptCluster(std::move(adopted));
+  market.RunAuction();
+
+  const std::vector<exchange::AuctionReport>& history = market.History();
+  const PoolRegistry& registry = world.fleet.registry();
+  ASSERT_EQ(history.size(), 2u);
+  ASSERT_LT(history[0].settled_prices.size(), registry.size());
+  ASSERT_EQ(history[1].settled_prices.size(), registry.size());
+
+  // Adopted pools are judged on the one report that prices them; the
+  // rest on both.
+  exchange::AuctionReport hot = history[1];
+  for (PoolId r = history[0].settled_prices.size(); r < registry.size();
+       ++r) {
+    hot.settled_prices[r] = 2.0 * hot.fixed_prices[r];
+    hot.pre_utilization[r] = 0.9;
+  }
+  const auto advice =
+      exchange::AdviseCapacity({history[0], hot}, registry);
+  std::size_t adopted_advised = 0;
+  for (const exchange::CapacityAdvice& a : advice) {
+    if (a.pool < history[0].settled_prices.size()) continue;
+    ++adopted_advised;
+    EXPECT_EQ(a.action, exchange::CapacityAction::kExpand);
+    EXPECT_DOUBLE_EQ(a.mean_price_ratio, 2.0);
+  }
+  EXPECT_EQ(adopted_advised, registry.size() -
+                                 history[0].settled_prices.size());
+  EXPECT_NO_THROW(exchange::AdviseCapacity(history, registry));
+
+  // A report wider than the registry still belongs to another market.
+  PoolRegistry narrower;
+  narrower.Intern("only", ResourceKind::kCpu);
+  EXPECT_THROW(exchange::AdviseCapacity(history, narrower), CheckFailure);
 }
 
 TEST(CapacityAdviceTest, ExpansionSortedBySeverity) {

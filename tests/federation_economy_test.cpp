@@ -320,6 +320,8 @@ TEST(FederationEconomyTest, OutcomeConservationUnderFullEconomyAndProxyWire) {
   double cumulative_refunds = 0.0;
   std::size_t cumulative_failures = 0;
   double arb_placed_units = 0.0;
+  ASSERT_NE(fed.arbitrageur(), nullptr);
+  const std::string arb_team = fed.arbitrageur()->team();
   for (int e = 0; e < 5; ++e) {
     FederatedBid bid;
     bid.team = "globex";
@@ -345,7 +347,7 @@ TEST(FederationEconomyTest, OutcomeConservationUnderFullEconomyAndProxyWire) {
         placed += outcome.placed_units;
         refunded += outcome.refunded_units;
         refunds += outcome.refund;
-        if (award.team == config.economy.arbitrage.team) {
+        if (award.team == arb_team) {
           arb_placed_units += outcome.placed_units;
         }
       }

@@ -410,7 +410,6 @@ TEST(MarketRouterTest, MirroredPlacesFullCopiesOnCheapestShards) {
   RouterFixture fixture({{3.0, 100.0}, {1.0, 100.0}, {2.0, 100.0}});
   RouterConfig config;
   config.policy = RoutingPolicy::kMirrored;
-  config.mirror_ways = 2;
   MarketRouter router(config, fixture.views);
   FederatedBid bid;
   bid.team = "t";

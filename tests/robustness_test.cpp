@@ -298,7 +298,6 @@ TEST(HealthMachineTest, QuarantineBackoffRecoveryCycle) {
   config.seed = 23;
   config.supervisor.enabled = true;
   config.supervisor.quarantine_streak = 2;
-  config.supervisor.backoff_base = 1;
   FederatedExchange fed(ThreeShards(), config);
 
   // Two consecutive crashes: degraded, then quarantined with backoff.
@@ -334,8 +333,6 @@ TEST(HealthMachineTest, FailedProbationDoublesBackoff) {
   config.seed = 29;
   config.supervisor.enabled = true;
   config.supervisor.quarantine_streak = 2;
-  config.supervisor.backoff_base = 1;
-  config.supervisor.backoff_cap = 8;
   FederatedExchange fed(ThreeShards(), config);
 
   fed.InjectShardFailure(0);
@@ -350,6 +347,29 @@ TEST(HealthMachineTest, FailedProbationDoublesBackoff) {
   EXPECT_EQ(fed.ShardHealthOf(0).status, ShardHealth::kQuarantined);
   EXPECT_EQ(fed.ShardHealthOf(0).backoff_remaining, 2);
   EXPECT_EQ(fed.ShardHealthOf(0).quarantine_count, 2);
+}
+
+TEST(HealthMachineTest, BackoffSaturatesAtTheCap) {
+  FederationConfig config;
+  config.seed = 29;
+  config.supervisor.enabled = true;
+  config.supervisor.quarantine_streak = 1;  // Every crash quarantines.
+  FederatedExchange fed(ThreeShards(), config);
+
+  std::vector<int> backoffs;
+  for (int quarantine = 0; quarantine < 5; ++quarantine) {
+    // Crash the shard in every epoch it takes part in: the first one,
+    // then each probation epoch after its backoff drains.
+    fed.InjectShardFailure(0);
+    ASSERT_TRUE(fed.RunEpoch().shards[0].participated);
+    ASSERT_EQ(fed.ShardHealthOf(0).status, ShardHealth::kQuarantined);
+    backoffs.push_back(fed.ShardHealthOf(0).backoff_remaining);
+    for (int e = 0; e < backoffs.back(); ++e) {
+      EXPECT_FALSE(fed.RunEpoch().shards[0].participated);
+    }
+  }
+  EXPECT_EQ(backoffs, (std::vector<int>{1, 2, 4, 8, 8}));
+  EXPECT_EQ(fed.ShardHealthOf(0).quarantine_count, 5);
 }
 
 TEST(HealthMachineTest, QuarantinedShardIsNotQuotedByRouter) {

@@ -43,12 +43,11 @@ TEST(ScenarioRegistryTest, EverySpecIsWellFormed) {
     EXPECT_FALSE(spec.description.empty());
     EXPECT_FALSE(spec.shards.empty()) << spec.name;
     EXPECT_FALSE(spec.events.empty()) << spec.name;
-    EXPECT_GT(spec.default_epochs, 0) << spec.name;
     for (const ScenarioEvent& event : spec.events) {
       EXPECT_EQ(ValidateEvent(event, spec.shards.size()), "")
           << spec.name << ": " << ToString(event.kind);
       // The timeline must actually play out inside the default run.
-      EXPECT_LT(event.epoch, spec.default_epochs) << spec.name;
+      EXPECT_LT(event.epoch, kDefaultEpochs) << spec.name;
     }
   }
 }
@@ -224,7 +223,7 @@ TEST(ScenarioRunnerTest, OverlappingDemandShocksUnwindCleanly) {
                                       /*count=*/0, Money()});
   RunnerConfig config;
   ScenarioRunner runner(spec, config);
-  runner.Run();  // default_epochs = 8 > both window ends (4 and 6).
+  runner.Run();  // kDefaultEpochs = 8 > both window ends (4 and 6).
 
   ScenarioSpec no_events = spec;
   no_events.events.clear();

@@ -1,12 +1,11 @@
 // Tests for pm::stats: descriptive statistics, boxplots, histograms,
-// regression, online accumulators.
+// regression.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "common/check.h"
 #include "common/rng.h"
-#include "stats/accumulator.h"
 #include "stats/descriptive.h"
 #include "stats/histogram.h"
 #include "stats/regression.h"
@@ -303,51 +302,6 @@ TEST(RegressionTest, ConstantYIsPerfectFit) {
   const LinearFit fit = FitLinear(xs, ys);
   EXPECT_NEAR(fit.slope, 0.0, 1e-12);
   EXPECT_EQ(fit.r_squared, 1.0);
-}
-
-// -------------------------------------------------------------- accumulator --
-
-TEST(AccumulatorTest, MatchesBatchStatistics) {
-  Accumulator acc;
-  for (double x : kSample) acc.Add(x);
-  EXPECT_EQ(acc.Count(), kSample.size());
-  EXPECT_DOUBLE_EQ(acc.Mean(), Mean(kSample));
-  EXPECT_NEAR(acc.Variance(), Variance(kSample), 1e-12);
-  EXPECT_EQ(acc.Min(), 2.0);
-  EXPECT_EQ(acc.Max(), 9.0);
-  EXPECT_DOUBLE_EQ(acc.Sum(), 40.0);
-}
-
-TEST(AccumulatorTest, MergeEquivalentToSequential) {
-  Accumulator left, right, all;
-  for (std::size_t i = 0; i < kSample.size(); ++i) {
-    (i < 3 ? left : right).Add(kSample[i]);
-    all.Add(kSample[i]);
-  }
-  left.Merge(right);
-  EXPECT_EQ(left.Count(), all.Count());
-  EXPECT_NEAR(left.Mean(), all.Mean(), 1e-12);
-  EXPECT_NEAR(left.Variance(), all.Variance(), 1e-12);
-  EXPECT_EQ(left.Min(), all.Min());
-  EXPECT_EQ(left.Max(), all.Max());
-}
-
-TEST(AccumulatorTest, MergeWithEmpty) {
-  Accumulator a, empty;
-  a.Add(1.0);
-  a.Merge(empty);
-  EXPECT_EQ(a.Count(), 1u);
-  empty.Merge(a);
-  EXPECT_EQ(empty.Count(), 1u);
-  EXPECT_EQ(empty.Mean(), 1.0);
-}
-
-TEST(AccumulatorTest, EmptyQueriesThrow) {
-  Accumulator acc;
-  EXPECT_TRUE(acc.Empty());
-  EXPECT_THROW(acc.Mean(), pm::CheckFailure);
-  acc.Add(1.0);
-  EXPECT_THROW(acc.Variance(), pm::CheckFailure);  // Needs n >= 2.
 }
 
 }  // namespace

@@ -119,7 +119,6 @@ AlertRule ThresholdRule(const std::string& name, const std::string& metric,
                         double threshold, int for_epochs) {
   AlertRule rule;
   rule.name = name;
-  rule.kind = AlertRule::Kind::kAbove;
   rule.metric = metric;
   rule.threshold = threshold;
   rule.for_epochs = for_epochs;
@@ -186,38 +185,13 @@ TEST(AlertEngineTest, HysteresisHoldsThroughPending) {
   EXPECT_TRUE(engine.EverFired("hot"));
 }
 
-TEST(AlertEngineTest, AbsenceRuleFiresUntilSeriesAppears) {
-  MetricsRegistry reg;
-  AlertRule rule;
-  rule.name = "shard-silent";
-  rule.kind = AlertRule::Kind::kAbsent;
-  rule.metric = "heartbeat";
-  rule.labels = Labels{"a", "", ""};
-  AlertEngine engine({rule});
-
-  auto t = engine.EvaluateEpoch(reg, 0);  // Missing from epoch 0.
-  ASSERT_EQ(t.size(), 1u);
-  EXPECT_EQ(t[0].to, AlertState::kFiring);
-  EXPECT_EQ(t[0].series, "heartbeat{shard=\"a\"}");
-
-  reg.AddCounter("heartbeat", Labels{"a", "", ""}, 1.0);
-  t = engine.EvaluateEpoch(reg, 1);
-  ASSERT_EQ(t.size(), 1u);
-  EXPECT_EQ(t[0].to, AlertState::kResolved);
-}
-
 TEST(AlertEngineTest, BelowRuleAndPerLabelInstances) {
   MetricsRegistry reg;
-  AlertRule rule;
-  rule.name = "starved";
-  rule.kind = AlertRule::Kind::kBelow;
-  rule.metric = "winners";
-  rule.threshold = 2.0;
-  AlertEngine engine({rule});
+  AlertEngine engine({ThresholdRule("crowded", "winners", 2.0, 1)});
 
-  // Two shards, one starved: exactly one instance fires.
-  reg.SetGauge("winners", Labels{"a", "", ""}, 0.0);
-  reg.SetGauge("winners", Labels{"b", "", ""}, 9.0);
+  // Two shards, one over the threshold: exactly one instance fires.
+  reg.SetGauge("winners", Labels{"a", "", ""}, 9.0);
+  reg.SetGauge("winners", Labels{"b", "", ""}, 0.0);
   const auto t = engine.EvaluateEpoch(reg, 0);
   ASSERT_EQ(t.size(), 1u);
   EXPECT_EQ(t[0].series, "winners{shard=\"a\"}");
