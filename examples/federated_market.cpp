@@ -72,15 +72,13 @@ int main(int argc, char** argv) {
     for (const pm::federation::RouteDecision& decision : report.routing) {
       std::cout << "  " << decision.team << '/' << decision.tag << " ["
                 << ToString(decision.policy) << "] -> ";
-      if (decision.shards.empty()) {
-        std::cout << "unroutable";
+      if (decision.shard.has_value()) {
+        std::cout << fed.ShardName(*decision.shard);
       } else {
-        for (std::size_t s : decision.shards) {
-          std::cout << fed.ShardName(s) << ' ';
-        }
+        std::cout << "unroutable";
       }
       if (decision.spilled) {
-        std::cout << "(spilled off " << fed.ShardName(
+        std::cout << " (spilled off " << fed.ShardName(
                          decision.preferred_shard)
                   << ", heat " << pm::FormatF(decision.preferred_heat, 2)
                   << ")";

@@ -106,10 +106,6 @@ double RandomStream::Normal(double mean, double sd) {
   return mean + sd * Normal();
 }
 
-double RandomStream::LogNormal(double mu_log, double sd_log) {
-  return std::exp(Normal(mu_log, sd_log));
-}
-
 double RandomStream::Exponential(double lambda) {
   PM_CHECK_MSG(lambda > 0.0, "Exponential requires lambda > 0, got "
                                  << lambda);

@@ -88,9 +88,6 @@ class RandomStream {
   /// Normal with the given mean and standard deviation (sd >= 0).
   double Normal(double mean, double sd);
 
-  /// Log-normal: exp(Normal(mu_log, sd_log)).
-  double LogNormal(double mu_log, double sd_log);
-
   /// Exponential with the given rate lambda > 0.
   double Exponential(double lambda);
 

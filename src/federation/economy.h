@@ -1,17 +1,17 @@
 // planetmarket: the federation treasury — one planet-wide currency pool.
 //
-// PR 2 left each shard minting its own money (EndowFederatedTeam endowed a
-// planet-wide team in every local ledger independently), so the federation
-// had no notion of total currency: prices in hot and cool shards could
-// drift apart with nothing coupling budgets across markets. The treasury
-// is the federation-level ledger the ROADMAP calls for, shaped after the
-// central banks of Tycoon-style auctioneer federations: one planet-wide
-// account per team, explicit cross-shard transfer records, and an
-// allowance/sweep cycle per epoch.
+// Without the treasury each shard mints its own money (EndowFederatedTeam
+// endows a planet-wide team in every local ledger independently), so the
+// federation has no notion of total currency: prices in hot and cool
+// shards can drift apart with nothing coupling budgets across markets.
+// The treasury is the federation-level ledger, shaped after the central
+// banks of Tycoon-style auctioneer federations: one planet-wide account
+// per team, explicit cross-shard transfer records, and an allowance/sweep
+// cycle per epoch.
 //
 //   mint      ──► root → team (the only way money enters circulation)
 //   push      ──► team → shard float  +  a matching shard-local endowment
-//   auction   ──► the shard's own ledger settles as always (PR 2 path)
+//   auction   ──► the shard's own ledger settles exactly as without it
 //   sweep     ──► shard float → team (unspent) and → shard-net (spent);
 //                 the team's local balance is withdrawn to the shard
 //                 operator, so between epochs every federated dollar is

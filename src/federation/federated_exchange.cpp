@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <exception>
+#include <optional>
 #include <utility>
 
 #include "common/check.h"
@@ -108,8 +109,8 @@ FederatedExchange::FederatedExchange(std::vector<ShardSpec> specs,
                                                         std::move(names));
   }
 
-  // Economy layer. Everything stays null when disabled so the epoch loop
-  // below is byte-for-byte the PR 2 path.
+  // Economy layer. Everything stays null when disabled, so the epoch loop
+  // below runs shard-local minting with no cross-shard agents.
   if (config_.economy.arbitrage.enabled) {
     PM_CHECK_MSG(config_.economy.treasury,
                  "arbitrage needs the treasury: its margin account is "
@@ -284,6 +285,12 @@ void FederatedExchange::SubmitFederatedBid(FederatedBid bid) {
   // would either wedge the queue (router throws before the clear) or
   // leave earlier routed parts half-submitted to shard markets.
   PM_CHECK_MSG(!bid.team.empty(), "federated bid needs a billing team");
+  for (ResourceKind kind : kAllResourceKinds) {
+    const double qty = bid.quantity.Of(kind);
+    PM_CHECK_MSG(std::isfinite(qty) && qty >= 0.0,
+                 "federated bid " << ToString(kind) << " quantity " << qty
+                                  << " must be finite and >= 0");
+  }
   if (!bid.home_shard.empty()) {
     bool known = false;
     for (const std::unique_ptr<Shard>& shard : shards_) {
@@ -735,7 +742,7 @@ FederationReport FederatedExchange::RunEpochInternal(const int epoch) {
       for (const RouteDecision& decision : routing.decisions) {
         telemetry::Labels by_policy;
         by_policy.phase = std::string(ToString(decision.policy));
-        if (decision.shards.empty()) {
+        if (!decision.shard.has_value()) {
           reg.AddCounter("fed_router_unroutable", by_policy, 1.0);
         } else {
           reg.AddCounter("fed_router_bids_routed", by_policy, 1.0);
@@ -753,11 +760,9 @@ FederationReport FederatedExchange::RunEpochInternal(const int epoch) {
             telemetry_->EmitSpan(epoch_traces[i], "route", epoch, -1);
         span.attrs.emplace_back("policy",
                                 std::string(ToString(decision.policy)));
-        span.attrs.emplace_back(
-            "parts", std::to_string(decision.shards.size()));
         span.attrs.emplace_back("spilled",
                                 decision.spilled ? "true" : "false");
-        if (!decision.shards.empty()) {
+        if (decision.shard.has_value()) {
           span.attrs.emplace_back("heat",
                                   FormatF(decision.preferred_heat, 3));
         }
@@ -945,40 +950,19 @@ FederationReport FederatedExchange::RunEpochInternal(const int epoch) {
       health_block.refunded_allowance = refunded.ToDouble();
     }
 
-    // Failed shards' routed federated bids. A bid all of whose parts
-    // landed on failed shards is re-queued whole for next epoch's router
-    // pass; parts whose sibling parts settled on healthy shards — splits
-    // and mirrors — are counted refunded instead (their money never left
-    // the planet ledger, and re-buying them would double the quantities
-    // the healthy parts already won).
+    // Failed shards' routed federated bids are re-queued for next epoch's
+    // router pass (their money never left the planet ledger).
     for (std::size_t i = 0; i < routing.decisions.size(); ++i) {
-      const RouteDecision& decision = routing.decisions[i];
-      if (decision.shards.empty()) continue;
-      std::size_t failed_parts = 0;
-      for (std::size_t s : decision.shards) {
-        if (summaries[s].failed) ++failed_parts;
-      }
-      if (failed_parts == 0) continue;
+      const std::optional<std::size_t> shard = routing.decisions[i].shard;
+      if (!shard.has_value() || !summaries[*shard].failed) continue;
+      pending_.push_back(epoch_bids[i]);
+      ++health_block.rerouted_bids;
       const std::uint64_t trace =
           telemetry_ != nullptr ? epoch_traces[i] : 0;
-      if (failed_parts == decision.shards.size()) {
-        pending_.push_back(epoch_bids[i]);
-        ++health_block.rerouted_bids;
-        if (trace != 0) {
-          telemetry::Span& span =
-              telemetry_->EmitSpan(trace, "reroute", epoch, -1);
-          span.attrs.emplace_back("reason", "every part on a failed shard");
-        }
-      } else {
-        health_block.refunded_bids += failed_parts;
-        if (trace != 0) {
-          telemetry::Span& span =
-              telemetry_->EmitSpan(trace, "refund-part", epoch, -1);
-          span.attrs.emplace_back("failed_parts",
-                                  std::to_string(failed_parts));
-          span.attrs.emplace_back(
-              "parts", std::to_string(decision.shards.size()));
-        }
+      if (trace != 0) {
+        telemetry::Span& span =
+            telemetry_->EmitSpan(trace, "reroute", epoch, -1);
+        span.attrs.emplace_back("reason", "every part on a failed shard");
       }
     }
     health_block.statuses = health_;
@@ -996,8 +980,6 @@ FederationReport FederatedExchange::RunEpochInternal(const int epoch) {
           static_cast<double>(health_block.restored_checkpoints));
       reg.AddCounter("fed_supervisor_rerouted_bids", planet,
                      static_cast<double>(health_block.rerouted_bids));
-      reg.AddCounter("fed_supervisor_refunded_bids", planet,
-                     static_cast<double>(health_block.refunded_bids));
       reg.AddCounter("fed_supervisor_refunded_allowance_dollars", planet,
                      health_block.refunded_allowance);
     }

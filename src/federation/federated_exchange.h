@@ -6,9 +6,9 @@
 // population, ledger, reserve pricer, and arena-compiled DemandEngine —
 // and adds the thin federation layer on top:
 //
-//   demand  ──► MarketRouter places federation-level bids onto shards
-//               (affinity / cheapest / split / mirrored, with spill-over
-//               when a shard's reserve-weighted price runs hot);
+//   demand  ──► MarketRouter places each federation-level bid whole on
+//               one shard (home affinity or cheapest price, with spill-
+//               over when a shard's reserve-weighted price runs hot);
 //   clearing ─► every shard runs its clock auction concurrently on a
 //               ThreadPool (or serially — bit-identical either way, since
 //               shards share no mutable state);
@@ -46,8 +46,8 @@ namespace pm::federation {
 /// The planet-wide economy layer on top of the sharded exchange. All
 /// three features default OFF, in which case an epoch's market outcomes
 /// (prices, awards, settlements, fleet state) are bit-identical to the
-/// plain PR 2 federation (shard-local minting, no cross-shard agents,
-/// static fleets) — asserted by tests/federation_economy_test.cpp. The
+/// plain federation (shard-local minting, no cross-shard agents, static
+/// fleets) — asserted by tests/federation_economy_test.cpp. The
 /// reporting plane does always stamp the read-only cross-shard
 /// clearing-price spread on the epoch report (the arbitrage bench's
 /// baseline needs it), which touches no market state.
@@ -157,8 +157,8 @@ class FederatedExchange {
   /// capacity, fixed prices).
   std::vector<ShardView> BuildShardViews() const;
 
-  /// Funds a planet-wide team. Without the treasury (the PR 2 path) this
-  /// mints `per_shard_budget` in every shard's local ledger, which stays
+  /// Funds a planet-wide team. Without the treasury this mints
+  /// `per_shard_budget` in every shard's local ledger, which stays
   /// authoritative. With EconomyConfig::treasury it instead mints
   /// `per_shard_budget × NumShards()` of planet currency into the team's
   /// treasury account and registers a per-shard allowance of

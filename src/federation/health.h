@@ -10,12 +10,12 @@
 // the auction/settlement path, a wire link going down after retry
 // exhaustion) or blew through its injected round budget. The supervisor
 // contains the failure — the shard is rolled back to its epoch-boundary
-// checkpoint, its treasury float refunded, a federated bid whose every
-// part landed on it re-queued for next epoch's router pass (a split or
-// mirror part whose siblings survived is refunded instead, never re-bought)
-// — and this record decides what the shard is allowed to do next epoch. Backoff is denominated in epochs (virtual time), doubling per
-// quarantine up to a cap, so the whole trajectory is deterministic and
-// bit-identical across reruns and thread counts.
+// checkpoint, its treasury float refunded, every federated bid routed to
+// it re-queued for next epoch's router pass — and this record decides
+// what the shard is allowed to do next epoch. Backoff is denominated in
+// epochs (virtual time), doubling per quarantine up to a cap, so the whole
+// trajectory is deterministic and bit-identical across reruns and thread
+// counts.
 #pragma once
 
 #include <cstdint>

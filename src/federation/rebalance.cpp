@@ -132,7 +132,7 @@ std::vector<MigrationPlan> FleetRebalancer::Observe(
   // jobs re-homed with the cluster) and is expected to deliver the
   // donor→receiver spread times the donated free units. Candidates whose
   // priced cost exceeds the expected benefit stay put — with the default
-  // all-zero weights every candidate clears, the legacy behavior.
+  // all-zero weights every candidate clears.
   // The first candidate that clears the gate is the epoch's one
   // migration (the donor keeps at least one cluster behind).
   const double move_spread = utils[hot] - utils[cool];

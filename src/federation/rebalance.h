@@ -42,7 +42,7 @@ struct RebalanceConfig {
   /// Reconfiguration cost per unit of *used* capacity travelling with a
   /// migrated cluster — the running jobs that must be re-homed across
   /// shard boundaries. All-zero (default) keeps migrations free: every
-  /// candidate clears the gate, the legacy behavior.
+  /// candidate clears the gate.
   cluster::TaskShape move_cost_weights;
 };
 

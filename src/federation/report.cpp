@@ -127,8 +127,7 @@ std::string RenderFederationSummary(const FederationReport& report) {
     os << "health: " << report.health.failed_shards << " failed, "
        << report.health.quarantined_shards << " quarantined, "
        << report.health.restored_checkpoints << " restores, "
-       << report.health.rerouted_bids << " bids rerouted, "
-       << report.health.refunded_bids << " refunded, allowance $"
+       << report.health.rerouted_bids << " bids rerouted, allowance $"
        << FormatF(report.health.refunded_allowance, 2) << " returned\n";
     for (std::size_t k = 0; k < report.health.statuses.size(); ++k) {
       const ShardHealthStatus& s = report.health.statuses[k];

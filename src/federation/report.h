@@ -60,7 +60,6 @@ struct HealthBlock {
   std::size_t failed_shards = 0;       // Contained failures this epoch.
   std::size_t quarantined_shards = 0;  // Sitting out this epoch.
   std::size_t rerouted_bids = 0;   // Failed shards' bids re-queued.
-  std::size_t refunded_bids = 0;   // Failed shards' bids dropped instead.
   double refunded_allowance = 0.0; // Treasury floats refunded (dollars).
   std::size_t restored_checkpoints = 0;  // Restores performed this epoch.
   /// Post-transition health per shard (index-aligned with shards).

@@ -12,9 +12,6 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// Copies placed by kMirrored (clamped to the shard count).
-constexpr std::size_t kMirrorWays = 2;
-
 /// Kinds the requirement actually asks for.
 bool HasPositiveQuantity(const cluster::TaskShape& quantity) {
   for (ResourceKind kind : kAllResourceKinds) {
@@ -31,10 +28,6 @@ std::string_view ToString(RoutingPolicy policy) {
       return "home-affinity";
     case RoutingPolicy::kCheapestPrice:
       return "cheapest-price";
-    case RoutingPolicy::kSplit:
-      return "split";
-    case RoutingPolicy::kMirrored:
-      return "mirrored";
   }
   return "unknown";
 }
@@ -118,23 +111,20 @@ ShardQuote MarketRouter::Quote(std::size_t shard,
 
 bid::Bid MarketRouter::Materialize(const ShardQuote& quote,
                                    std::size_t shard,
-                                   const FederatedBid& fed,
-                                   const cluster::TaskShape& quantity,
-                                   double limit,
-                                   const std::string& suffix) const {
+                                   const FederatedBid& fed) const {
   const ShardView& view = views_[shard];
   std::vector<bid::BundleItem> items;
   for (ResourceKind kind : kAllResourceKinds) {
-    const double qty = quantity.Of(kind);
+    const double qty = fed.quantity.Of(kind);
     if (qty <= 0.0) continue;
     const auto pool = view.registry->Find(PoolKey{quote.cluster, kind});
     PM_CHECK(pool.has_value());
     items.push_back(bid::BundleItem{*pool, qty});
   }
   bid::Bid bid;
-  bid.name = "fed/" + fed.team + "/" + fed.tag + suffix;
+  bid.name = "fed/" + fed.team + "/" + fed.tag;
   bid.bundles.emplace_back(std::move(items));
-  bid.limit = limit;
+  bid.limit = fed.limit;
   return bid;
 }
 
@@ -214,146 +204,40 @@ RoutingResult MarketRouter::Route(
       return best;  // num_shards when every shard was filtered out.
     };
 
-    RoutingPolicy policy = config_.policy;
-    if (policy == RoutingPolicy::kHomeAffinity && fed.home_shard.empty()) {
-      policy = RoutingPolicy::kCheapestPrice;  // No home to prefer.
+    // kHomeAffinity without a home to prefer routes as kCheapestPrice.
+    std::size_t target = num_shards;
+    if (config_.policy == RoutingPolicy::kHomeAffinity &&
+        !fed.home_shard.empty()) {
+      std::size_t home = num_shards;
+      for (std::size_t s = 0; s < num_shards; ++s) {
+        if (views_[s].name == fed.home_shard) {
+          home = s;
+          break;
+        }
+      }
+      PM_CHECK_MSG(home < num_shards,
+                   "unknown home shard '" << fed.home_shard << "'");
+      decision.preferred_shard = home;
+      decision.preferred_heat = quotes[home].heat;
+      target = home;
+      if (!quotes[home].viable ||
+          quotes[home].heat > config_.spill_threshold) {
+        // Unquotable or overheated home: spill to the cheapest cool
+        // shard, or the globally cheapest when the whole planet runs
+        // hot. any_viable guarantees cheapest(false) finds one.
+        const std::size_t cool = cheapest(/*require_cool=*/true);
+        target = cool < num_shards ? cool : cheapest(false);
+        decision.spilled = target != home;
+      }
+    } else {
+      target = cheapest(/*require_cool=*/false);
+      decision.preferred_shard = target;
+      decision.preferred_heat = quotes[target].heat;
     }
-
-    switch (policy) {
-      case RoutingPolicy::kHomeAffinity: {
-        std::size_t home = num_shards;
-        for (std::size_t s = 0; s < num_shards; ++s) {
-          if (views_[s].name == fed.home_shard) {
-            home = s;
-            break;
-          }
-        }
-        PM_CHECK_MSG(home < num_shards,
-                     "unknown home shard '" << fed.home_shard << "'");
-        decision.preferred_shard = home;
-        decision.preferred_heat = quotes[home].heat;
-        std::size_t target = home;
-        if (!quotes[home].viable ||
-            quotes[home].heat > config_.spill_threshold) {
-          // Unquotable or overheated home: spill to the cheapest cool
-          // shard, or the globally cheapest when the whole planet runs
-          // hot. any_viable guarantees cheapest(false) finds one.
-          const std::size_t cool = cheapest(/*require_cool=*/true);
-          target = cool < num_shards ? cool : cheapest(false);
-          decision.spilled = target != home;
-        }
-        decision.shards.push_back(target);
-        result.routed.push_back(RoutedBid{
-            target, fed.team,
-            Materialize(quotes[target], target, fed, fed.quantity,
-                        fed.limit, ""),
-            bid_index});
-        break;
-      }
-      case RoutingPolicy::kCheapestPrice: {
-        const std::size_t target = cheapest(/*require_cool=*/false);
-        decision.preferred_shard = target;
-        decision.preferred_heat = quotes[target].heat;
-        decision.shards.push_back(target);
-        result.routed.push_back(RoutedBid{
-            target, fed.team,
-            Materialize(quotes[target], target, fed, fed.quantity,
-                        fed.limit, ""),
-            bid_index});
-        break;
-      }
-      case RoutingPolicy::kSplit: {
-        // Candidates: cool viable shards, or every viable shard when
-        // none is cool.
-        std::vector<std::size_t> candidates;
-        std::size_t viable_count = 0;
-        for (std::size_t s = 0; s < num_shards; ++s) {
-          if (!quotes[s].viable) continue;
-          ++viable_count;
-          if (quotes[s].heat <= config_.spill_threshold) {
-            candidates.push_back(s);
-          }
-        }
-        decision.spilled = !candidates.empty() &&
-                           candidates.size() < viable_count;
-        if (candidates.empty()) {
-          for (std::size_t s = 0; s < num_shards; ++s) {
-            if (quotes[s].viable) candidates.push_back(s);
-          }
-        }
-        decision.preferred_shard = candidates.front();
-        decision.preferred_heat = quotes[candidates.front()].heat;
-        // Weight by spare capacity for this requirement; equal split when
-        // nothing has headroom.
-        std::vector<double> weights;
-        double total_weight = 0.0;
-        for (std::size_t s : candidates) {
-          const double w = std::max(0.0, quotes[s].fit);
-          weights.push_back(w);
-          total_weight += w;
-        }
-        if (total_weight <= 0.0) {
-          weights.assign(candidates.size(), 1.0);
-          total_weight = static_cast<double>(candidates.size());
-        }
-        // Last-part remainder keeps Σ parts == requested exactly.
-        cluster::TaskShape assigned;
-        double assigned_limit = 0.0;
-        for (std::size_t i = 0; i < candidates.size(); ++i) {
-          const std::size_t s = candidates[i];
-          const bool last = i + 1 == candidates.size();
-          cluster::TaskShape part;
-          double part_limit = 0.0;
-          if (last) {
-            part = fed.quantity - assigned;
-            part_limit = fed.limit - assigned_limit;
-          } else {
-            const double frac = weights[i] / total_weight;
-            part = fed.quantity * frac;
-            part_limit = fed.limit * frac;
-          }
-          assigned += part;
-          assigned_limit += part_limit;
-          if (!HasPositiveQuantity(part) || !(part_limit > 0.0)) continue;
-          decision.shards.push_back(s);
-          result.routed.push_back(RoutedBid{
-              s, fed.team,
-              Materialize(quotes[s], s, fed, part, part_limit,
-                          "#s" + std::to_string(i)),
-              bid_index});
-        }
-        break;
-      }
-      case RoutingPolicy::kMirrored: {
-        // The k cheapest shards each carry a full copy. A team may win in
-        // several markets at once — mirroring is an availability hedge,
-        // priced accordingly.
-        std::vector<std::size_t> order;
-        for (std::size_t s = 0; s < num_shards; ++s) {
-          if (quotes[s].viable) order.push_back(s);
-        }
-        std::sort(order.begin(), order.end(),
-                  [&](std::size_t a, std::size_t b) {
-                    if (quotes[a].reserve_cost != quotes[b].reserve_cost) {
-                      return quotes[a].reserve_cost < quotes[b].reserve_cost;
-                    }
-                    return a < b;
-                  });
-        const std::size_t ways = std::min(kMirrorWays, order.size());
-        decision.preferred_shard = order.front();
-        decision.preferred_heat = quotes[order.front()].heat;
-        for (std::size_t i = 0; i < ways; ++i) {
-          const std::size_t s = order[i];
-          decision.shards.push_back(s);
-          result.routed.push_back(RoutedBid{
-              s, fed.team,
-              Materialize(quotes[s], s, fed, fed.quantity, fed.limit,
-                          "#m" + std::to_string(i)),
-              bid_index});
-        }
-        break;
-      }
-    }
+    decision.shard = target;
+    result.routed.push_back(RoutedBid{
+        target, fed.team, Materialize(quotes[target], target, fed),
+        bid_index});
     result.decisions.push_back(std::move(decision));
   }
   return result;

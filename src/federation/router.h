@@ -14,14 +14,15 @@
 // paper's §V cross-cluster migration signal, applied before the auction
 // instead of after it.
 //
-// Everything here is deterministic: quotes iterate clusters in registry
-// interning order, ties break toward the lowest shard index, and split
-// parts are derived with a last-part remainder so requested quantities are
-// conserved exactly.
+// Every routable bid lands whole on exactly one shard, as one part named
+// "fed/<team>/<tag>" carrying the full quantity and limit. Everything here
+// is deterministic: quotes iterate clusters in registry interning order
+// and ties break toward the lowest shard index.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -33,12 +34,10 @@
 
 namespace pm::federation {
 
-/// How a federated bid is placed onto shards.
+/// How a federated bid picks its one shard.
 enum class RoutingPolicy {
   kHomeAffinity,   // The bid's home shard, spilling when it runs hot.
   kCheapestPrice,  // The shard quoting the lowest reserve-weighted cost.
-  kSplit,          // Divided across cool shards by spare capacity.
-  kMirrored,       // Full copies on the two cheapest shards (may double-win).
 };
 
 std::string_view ToString(RoutingPolicy policy);
@@ -47,9 +46,9 @@ std::string_view ToString(RoutingPolicy policy);
 /// for. The router turns it into concrete pool-indexed bids.
 struct FederatedBid {
   std::string team;              // Billing identity, federation-wide.
-  std::string tag = "bid";       // Routed parts are named "fed/<team>/<tag>…".
+  std::string tag = "bid";       // The routed part is named "fed/<team>/<tag>".
   cluster::TaskShape quantity;   // Requested units per kind (all >= 0).
-  double limit = 0.0;            // Max total payment across all parts.
+  double limit = 0.0;            // Max total payment.
   std::string home_shard;        // kHomeAffinity's preference (by name).
   /// Telemetry trace ID stamped by FederatedExchange::SubmitFederatedBid
   /// when the telemetry plane is on (0 = untraced). Survives supervisor
@@ -92,7 +91,8 @@ struct RouteDecision {
   std::string tag;
   RoutingPolicy policy = RoutingPolicy::kCheapestPrice;
   std::size_t preferred_shard = 0;    // Where policy pointed first.
-  std::vector<std::size_t> shards;    // Where parts actually landed.
+  std::optional<std::size_t> shard;   // Where the part landed; empty when
+                                      // the bid was unroutable.
   bool spilled = false;               // Re-routed off the preferred shard.
   double preferred_heat = 1.0;        // Reserve/fixed cost ratio there.
 };
@@ -149,16 +149,14 @@ class MarketRouter {
   ShardQuote Quote(std::size_t shard,
                    const cluster::TaskShape& quantity) const;
 
-  /// Routes every bid. Bids with no positive quantity, a non-positive
-  /// limit, or no viable shard are recorded with an empty `shards` list
-  /// and produce no parts.
+  /// Routes every bid onto one shard. Bids with no positive quantity, a
+  /// non-positive limit, or no viable shard are recorded with an empty
+  /// `shard` and produce no part.
   RoutingResult Route(const std::vector<FederatedBid>& bids) const;
 
  private:
   bid::Bid Materialize(const ShardQuote& quote, std::size_t shard,
-                       const FederatedBid& fed,
-                       const cluster::TaskShape& quantity, double limit,
-                       const std::string& suffix) const;
+                       const FederatedBid& fed) const;
 
   RouterConfig config_;
   std::vector<ShardView> views_;

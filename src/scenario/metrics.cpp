@@ -68,7 +68,6 @@ EpochSample SampleEpoch(const federation::FederationReport& report,
   sample.quarantined_shards = report.health.quarantined_shards;
   sample.restored_checkpoints = report.health.restored_checkpoints;
   sample.rerouted_bids = report.health.rerouted_bids;
-  sample.refunded_bids = report.health.refunded_bids;
   sample.refunded_allowance = report.health.refunded_allowance;
   return sample;
 }
@@ -109,7 +108,6 @@ std::string ScenarioMetrics::ToJson() const {
        << ", \"quarantined_shards\": " << s.quarantined_shards
        << ", \"restored_checkpoints\": " << s.restored_checkpoints
        << ", \"rerouted_bids\": " << s.rerouted_bids
-       << ", \"refunded_bids\": " << s.refunded_bids
        << ", \"refunded_allowance\": " << Num(s.refunded_allowance) << "}"
        << (i + 1 < series.size() ? "," : "") << "\n";
   }

@@ -57,7 +57,6 @@ struct EpochSample {
   std::size_t quarantined_shards = 0;   // Shards sitting the epoch out.
   std::size_t restored_checkpoints = 0; // Checkpoint restores performed.
   std::size_t rerouted_bids = 0;        // Failed shards' bids re-queued.
-  std::size_t refunded_bids = 0;        // Failed shards' parts refunded.
   double refunded_allowance = 0.0;      // Treasury floats returned ($).
 };
 

@@ -3,10 +3,10 @@
 // Every federated bid is assigned a trace id when it enters the exchange;
 // the federation emits spans as the bid moves through its lifecycle:
 //
-//   submit ──► route ──► shard-auction (per routed part)
-//          ──► settle / reject (per part, from the shard's award or
-//              rejection record) ──► reroute / refund-part (supervisor
-//              aftermath when the part's shard failed)
+//   submit ──► route ──► shard-auction (on the routed part's shard)
+//          ──► settle / reject (from the shard's award or rejection
+//              record) ──► reroute (supervisor aftermath when the
+//              part's shard failed)
 //
 // so one bid's fate — which shards it touched, what each auction did
 // with it, what physically placed and what was refunded — is

@@ -5,13 +5,12 @@
 // running that shard's Market standalone with the same bids and seeds,
 // (2) bit-identical across thread counts and across reruns, and (3) per
 // shard bit-identical between the in-process serial path and the pm::net
-// proxy-node path. Plus the router's placement properties: every
-// non-split bid lands on exactly one shard, and split parts conserve the
-// requested quantity.
+// proxy-node path. Plus the router's placement property: every routable
+// bid lands whole on exactly one shard.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -272,7 +271,18 @@ TEST(FederatedExchangeTest, RejectsBadFederatedBidsAtSubmitTime) {
   bad_home.limit = 10.0;
   bad_home.home_shard = "atlantis";
   EXPECT_THROW(fed.SubmitFederatedBid(bad_home), CheckFailure);
+  // A non-finite quantity would make the router throw inside RunEpoch;
+  // a negative one would be silently dropped there.
+  for (const double bad : {std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN(), -1.0}) {
+    FederatedBid bad_quantity;
+    bad_quantity.team = "t";
+    bad_quantity.quantity = cluster::TaskShape{16.0, bad, 2.0};
+    bad_quantity.limit = 10.0;
+    EXPECT_THROW(fed.SubmitFederatedBid(bad_quantity), CheckFailure) << bad;
+  }
   EXPECT_EQ(fed.PendingFederatedBids(), 0u);  // Nothing wedged the queue.
+  EXPECT_NO_THROW(fed.RunEpoch());
 }
 
 TEST(FederatedExchangeTest, RejectsPerShardWireSettings) {
@@ -349,8 +359,8 @@ TEST(MarketRouterTest, NonSplitPoliciesPlaceEveryBidOnExactlyOneShard) {
     ASSERT_EQ(result.decisions.size(), bids.size());
     ASSERT_EQ(result.routed.size(), bids.size());
     for (std::size_t i = 0; i < bids.size(); ++i) {
-      ASSERT_EQ(result.decisions[i].shards.size(), 1u) << ToString(policy);
-      EXPECT_LT(result.decisions[i].shards.front(), fixture.views.size());
+      ASSERT_TRUE(result.decisions[i].shard.has_value()) << ToString(policy);
+      EXPECT_LT(*result.decisions[i].shard, fixture.views.size());
       EXPECT_FALSE(result.decisions[i].spilled);
     }
     // Quantity is conserved bid-for-bid.
@@ -362,67 +372,6 @@ TEST(MarketRouterTest, NonSplitPoliciesPlaceEveryBidOnExactlyOneShard) {
       EXPECT_NEAR(BundleTotal(result.routed[i].bid), requested, 1e-12);
       EXPECT_EQ(result.routed[i].bid.limit, bids[i].limit);
     }
-  }
-}
-
-TEST(MarketRouterTest, SplitConservesQuantityAndLimit) {
-  RouterFixture fixture({{1.0, 50.0}, {1.5, 200.0}, {2.0, 100.0},
-                         {2.5, 25.0}});
-  RouterConfig config;
-  config.policy = RoutingPolicy::kSplit;
-  config.spill_threshold = 100.0;
-  MarketRouter router(config, fixture.views);
-  RandomStream rng(11);
-  for (int i = 0; i < 32; ++i) {
-    FederatedBid bid;
-    bid.team = "t";
-    bid.quantity = cluster::TaskShape{rng.Uniform(1.0, 200.0),
-                                      rng.Uniform(1.0, 400.0),
-                                      rng.Uniform(0.0, 10.0)};
-    bid.limit = rng.Uniform(10.0, 5000.0);
-    const RoutingResult result = router.Route({bid});
-    ASSERT_EQ(result.decisions.size(), 1u);
-    cluster::TaskShape total;
-    double limit_total = 0.0;
-    std::vector<std::size_t> seen;
-    for (const RoutedBid& part : result.routed) {
-      seen.push_back(part.shard);
-      limit_total += part.bid.limit;
-      for (const bid::BundleItem& item : part.bid.bundles.front().items()) {
-        const PoolKey& key = fixture.views[part.shard].registry->KeyOf(
-            item.pool);
-        total.Of(key.kind) += item.qty;
-        EXPECT_GT(item.qty, 0.0);
-      }
-    }
-    // Every part on a distinct shard; totals conserved.
-    std::sort(seen.begin(), seen.end());
-    EXPECT_TRUE(std::adjacent_find(seen.begin(), seen.end()) == seen.end());
-    for (ResourceKind kind : kAllResourceKinds) {
-      EXPECT_NEAR(total.Of(kind), bid.quantity.Of(kind), 1e-9)
-          << ToString(kind);
-    }
-    EXPECT_NEAR(limit_total, bid.limit, 1e-9);
-  }
-}
-
-TEST(MarketRouterTest, MirroredPlacesFullCopiesOnCheapestShards) {
-  RouterFixture fixture({{3.0, 100.0}, {1.0, 100.0}, {2.0, 100.0}});
-  RouterConfig config;
-  config.policy = RoutingPolicy::kMirrored;
-  MarketRouter router(config, fixture.views);
-  FederatedBid bid;
-  bid.team = "t";
-  bid.quantity = cluster::TaskShape{10.0, 20.0, 1.0};
-  bid.limit = 500.0;
-  const RoutingResult result = router.Route({bid});
-  ASSERT_EQ(result.routed.size(), 2u);
-  // Cheapest two shards (1 then 2), each carrying the full quantity.
-  EXPECT_EQ(result.routed[0].shard, 1u);
-  EXPECT_EQ(result.routed[1].shard, 2u);
-  for (const RoutedBid& part : result.routed) {
-    EXPECT_NEAR(BundleTotal(part.bid), 31.0, 1e-12);
-    EXPECT_EQ(part.bid.limit, 500.0);
   }
 }
 
@@ -472,18 +421,16 @@ TEST(MarketRouterTest, ShardsMissingARequestedKindAreSkippedNotFatal) {
   bid.team = "t";
   bid.quantity = cluster::TaskShape{4.0, 16.0, 0.0};
   bid.limit = 100.0;
+  bid.home_shard = "cpu-only";
   for (const RoutingPolicy policy :
-       {RoutingPolicy::kCheapestPrice, RoutingPolicy::kSplit,
-        RoutingPolicy::kMirrored}) {
+       {RoutingPolicy::kHomeAffinity, RoutingPolicy::kCheapestPrice}) {
     RouterConfig config;
     config.policy = policy;
     config.spill_threshold = 100.0;
     MarketRouter router(config, views);
     const RoutingResult result = router.Route({bid});
-    ASSERT_FALSE(result.routed.empty()) << ToString(policy);
-    for (const RoutedBid& part : result.routed) {
-      EXPECT_EQ(part.shard, 1u) << ToString(policy);
-    }
+    ASSERT_EQ(result.routed.size(), 1u) << ToString(policy);
+    EXPECT_EQ(result.routed[0].shard, 1u) << ToString(policy);
   }
   // A kind no shard covers is recorded as unroutable, not fatal.
   FederatedBid impossible = bid;
@@ -496,7 +443,7 @@ TEST(MarketRouterTest, ShardsMissingARequestedKindAreSkippedNotFatal) {
   const RoutingResult none = only_cpu.Route({impossible});
   EXPECT_TRUE(none.routed.empty());
   ASSERT_EQ(none.decisions.size(), 1u);
-  EXPECT_TRUE(none.decisions[0].shards.empty());
+  EXPECT_FALSE(none.decisions[0].shard.has_value());
 }
 
 TEST(MarketRouterTest, UnroutableBidsAreRecordedWithoutParts) {
@@ -511,8 +458,8 @@ TEST(MarketRouterTest, UnroutableBidsAreRecordedWithoutParts) {
   const RoutingResult result = router.Route({zero_quantity, zero_limit});
   EXPECT_TRUE(result.routed.empty());
   ASSERT_EQ(result.decisions.size(), 2u);
-  EXPECT_TRUE(result.decisions[0].shards.empty());
-  EXPECT_TRUE(result.decisions[1].shards.empty());
+  EXPECT_FALSE(result.decisions[0].shard.has_value());
+  EXPECT_FALSE(result.decisions[1].shard.has_value());
 }
 
 // --------------------------------------------------------- reporting plane --

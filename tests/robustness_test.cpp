@@ -223,41 +223,14 @@ TEST(SupervisorTest, FailedShardBidsAreRerouted) {
   fed.InjectShardFailure(0);
   const FederationReport report = fed.RunEpoch();
 
-  // Every part of the bid died with its shard; the original federated
-  // bid went back in the queue for the next epoch's routing pass.
+  // The bid died with its shard; the original federated bid went back
+  // in the queue for the next epoch's routing pass.
   EXPECT_EQ(report.health.rerouted_bids, 1u);
-  EXPECT_EQ(report.health.refunded_bids, 0u);
   EXPECT_EQ(fed.PendingFederatedBids(), 1u);
 
   // Next epoch the bid routes and clears somewhere healthy.
   const FederationReport next = fed.RunEpoch();
   EXPECT_EQ(next.routed.size(), 1u);
-  EXPECT_EQ(fed.PendingFederatedBids(), 0u);
-}
-
-TEST(SupervisorTest, FailedSplitPartIsRefundedNotRerouted) {
-  // A split whose sibling parts survive must not re-buy: the failed part
-  // is counted refunded and nothing goes back in the queue, or the
-  // healthy parts' quantities would be bought twice.
-  FederationConfig config;
-  config.seed = 17;
-  config.supervisor.enabled = true;
-  config.router.policy = RoutingPolicy::kSplit;
-  config.router.spill_threshold = 1e9;  // Every viable shard is a candidate.
-  FederatedExchange fed(ThreeShards(), config);
-  fed.EndowFederatedTeam("globex", Money::FromDollars(50000));
-
-  fed.SubmitFederatedBid(SampleBid("globex", "region-0"));
-  fed.InjectShardFailure(1);
-  const FederationReport report = fed.RunEpoch();
-
-  ASSERT_EQ(report.routing.size(), 1u);
-  const std::vector<std::size_t>& parts = report.routing[0].shards;
-  ASSERT_GT(parts.size(), 1u);
-  ASSERT_NE(std::find(parts.begin(), parts.end(), 1u), parts.end());
-  EXPECT_EQ(report.health.failed_shards, 1u);
-  EXPECT_EQ(report.health.refunded_bids, 1u);
-  EXPECT_EQ(report.health.rerouted_bids, 0u);
   EXPECT_EQ(fed.PendingFederatedBids(), 0u);
 }
 

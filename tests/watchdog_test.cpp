@@ -381,6 +381,11 @@ std::string ReadGolden(const std::string& name) {
   return os.str();
 }
 
+// After an intended behaviour change, regenerate both golden files from
+// the build directory with
+//   ./example_scenario_runner --scenario outage-during-price-war --quiet \
+//       --metrics-out ../tests/golden/outage-during-price-war.metrics.json \
+//       --alerts-out ../tests/golden/outage-during-price-war.alerts.json
 TEST(WatchdogGoldenTest, OutageScenarioDocumentsAreByteStable) {
   // The exact artifacts the weekly CI run uploads, enforced on every
   // push: default seed, default epochs, any thread count.
