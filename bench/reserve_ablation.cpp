@@ -108,8 +108,9 @@ int main(int argc, char** argv) {
             p.footprint * p.growth_rate;
         pm::bid::Bid b;
         b.name = p.name;
+        const pm::PoolRegistry& registry = world.fleet.registry();
         b.bundles = {pm::agents::BundleForCluster(
-            world.fleet.registry(), p.home_cluster,
+            registry, *registry.FindCluster(p.home_cluster),
             pm::cluster::TaskShape{std::max(delta.cpu, 1.0),
                                    std::max(delta.ram_gb, 2.0),
                                    std::max(delta.disk_tb, 0.1)})};

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
+#include <tuple>
 
 #include "common/check.h"
 
@@ -19,43 +21,68 @@ cluster::TaskShape GrowthDelta(const TeamProfile& profile) {
   return delta;
 }
 
-/// Clusters sorted by believed cost of hosting `delta`, cheapest first.
-/// Cost is scaled by the placement-penalty factor, and chronically
-/// unplaceable clusters (penalty >= kPlacementPenaltyAvoid) are dropped;
-/// with no placement memory (the outcome_feedback-off path) every factor
-/// is exactly 1 and nothing is dropped, so the ranking is bit-identical
-/// to the price-only ordering.
-std::vector<std::string> ClustersByBelievedCost(
+/// The pool of `kind` in `cluster`, which must exist.
+PoolId RequirePool(const PoolRegistry& registry, std::size_t cluster,
+                   ResourceKind kind) {
+  const PoolId id = registry.PoolOf(cluster, kind);
+  PM_CHECK_MSG(id != kInvalidPool, "cluster '"
+                                       << registry.Clusters()[cluster]
+                                       << "' missing pool for kind "
+                                       << pm::ToString(kind));
+  return id;
+}
+
+/// Cluster index of the team's home cluster.
+std::size_t HomeCluster(const PoolRegistry& registry,
+                        const TeamProfile& profile) {
+  const auto home = registry.FindCluster(profile.home_cluster);
+  PM_CHECK_MSG(home.has_value(),
+               "home cluster '" << profile.home_cluster << "' has no pools");
+  return *home;
+}
+
+/// Cluster indices sorted by believed cost of hosting `delta`, cheapest
+/// first; equal costs break by cluster name, not by index. Cost is scaled
+/// by the placement-penalty factor, and chronically unplaceable clusters
+/// (penalty >= kPlacementPenaltyAvoid) are dropped; with no placement
+/// memory (the outcome_feedback-off path) every factor is exactly 1 and
+/// nothing is dropped, so the ranking is bit-identical to the price-only
+/// ordering.
+std::vector<std::size_t> ClustersByBelievedCost(
     const StrategyContext& ctx, const cluster::TaskShape& delta) {
   const PoolRegistry& registry = *ctx.view->registry;
-  std::vector<std::string> clusters = registry.Clusters();
-  std::vector<std::pair<double, std::string>> ranked;
-  ranked.reserve(clusters.size());
-  for (std::string& c : clusters) {
+  const std::vector<std::string>& names = registry.Clusters();
+  std::vector<std::pair<double, std::size_t>> ranked;
+  ranked.reserve(names.size());
+  for (std::size_t c = 0; c < names.size(); ++c) {
     const double penalty =
         ClusterPlacementPenalty(registry, ctx.placement_penalty, c);
     if (penalty >= kPlacementPenaltyAvoid) continue;
     const double cost =
         BelievedClusterCost(registry, *ctx.learner, c, delta) *
         (1.0 + kPlacementPenaltyWeight * penalty);
-    ranked.emplace_back(cost, std::move(c));
+    ranked.emplace_back(cost, c);
   }
-  std::sort(ranked.begin(), ranked.end());
-  clusters.clear();
-  for (auto& [cost, name] : ranked) clusters.push_back(std::move(name));
+  std::sort(ranked.begin(), ranked.end(),
+            [&](const auto& a, const auto& b) {
+              return std::tie(a.first, names[a.second]) <
+                     std::tie(b.first, names[b.second]);
+            });
+  std::vector<std::size_t> clusters;
+  clusters.reserve(ranked.size());
+  for (const auto& [cost, c] : ranked) clusters.push_back(c);
   return clusters;
 }
 
 /// Whether `delta` fits in the operator's free capacity of `cluster`
 /// (strategies avoid bidding into walls — proxies would just drop out).
-bool FitsFreeCapacity(const MarketView& view, const std::string& cluster,
+bool FitsFreeCapacity(const MarketView& view, std::size_t cluster,
                       const cluster::TaskShape& delta) {
-  const PoolRegistry& registry = *view.registry;
   for (ResourceKind kind : kAllResourceKinds) {
     if (delta.Of(kind) <= 0.0) continue;
-    const auto id = registry.Find(PoolKey{cluster, kind});
-    if (!id.has_value()) return false;
-    if (view.free_capacity[*id] < delta.Of(kind)) return false;
+    const PoolId id = view.registry->PoolOf(cluster, kind);
+    if (id == kInvalidPool) return false;
+    if (view.free_capacity[id] < delta.Of(kind)) return false;
   }
   return true;
 }
@@ -70,20 +97,20 @@ class TruthfulGrowthStrategy final : public Strategy {
     const TeamProfile& profile = *ctx.profile;
     const cluster::TaskShape delta = GrowthDelta(profile);
     const PoolRegistry& registry = *ctx.view->registry;
+    const std::size_t home = HomeCluster(registry, profile);
 
     // XOR over the home cluster and up to three believed-cheapest
     // alternatives that currently have room. Growth is a *new*
     // deployment, so unlike a relocation it carries only a small setup
     // penalty when placed away from home.
     std::vector<bid::Bundle> bundles;
-    bundles.push_back(BundleForCluster(registry, profile.home_cluster,
-                                       delta));
+    bundles.push_back(BundleForCluster(registry, home, delta));
     int alternatives = 0;
-    double cheapest_cost = BelievedClusterCost(
-        registry, *ctx.learner, profile.home_cluster, delta);
+    double cheapest_cost =
+        BelievedClusterCost(registry, *ctx.learner, home, delta);
     const double setup_penalty = 0.02 * profile.relocation_cost;
-    for (const std::string& c : ClustersByBelievedCost(ctx, delta)) {
-      if (c == profile.home_cluster) continue;
+    for (std::size_t c : ClustersByBelievedCost(ctx, delta)) {
+      if (c == home) continue;
       if (!FitsFreeCapacity(*ctx.view, c, delta)) continue;
       const double cost =
           BelievedClusterCost(registry, *ctx.learner, c, delta) +
@@ -121,11 +148,12 @@ class PremiumStickyStrategy final : public Strategy {
     const TeamProfile& profile = *ctx.profile;
     const cluster::TaskShape delta = GrowthDelta(profile);
     const PoolRegistry& registry = *ctx.view->registry;
+    const std::size_t home = HomeCluster(registry, profile);
 
     // Home cluster only: this team's engineering cost of moving is so
     // high it pays whatever the home pool asks.
-    const double believed = BelievedClusterCost(
-        registry, *ctx.learner, profile.home_cluster, delta);
+    const double believed =
+        BelievedClusterCost(registry, *ctx.learner, home, delta);
     const double markup = ctx.learner->Markup();
     // A sticky surcharge on top of the learning markup that never fully
     // decays — the persistent high-percentile bid outliers of Figure 7.
@@ -139,8 +167,7 @@ class PremiumStickyStrategy final : public Strategy {
 
     bid::Bid bid;
     bid.name = profile.name + "/grow-home";
-    bid.bundles = {
-        BundleForCluster(registry, profile.home_cluster, delta)};
+    bid.bundles = {BundleForCluster(registry, home, delta)};
     bid.limit = limit;
     return {std::move(bid)};
   }
@@ -160,13 +187,14 @@ class OpportunistMoverStrategy final : public Strategy {
     const cluster::TaskShape slice = profile.footprint * 0.5;
     if (slice.cpu < 1.0) return {};
 
-    const double home_value = BelievedClusterCost(
-        registry, *ctx.learner, profile.home_cluster, slice);
-    std::string best;
+    const std::size_t home = HomeCluster(registry, profile);
+    const double home_value =
+        BelievedClusterCost(registry, *ctx.learner, home, slice);
+    std::optional<std::size_t> best;
     double best_cost = std::numeric_limits<double>::infinity();
     double best_ranked = std::numeric_limits<double>::infinity();
-    for (const std::string& c : registry.Clusters()) {
-      if (c == profile.home_cluster) continue;
+    for (std::size_t c = 0; c < registry.Clusters().size(); ++c) {
+      if (c == home) continue;
       if (!FitsFreeCapacity(*ctx.view, c, slice)) continue;
       // Rank destinations with the placement-failure factor but keep the
       // raw believed cost for the relocation gate and the bid limit (a
@@ -184,7 +212,7 @@ class OpportunistMoverStrategy final : public Strategy {
         best = c;
       }
     }
-    if (best.empty()) return {};
+    if (!best.has_value()) return {};
     if (home_value - best_cost < profile.relocation_cost) {
       // The spread does not pay for the reconfiguration work; fall back
       // to growing like a truthful bidder would.
@@ -198,8 +226,7 @@ class OpportunistMoverStrategy final : public Strategy {
     // (the §V.C adaptation applies to asks as much as to bids).
     bid::Bid offer;
     offer.name = profile.name + "/vacate";
-    offer.bundles = {
-        -BundleForCluster(registry, profile.home_cluster, slice)};
+    offer.bundles = {-BundleForCluster(registry, home, slice)};
     offer.limit =
         -std::max(home_value * ctx.rng->Uniform(0.80, 0.95), 1.0);
     bids.push_back(std::move(offer));
@@ -207,10 +234,10 @@ class OpportunistMoverStrategy final : public Strategy {
     // Bid: rebuy in the cold cluster (with a couple of fallbacks).
     bid::Bid rebuy;
     rebuy.name = profile.name + "/relocate";
-    rebuy.bundles = {BundleForCluster(registry, best, slice)};
+    rebuy.bundles = {BundleForCluster(registry, *best, slice)};
     int alternatives = 0;
-    for (const std::string& c : ClustersByBelievedCost(ctx, slice)) {
-      if (c == profile.home_cluster || c == best) continue;
+    for (std::size_t c : ClustersByBelievedCost(ctx, slice)) {
+      if (c == home || c == *best) continue;
       if (!FitsFreeCapacity(*ctx.view, c, slice)) continue;
       rebuy.bundles.push_back(BundleForCluster(registry, c, slice));
       if (++alternatives >= 2) break;
@@ -232,14 +259,14 @@ class LowballSellerStrategy final : public Strategy {
   std::vector<bid::Bid> MakeBids(const StrategyContext& ctx) override {
     const TeamProfile& profile = *ctx.profile;
     const PoolRegistry& registry = *ctx.view->registry;
+    const std::size_t home = HomeCluster(registry, profile);
 
     // Selling only pays where capacity is scarce: when the home cluster
     // is not congested there is no premium to harvest, so sit out (the
     // paper's offers concentrate in overutilized clusters, Fig. 7).
-    const auto home_cpu =
-        registry.Find(PoolKey{profile.home_cluster, ResourceKind::kCpu});
-    if (home_cpu.has_value() &&
-        ctx.view->utilization[*home_cpu] < 0.45) {
+    const PoolId home_cpu = registry.PoolOf(home, ResourceKind::kCpu);
+    if (home_cpu != kInvalidPool &&
+        ctx.view->utilization[home_cpu] < 0.45) {
       return {};
     }
 
@@ -252,13 +279,12 @@ class LowballSellerStrategy final : public Strategy {
     if (slice.cpu < 1.0) return {};
     bid::Bid offer;
     offer.name = profile.name + "/shrink";
-    offer.bundles = {
-        -BundleForCluster(registry, profile.home_cluster, slice)};
+    offer.bundles = {-BundleForCluster(registry, home, slice)};
     if (ctx.rng->Bernoulli(0.4)) {
       offer.limit = -ctx.rng->Uniform(0.5, 2.0);  // Nearly free.
     } else {
-      const double believed = BelievedClusterCost(
-          registry, *ctx.learner, profile.home_cluster, slice);
+      const double believed =
+          BelievedClusterCost(registry, *ctx.learner, home, slice);
       offer.limit = -std::max(believed * ctx.rng->Uniform(0.75, 0.92),
                               1.0);
     }
@@ -349,13 +375,13 @@ class ArbitrageurStrategy final : public Strategy {
 
 double ClusterPlacementPenalty(const PoolRegistry& registry,
                                const std::vector<double>* penalty,
-                               const std::string& cluster) {
+                               std::size_t cluster) {
   if (penalty == nullptr || penalty->empty()) return 0.0;
   double worst = 0.0;
   for (ResourceKind kind : kAllResourceKinds) {
-    const auto id = registry.Find(PoolKey{cluster, kind});
-    if (!id.has_value() || *id >= penalty->size()) continue;
-    worst = std::max(worst, (*penalty)[*id]);
+    const PoolId id = registry.PoolOf(cluster, kind);
+    if (id == kInvalidPool || id >= penalty->size()) continue;
+    worst = std::max(worst, (*penalty)[id]);
   }
   return worst;
 }
@@ -365,34 +391,26 @@ bool IsArbitrageBidName(std::string_view bid_name) {
 }
 
 bid::Bundle BundleForCluster(const PoolRegistry& registry,
-                             const std::string& cluster,
+                             std::size_t cluster,
                              const cluster::TaskShape& delta) {
   std::vector<bid::BundleItem> items;
   for (ResourceKind kind : kAllResourceKinds) {
     const double qty = delta.Of(kind);
     if (qty == 0.0) continue;
-    const auto id = registry.Find(PoolKey{cluster, kind});
-    PM_CHECK_MSG(id.has_value(), "cluster '" << cluster
-                                             << "' missing pool for kind "
-                                             << pm::ToString(kind));
-    items.push_back(bid::BundleItem{*id, qty});
+    items.push_back(
+        bid::BundleItem{RequirePool(registry, cluster, kind), qty});
   }
   return bid::Bundle(std::move(items));
 }
 
 double BelievedClusterCost(const PoolRegistry& registry,
-                           const PriceLearner& learner,
-                           const std::string& cluster,
+                           const PriceLearner& learner, std::size_t cluster,
                            const cluster::TaskShape& delta) {
   double cost = 0.0;
   for (ResourceKind kind : kAllResourceKinds) {
     const double qty = delta.Of(kind);
     if (qty == 0.0) continue;
-    const auto id = registry.Find(PoolKey{cluster, kind});
-    PM_CHECK_MSG(id.has_value(), "cluster '" << cluster
-                                             << "' missing pool for kind "
-                                             << pm::ToString(kind));
-    cost += qty * learner.Belief(*id);
+    cost += qty * learner.Belief(RequirePool(registry, cluster, kind));
   }
   return cost;
 }

@@ -66,16 +66,16 @@ std::unique_ptr<Strategy> MakeStrategy(StrategyKind kind);
 bool IsArbitrageBidName(std::string_view bid_name);
 
 /// Helper shared by strategies and tests: the bundle a team of shape
-/// `delta` needs in `cluster` (one item per resource kind with nonzero
-/// demand), built against `registry`.
+/// `delta` needs in `cluster` (a cluster index of `registry`; one item
+/// per resource kind with nonzero demand).
 bid::Bundle BundleForCluster(const PoolRegistry& registry,
-                             const std::string& cluster,
+                             std::size_t cluster,
                              const cluster::TaskShape& delta);
 
-/// Helper: believed cost of placing `delta` in `cluster`.
+/// Helper: believed cost of placing `delta` in `cluster` (a cluster
+/// index of `registry`).
 double BelievedClusterCost(const PoolRegistry& registry,
-                           const PriceLearner& learner,
-                           const std::string& cluster,
+                           const PriceLearner& learner, std::size_t cluster,
                            const cluster::TaskShape& delta);
 
 /// Weight of the placement-failure memory in cluster ranking: candidate
@@ -95,6 +95,6 @@ inline constexpr double kPlacementPenaltyAvoid = 0.6;
 /// path, where every factor below multiplies by exactly 1).
 double ClusterPlacementPenalty(const PoolRegistry& registry,
                                const std::vector<double>* penalty,
-                               const std::string& cluster);
+                               std::size_t cluster);
 
 }  // namespace pm::agents

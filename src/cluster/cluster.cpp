@@ -9,6 +9,13 @@ namespace pm::cluster {
 Cluster::Cluster(std::string name, std::vector<Machine> machines)
     : name_(std::move(name)), machines_(std::move(machines)) {
   PM_CHECK_MSG(!name_.empty(), "cluster needs a name");
+  for (const Machine& m : machines_) capacity_ += m.capacity();
+  SumUsed();
+}
+
+void Cluster::SumUsed() {
+  used_ = TaskShape{};
+  for (const Machine& m : machines_) used_ += m.used();
 }
 
 Cluster Cluster::Homogeneous(std::string name, int num_machines,
@@ -29,9 +36,11 @@ bool Cluster::AddJob(const Job& job, PlacementPolicy policy) {
       PlaceTasks(machines_, job.shape, job.tasks, policy);
   if (!placement.Complete()) {
     UndoPlacement(machines_, job.shape, placement);
+    SumUsed();  // Place-then-undo need not restore usage bit-exactly.
     return false;
   }
   jobs_.emplace(job.id, PlacedJob{job, std::move(placement), next_order_++});
+  SumUsed();
   return true;
 }
 
@@ -41,6 +50,7 @@ std::optional<Job> Cluster::RemoveJob(JobId id) {
   UndoPlacement(machines_, it->second.job.shape, it->second.placement);
   Job job = std::move(it->second.job);
   jobs_.erase(it);
+  SumUsed();
   return job;
 }
 
@@ -76,18 +86,6 @@ const Job* Cluster::FindJob(JobId id) const {
   return it == jobs_.end() ? nullptr : &it->second.job;
 }
 
-double Cluster::Capacity(ResourceKind kind) const {
-  double total = 0.0;
-  for (const Machine& m : machines_) total += m.capacity().Of(kind);
-  return total;
-}
-
-double Cluster::Used(ResourceKind kind) const {
-  double total = 0.0;
-  for (const Machine& m : machines_) total += m.used().Of(kind);
-  return total;
-}
-
 double Cluster::Utilization(ResourceKind kind) const {
   const double cap = Capacity(kind);
   if (cap <= 0.0) return 0.0;
@@ -100,10 +98,6 @@ double Cluster::MaxUtilization() const {
     u = std::max(u, Utilization(kind));
   }
   return u;
-}
-
-double Cluster::Free(ResourceKind kind) const {
-  return Capacity(kind) - Used(kind);
 }
 
 std::vector<Cluster::PlacedJobRecord> Cluster::ExportJobs() const {

@@ -54,10 +54,10 @@ class Cluster {
   const Job* FindJob(JobId id) const;
 
   /// Total capacity across machines for a resource kind.
-  double Capacity(ResourceKind kind) const;
+  double Capacity(ResourceKind kind) const { return capacity_.Of(kind); }
 
   /// Total usage across machines for a resource kind.
-  double Used(ResourceKind kind) const;
+  double Used(ResourceKind kind) const { return used_.Of(kind); }
 
   /// ψ for one dimension: Used/Capacity in [0, 1] (0 when no capacity).
   double Utilization(ResourceKind kind) const;
@@ -66,7 +66,9 @@ class Cluster {
   double MaxUtilization() const;
 
   /// Headroom: capacity − used per dimension.
-  double Free(ResourceKind kind) const;
+  double Free(ResourceKind kind) const {
+    return Capacity(kind) - Used(kind);
+  }
 
   /// Would `job` fit right now (non-mutating check)?
   bool CanFit(const Job& job, PlacementPolicy policy) const;
@@ -94,8 +96,15 @@ class Cluster {
     std::size_t order;  // Insertion order for deterministic iteration.
   };
 
+  /// Re-sums used_ over machines_ in machine order — the order a fresh
+  /// per-kind sum takes, so the cached total is bit-identical to one.
+  /// Totals are never updated incrementally: x + a − a need not be x.
+  void SumUsed();
+
   std::string name_;
   std::vector<Machine> machines_;
+  TaskShape capacity_;  // Summed once: machine capacities never change.
+  TaskShape used_;      // Re-summed after every placement change.
   std::unordered_map<JobId, PlacedJob> jobs_;
   std::size_t next_order_ = 0;
 };

@@ -6,6 +6,25 @@
 #include "stats/descriptive.h"
 
 namespace pm::cluster {
+namespace {
+
+/// Dense per-pool vector of `value(cluster, kind)` over the live
+/// clusters; pools of extracted clusters read 0.
+template <typename F>
+std::vector<double> PerPool(const std::vector<Cluster>& clusters,
+                            const PoolRegistry& registry, F value) {
+  std::vector<double> v(registry.size(), 0.0);
+  for (const Cluster& c : clusters) {
+    const auto index = registry.FindCluster(c.name());
+    PM_CHECK(index.has_value());
+    for (ResourceKind kind : kAllResourceKinds) {
+      v[registry.PoolOf(*index, kind)] = value(c, kind);
+    }
+  }
+  return v;
+}
+
+}  // namespace
 
 Fleet::Fleet(std::vector<Cluster> clusters, TaskShape unit_costs,
              PlacementPolicy policy)
@@ -43,12 +62,21 @@ Fleet Fleet::FromState(std::vector<Cluster> clusters,
     PM_CHECK_MSG(id == i, "duplicate pool in saved interning order: "
                               << ToString(pool_order[i]));
   }
+  // Every live cluster has all its pools, and no two share a name
+  // (ClusterByName would only ever see the first).
+  const PoolRegistry& registry = fleet.registry_;
+  std::vector<bool> live(registry.Clusters().size(), false);
   for (const Cluster& c : fleet.clusters_) {
+    const auto index = registry.FindCluster(c.name());
     for (ResourceKind kind : kAllResourceKinds) {
-      PM_CHECK_MSG(fleet.registry_.Find(PoolKey{c.name(), kind}).has_value(),
+      PM_CHECK_MSG(index.has_value() &&
+                       registry.PoolOf(*index, kind) != kInvalidPool,
                    "restored cluster '" << c.name()
                                         << "' missing from pool order");
     }
+    PM_CHECK_MSG(!live[*index],
+                 "duplicate restored cluster name '" << c.name() << "'");
+    live[*index] = true;
   }
   return fleet;
 }
@@ -82,27 +110,17 @@ bool Fleet::HasCluster(const std::string& name) const {
 }
 
 std::vector<double> Fleet::CapacityVector() const {
-  std::vector<double> v(registry_.size(), 0.0);
-  for (const Cluster& c : clusters_) {
-    for (ResourceKind kind : kAllResourceKinds) {
-      const auto id = registry_.Find(PoolKey{c.name(), kind});
-      PM_CHECK(id.has_value());
-      v[*id] = c.Capacity(kind);
-    }
-  }
-  return v;
+  return PerPool(clusters_, registry_,
+                 [](const Cluster& c, ResourceKind kind) {
+                   return c.Capacity(kind);
+                 });
 }
 
 std::vector<double> Fleet::UsedVector() const {
-  std::vector<double> v(registry_.size(), 0.0);
-  for (const Cluster& c : clusters_) {
-    for (ResourceKind kind : kAllResourceKinds) {
-      const auto id = registry_.Find(PoolKey{c.name(), kind});
-      PM_CHECK(id.has_value());
-      v[*id] = c.Used(kind);
-    }
-  }
-  return v;
+  return PerPool(clusters_, registry_,
+                 [](const Cluster& c, ResourceKind kind) {
+                   return c.Used(kind);
+                 });
 }
 
 std::vector<double> Fleet::FreeVector() const {
@@ -115,15 +133,10 @@ std::vector<double> Fleet::FreeVector() const {
 }
 
 std::vector<double> Fleet::UtilizationVector() const {
-  std::vector<double> v(registry_.size(), 0.0);
-  for (const Cluster& c : clusters_) {
-    for (ResourceKind kind : kAllResourceKinds) {
-      const auto id = registry_.Find(PoolKey{c.name(), kind});
-      PM_CHECK(id.has_value());
-      v[*id] = c.Utilization(kind);
-    }
-  }
-  return v;
+  return PerPool(clusters_, registry_,
+                 [](const Cluster& c, ResourceKind kind) {
+                   return c.Utilization(kind);
+                 });
 }
 
 std::vector<double> Fleet::CostVector() const {
@@ -223,14 +236,8 @@ double Fleet::UtilizationPercentile(const std::string& cluster,
                                     ResourceKind kind) const {
   std::vector<double> utils;
   utils.reserve(clusters_.size());
-  double target = 0.0;
-  for (const Cluster& c : clusters_) {
-    const double u = c.Utilization(kind);
-    utils.push_back(u);
-    if (c.name() == cluster) target = u;
-  }
-  PM_CHECK_MSG(HasCluster(cluster), "unknown cluster '" << cluster << "'");
-  return stats::PercentileRank(utils, target);
+  for (const Cluster& c : clusters_) utils.push_back(c.Utilization(kind));
+  return stats::PercentileRank(utils, utils[IndexOf(cluster)]);
 }
 
 }  // namespace pm::cluster

@@ -1,8 +1,5 @@
 #include "common/types.h"
 
-#include <algorithm>
-#include <functional>
-
 #include "common/check.h"
 
 namespace pm {
@@ -45,27 +42,36 @@ std::string ToString(const PoolKey& key) {
   return out;
 }
 
-std::size_t PoolRegistry::KeyHash::operator()(
-    const PoolKey& k) const noexcept {
-  std::size_t h = std::hash<std::string>{}(k.cluster);
-  // Boost-style hash combine with the kind.
-  h ^= std::hash<int>{}(static_cast<int>(k.kind)) + 0x9e3779b97f4a7c15ULL +
-       (h << 6) + (h >> 2);
-  return h;
-}
-
 PoolId PoolRegistry::Intern(const PoolKey& key) {
-  auto it = index_.find(key);
-  if (it != index_.end()) return it->second;
-  const PoolId id = static_cast<PoolId>(keys_.size());
-  keys_.push_back(key);
-  index_.emplace(key, id);
+  const auto kind = static_cast<std::size_t>(key.kind);
+  PM_CHECK_MSG(kind < kNumResourceKinds, "unknown resource kind " << kind);
+  auto [it, added] =
+      cluster_index_.try_emplace(key.cluster, clusters_.size());
+  if (added) {
+    clusters_.push_back(key.cluster);
+    cluster_pools_.emplace_back();
+    cluster_pools_.back().fill(kInvalidPool);
+  }
+  PoolId& id = cluster_pools_[it->second][kind];
+  if (id == kInvalidPool) {
+    id = static_cast<PoolId>(keys_.size());
+    keys_.push_back(key);
+  }
   return id;
 }
 
 std::optional<PoolId> PoolRegistry::Find(const PoolKey& key) const {
-  auto it = index_.find(key);
-  if (it == index_.end()) return std::nullopt;
+  const auto cluster = FindCluster(key.cluster);
+  if (!cluster.has_value()) return std::nullopt;
+  const PoolId id = PoolOf(*cluster, key.kind);
+  if (id == kInvalidPool) return std::nullopt;
+  return id;
+}
+
+std::optional<std::size_t> PoolRegistry::FindCluster(
+    const std::string& cluster) const {
+  auto it = cluster_index_.find(cluster);
+  if (it == cluster_index_.end()) return std::nullopt;
   return it->second;
 }
 
@@ -75,29 +81,10 @@ const PoolKey& PoolRegistry::KeyOf(PoolId id) const {
   return keys_[id];
 }
 
-std::vector<PoolId> PoolRegistry::PoolsInCluster(
-    std::string_view cluster) const {
-  std::vector<PoolId> out;
-  for (PoolId id = 0; id < keys_.size(); ++id) {
-    if (keys_[id].cluster == cluster) out.push_back(id);
-  }
-  return out;
-}
-
 std::vector<PoolId> PoolRegistry::PoolsOfKind(ResourceKind kind) const {
   std::vector<PoolId> out;
   for (PoolId id = 0; id < keys_.size(); ++id) {
     if (keys_[id].kind == kind) out.push_back(id);
-  }
-  return out;
-}
-
-std::vector<std::string> PoolRegistry::Clusters() const {
-  std::vector<std::string> out;
-  for (const PoolKey& key : keys_) {
-    if (std::find(out.begin(), out.end(), key.cluster) == out.end()) {
-      out.push_back(key.cluster);
-    }
   }
   return out;
 }

@@ -8,6 +8,7 @@
 // stored as flat vectors indexed by PoolId.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -76,6 +77,12 @@ std::string ToString(const PoolKey& key);
 /// stable for the lifetime of a market. All per-pool state elsewhere in the
 /// library (prices, supply, utilization, …) is a std::vector<double> of
 /// length size() indexed by PoolId.
+///
+/// Clusters get dense indices too: the position of a cluster's name in
+/// Clusters(), in first-interned order. Intern keeps a per-cluster table
+/// of pool ids beside it, so hot paths (bid generation, routing) walk
+/// cluster indices and read pool ids with PoolOf instead of hashing
+/// (cluster, kind) keys.
 class PoolRegistry {
  public:
   PoolRegistry() = default;
@@ -102,22 +109,29 @@ class PoolRegistry {
 
   bool empty() const { return keys_.empty(); }
 
-  /// All ids whose pool lives in `cluster`, in interning order.
-  std::vector<PoolId> PoolsInCluster(std::string_view cluster) const;
-
   /// All ids of a given resource kind, in interning order.
   std::vector<PoolId> PoolsOfKind(ResourceKind kind) const;
 
-  /// Distinct cluster names, in first-interned order.
-  std::vector<std::string> Clusters() const;
+  /// Distinct cluster names, in first-interned order; a name's position
+  /// is its cluster index.
+  const std::vector<std::string>& Clusters() const { return clusters_; }
+
+  /// Cluster index of `cluster`, if any of its pools is interned.
+  std::optional<std::size_t> FindCluster(const std::string& cluster) const;
+
+  /// Pool of `kind` in the cluster at index `cluster`, or kInvalidPool
+  /// when that kind was never interned there (a TBBL leaf such as
+  /// "cpu@x" interns one kind alone). Precondition:
+  /// cluster < Clusters().size().
+  PoolId PoolOf(std::size_t cluster, ResourceKind kind) const {
+    return cluster_pools_[cluster][static_cast<std::size_t>(kind)];
+  }
 
  private:
-  struct KeyHash {
-    std::size_t operator()(const PoolKey& k) const noexcept;
-  };
-
   std::vector<PoolKey> keys_;
-  std::unordered_map<PoolKey, PoolId, KeyHash> index_;
+  std::vector<std::string> clusters_;
+  std::unordered_map<std::string, std::size_t> cluster_index_;
+  std::vector<std::array<PoolId, kNumResourceKinds>> cluster_pools_;
 };
 
 }  // namespace pm

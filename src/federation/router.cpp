@@ -62,23 +62,24 @@ ShardQuote MarketRouter::Quote(std::size_t shard,
           : config_.degraded_heat_penalty;
   bool have_best = false;
   bool best_feasible = false;
-  for (const std::string& cluster : view.registry->Clusters()) {
+  const std::vector<std::string>& clusters = view.registry->Clusters();
+  for (std::size_t c = 0; c < clusters.size(); ++c) {
     ShardQuote quote;
     quote.viable = true;
-    quote.cluster = cluster;
+    quote.cluster = clusters[c];
     quote.fit = kInf;
     bool usable = true;
     for (ResourceKind kind : kAllResourceKinds) {
       const double qty = quantity.Of(kind);
       if (qty <= 0.0) continue;
-      const auto pool = view.registry->Find(PoolKey{cluster, kind});
-      if (!pool.has_value()) {
+      const PoolId pool = view.registry->PoolOf(c, kind);
+      if (pool == kInvalidPool) {
         usable = false;
         break;
       }
-      quote.reserve_cost += view.reserve_prices[*pool] * qty;
-      quote.fixed_cost += view.fixed_prices[*pool] * qty;
-      quote.fit = std::min(quote.fit, view.free_capacity[*pool] / qty);
+      quote.reserve_cost += view.reserve_prices[pool] * qty;
+      quote.fixed_cost += view.fixed_prices[pool] * qty;
+      quote.fit = std::min(quote.fit, view.free_capacity[pool] / qty);
     }
     if (!usable) continue;
     if (quote.fit == kInf) quote.fit = 0.0;  // Nothing was requested.

@@ -5,6 +5,7 @@
 #include "agents/strategy.h"
 #include "agents/team.h"
 #include "agents/workload_gen.h"
+#include "bid/tbbl_flatten.h"
 #include "common/check.h"
 
 namespace pm::agents {
@@ -77,6 +78,10 @@ struct StrategyFixture {
     free_capacity = {50, 200, 25, 500, 2000, 250, 900, 3600, 450};
   }
 
+  std::size_t Index(const std::string& cluster) const {
+    return *registry.FindCluster(cluster);
+  }
+
   MarketView View(double budget = 1e6) const {
     MarketView view;
     view.registry = &registry;
@@ -103,7 +108,7 @@ struct StrategyFixture {
 
 TEST(StrategyHelperTest, BundleForClusterMapsKinds) {
   StrategyFixture fx;
-  const bid::Bundle b = BundleForCluster(fx.registry, "mid",
+  const bid::Bundle b = BundleForCluster(fx.registry, fx.Index("mid"),
                                          {4.0, 16.0, 2.0});
   EXPECT_EQ(b.Size(), 3u);
   const auto cpu = fx.registry.Find(PoolKey{"mid", ResourceKind::kCpu});
@@ -113,16 +118,74 @@ TEST(StrategyHelperTest, BundleForClusterMapsKinds) {
 TEST(StrategyHelperTest, BundleSkipsZeroComponents) {
   StrategyFixture fx;
   const bid::Bundle b =
-      BundleForCluster(fx.registry, "mid", {4.0, 0.0, 0.0});
+      BundleForCluster(fx.registry, fx.Index("mid"), {4.0, 0.0, 0.0});
   EXPECT_EQ(b.Size(), 1u);
 }
 
 TEST(StrategyHelperTest, BelievedClusterCostUsesBeliefs) {
   StrategyFixture fx;
   PriceLearner learner(fx.reserve, 0.5, 0.0, 1.0);
-  const double cost = BelievedClusterCost(fx.registry, learner, "cold",
-                                          {10.0, 0.0, 0.0});
+  const double cost = BelievedClusterCost(
+      fx.registry, learner, fx.Index("cold"), {10.0, 0.0, 0.0});
   EXPECT_DOUBLE_EQ(cost, 50.0);
+}
+
+TEST(StrategyHelperTest, TbblOneKindClusterReadsInvalidPools) {
+  // A TBBL leaf interns one kind of a cluster alone; the registry table
+  // marks the other kinds invalid and bundles needing them still throw.
+  PoolRegistry registry;
+  const bid::FlattenOutcome out =
+      bid::CompileBids(R"(bid "t" limit 10 { cpu@x: 5 })", registry);
+  ASSERT_TRUE(out.ok()) << out.error;
+  const auto x = registry.FindCluster("x");
+  ASSERT_TRUE(x.has_value());
+  EXPECT_EQ(registry.PoolOf(*x, ResourceKind::kCpu), 0u);
+  EXPECT_EQ(registry.PoolOf(*x, ResourceKind::kRam), kInvalidPool);
+  EXPECT_EQ(registry.PoolOf(*x, ResourceKind::kDisk), kInvalidPool);
+  EXPECT_EQ(BundleForCluster(registry, *x, {5.0, 0.0, 0.0}).Size(), 1u);
+  try {
+    BundleForCluster(registry, *x, {5.0, 2.0, 0.0});
+    ADD_FAILURE() << "expected a missing-pool failure";
+  } catch (const CheckFailure& e) {
+    EXPECT_NE(std::string(e.what()).find("missing pool for kind ram"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(StrategyTest, GrowthAlternativesTieBreakByClusterName) {
+  // "zeta" and "alpha" carry identical beliefs and room; "zeta" is
+  // interned first, yet the cheaper-alternative order is by name.
+  PoolRegistry registry;
+  for (const char* name : {"home", "zeta", "alpha"}) {
+    for (ResourceKind kind : kAllResourceKinds) {
+      registry.Intern(name, kind);
+    }
+  }
+  const std::vector<double> reserve = {20.0, 3.0,  1.6, 5.0, 0.75,
+                                       0.4,  5.0, 0.75, 0.4};
+  const std::vector<double> utilization(registry.size(), 0.5);
+  const std::vector<double> free_capacity = {50,  200,  25,  900, 3600,
+                                             450, 900, 3600, 450};
+  MarketView view;
+  view.registry = &registry;
+  view.reserve_prices = reserve;
+  view.utilization = utilization;
+  view.free_capacity = free_capacity;
+  view.budget = 1e6;
+  TeamProfile profile = StrategyFixture().Profile(
+      StrategyKind::kTruthfulGrowth);
+  profile.home_cluster = "home";
+  TeamAgent agent(profile, reserve, 1);
+  const auto bids = agent.MakeBids(view);
+  ASSERT_EQ(bids.size(), 1u);
+  ASSERT_EQ(bids[0].bundles.size(), 3u);
+  const auto cpu = [&](const char* name) {
+    return *registry.Find(PoolKey{name, ResourceKind::kCpu});
+  };
+  EXPECT_GT(bids[0].bundles[0].QuantityOf(cpu("home")), 0.0);
+  EXPECT_GT(bids[0].bundles[1].QuantityOf(cpu("alpha")), 0.0);
+  EXPECT_GT(bids[0].bundles[2].QuantityOf(cpu("zeta")), 0.0);
 }
 
 TEST(StrategyTest, TruthfulGrowthOffersAlternatives) {
@@ -157,7 +220,7 @@ TEST(StrategyTest, PremiumStickyStaysHome) {
   // Pays a hefty premium over believed cost.
   PriceLearner fresh(fx.reserve, 0.5, 0.6, 0.35);
   const double believed = BelievedClusterCost(
-      fx.registry, fresh, "hot",
+      fx.registry, fresh, fx.Index("hot"),
       {4.0, 16.0, 2.0});
   EXPECT_GT(bids[0].limit, believed);
 }
@@ -287,15 +350,15 @@ TEST(StrategyHelperTest, ClusterPlacementPenaltyTakesWorstKind) {
   StrategyFixture fx;
   std::vector<double> penalty(fx.registry.size(), 0.0);
   penalty[7] = 0.8;  // cold/ram.
+  const std::size_t cold = fx.Index("cold");
+  EXPECT_DOUBLE_EQ(ClusterPlacementPenalty(fx.registry, &penalty, cold),
+                   0.8);
   EXPECT_DOUBLE_EQ(
-      ClusterPlacementPenalty(fx.registry, &penalty, "cold"), 0.8);
-  EXPECT_DOUBLE_EQ(ClusterPlacementPenalty(fx.registry, &penalty, "mid"),
-                   0.0);
-  EXPECT_DOUBLE_EQ(ClusterPlacementPenalty(fx.registry, nullptr, "cold"),
+      ClusterPlacementPenalty(fx.registry, &penalty, fx.Index("mid")), 0.0);
+  EXPECT_DOUBLE_EQ(ClusterPlacementPenalty(fx.registry, nullptr, cold),
                    0.0);
   const std::vector<double> empty;
-  EXPECT_DOUBLE_EQ(ClusterPlacementPenalty(fx.registry, &empty, "cold"),
-                   0.0);
+  EXPECT_DOUBLE_EQ(ClusterPlacementPenalty(fx.registry, &empty, cold), 0.0);
 }
 
 TEST(PlacementPenaltyTest, DistrustedClusterDropsOutOfGrowthBids) {

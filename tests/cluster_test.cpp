@@ -1,8 +1,12 @@
 // Tests for pm::cluster: machines, placement policies, clusters, fleet.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+
 #include "cluster/fleet.h"
 #include "common/check.h"
+#include "exchange/market.h"
 
 namespace pm::cluster {
 namespace {
@@ -220,6 +224,77 @@ TEST(ClusterTest, CanFitDoesNotMutate) {
   EXPECT_EQ(c.Used(ResourceKind::kCpu), 0.0);
 }
 
+/// Every cluster's cached totals equal a fresh machine-order sum, exactly.
+void ExpectTotalsEqualMachineSums(const Fleet& fleet) {
+  for (const std::string& name : fleet.ClusterNames()) {
+    const Cluster& c = fleet.ClusterByName(name);
+    for (ResourceKind kind : kAllResourceKinds) {
+      double capacity = 0.0;
+      double used = 0.0;
+      for (const Machine& m : c.machines()) {
+        capacity += m.capacity().Of(kind);
+        used += m.used().Of(kind);
+      }
+      EXPECT_EQ(c.Capacity(kind), capacity) << name;
+      EXPECT_EQ(c.Used(kind), used) << name;
+    }
+  }
+}
+
+TEST(ClusterTest, CachedTotalsEqualMachineSums) {
+  // Fractional shapes on mixed machines, so float sums are not exact and
+  // an incrementally maintained total would drift from the machine sum.
+  std::vector<Cluster> clusters;
+  for (const char* name : {"x", "y", "z"}) {
+    std::vector<Machine> machines;
+    for (int m = 0; m < 5; ++m) {
+      machines.emplace_back(TaskShape{7.3 + m * 1.1, 29.7 + m, 3.3 + m});
+    }
+    clusters.emplace_back(name, std::move(machines));
+  }
+  Fleet fleet(std::move(clusters), TaskShape{10.0, 1.5, 0.8});
+  std::vector<agents::TeamAgent> no_agents;
+  exchange::Market market(&fleet, &no_agents, fleet.CostVector(),
+                          exchange::MarketConfig{});
+  const std::vector<std::string> names = fleet.ClusterNames();
+  std::mt19937_64 rng(20090425);
+  std::vector<JobId> live;
+  JobId next_id = 1;
+  int failed_adds = 0, reverted_moves = 0;
+  for (int step = 0; step < 400; ++step) {
+    if (step == 200) {
+      market.Restore(market.Snapshot());
+      ExpectTotalsEqualMachineSums(fleet);
+    }
+    const std::string& cluster = names[rng() % names.size()];
+    const int op = static_cast<int>(rng() % 4);
+    if (op <= 1 || live.empty()) {
+      Job job;
+      job.id = next_id++;
+      job.team = "t";
+      job.shape = {0.1 + 0.37 * static_cast<double>(rng() % 9),
+                   0.3 + 1.13 * static_cast<double>(rng() % 9),
+                   0.07 * static_cast<double>(1 + rng() % 9)};
+      job.tasks = 1 + static_cast<int>(rng() % 6);
+      if (fleet.AddJob(cluster, job)) {
+        live.push_back(job.id);
+      } else {
+        ++failed_adds;
+      }
+    } else if (op == 2) {
+      const std::size_t pick = rng() % live.size();
+      ASSERT_TRUE(fleet.RemoveJob(live[pick]).has_value());
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
+    } else if (!fleet.MoveJob(live[rng() % live.size()], cluster)) {
+      ++reverted_moves;
+    }
+    ExpectTotalsEqualMachineSums(fleet);
+  }
+  // The sequence must exercise the undo paths, not just clean placements.
+  EXPECT_GT(failed_adds, 0);
+  EXPECT_GT(reverted_moves, 0);
+}
+
 // ------------------------------------------------------------------ fleet --
 
 Fleet MakeFleet() {
@@ -243,6 +318,89 @@ TEST(FleetTest, DuplicateClusterNamesThrow) {
   clusters.push_back(Cluster::Homogeneous("x", 1, kMachine));
   EXPECT_THROW(Fleet(std::move(clusters), TaskShape{1, 1, 1}),
                CheckFailure);
+}
+
+TEST(FleetTest, FromStateRejectsDuplicateClusterNames) {
+  std::vector<Cluster> clusters;
+  clusters.push_back(Cluster::Homogeneous("x", 1, kMachine));
+  clusters.push_back(Cluster::Homogeneous("x", 1, kMachine));
+  const std::vector<PoolKey> order = {{"x", ResourceKind::kCpu},
+                                      {"x", ResourceKind::kRam},
+                                      {"x", ResourceKind::kDisk}};
+  EXPECT_THROW(Fleet::FromState(std::move(clusters), order,
+                                TaskShape{1, 1, 1},
+                                PlacementPolicy::kBestFit),
+               CheckFailure);
+}
+
+/// The registry's cluster table agrees with its interned keys: clusters
+/// in first-intern order, and every pool reachable through PoolOf.
+void ExpectTableMatchesKeys(const PoolRegistry& registry) {
+  std::vector<std::string> first_seen;
+  for (PoolId id = 0; id < registry.size(); ++id) {
+    const PoolKey& key = registry.KeyOf(id);
+    if (std::find(first_seen.begin(), first_seen.end(), key.cluster) ==
+        first_seen.end()) {
+      first_seen.push_back(key.cluster);
+    }
+    const auto cluster = registry.FindCluster(key.cluster);
+    ASSERT_TRUE(cluster.has_value()) << key.cluster;
+    EXPECT_EQ(registry.PoolOf(*cluster, key.kind), id);
+  }
+  EXPECT_EQ(registry.Clusters(), first_seen);
+}
+
+TEST(FleetTest, RegistryTableAfterConstruction) {
+  const Fleet fleet = MakeFleet();
+  const PoolRegistry& registry = fleet.registry();
+  ExpectTableMatchesKeys(registry);
+  EXPECT_EQ(registry.Clusters(), (std::vector<std::string>{"a", "b"}));
+  EXPECT_EQ(registry.PoolOf(1, ResourceKind::kCpu), 3u);
+}
+
+TEST(FleetTest, RegistryTableAfterFromState) {
+  // Pools interleaved across clusters, and "gone" migrated away: its
+  // pools outlive it and read zero capacity.
+  std::vector<Cluster> clusters;
+  clusters.push_back(Cluster::Homogeneous("b", 1, kMachine));
+  clusters.push_back(Cluster::Homogeneous("a", 2, kMachine));
+  const std::vector<PoolKey> order = {
+      {"a", ResourceKind::kCpu},    {"gone", ResourceKind::kRam},
+      {"b", ResourceKind::kCpu},    {"a", ResourceKind::kRam},
+      {"gone", ResourceKind::kCpu}, {"b", ResourceKind::kRam},
+      {"a", ResourceKind::kDisk},   {"b", ResourceKind::kDisk},
+      {"gone", ResourceKind::kDisk}};
+  const Fleet fleet = Fleet::FromState(std::move(clusters), order,
+                                       TaskShape{1, 1, 1},
+                                       PlacementPolicy::kBestFit);
+  const PoolRegistry& registry = fleet.registry();
+  ExpectTableMatchesKeys(registry);
+  EXPECT_EQ(registry.Clusters(),
+            (std::vector<std::string>{"a", "gone", "b"}));
+  EXPECT_EQ(registry.PoolOf(0, ResourceKind::kRam), 3u);
+  EXPECT_EQ(registry.PoolOf(2, ResourceKind::kDisk), 7u);
+  const std::vector<double> capacity = fleet.CapacityVector();
+  EXPECT_EQ(capacity[registry.PoolOf(0, ResourceKind::kCpu)], 32.0);
+  EXPECT_EQ(capacity[registry.PoolOf(2, ResourceKind::kCpu)], 16.0);
+  for (ResourceKind kind : kAllResourceKinds) {
+    EXPECT_EQ(capacity[registry.PoolOf(1, kind)], 0.0);
+  }
+}
+
+TEST(FleetTest, RegistryTableAfterAdoptCluster) {
+  Fleet fleet = MakeFleet();
+  Cluster a = fleet.ExtractCluster("a");
+  fleet.AdoptCluster(Cluster::Homogeneous("c", 1, kMachine));
+  const PoolRegistry& registry = fleet.registry();
+  ExpectTableMatchesKeys(registry);
+  EXPECT_EQ(registry.Clusters(), (std::vector<std::string>{"a", "b", "c"}));
+  EXPECT_EQ(registry.PoolOf(2, ResourceKind::kCpu), 6u);
+  // Re-adopting a cluster that lived here keeps its original pools.
+  fleet.AdoptCluster(std::move(a));
+  ExpectTableMatchesKeys(registry);
+  EXPECT_EQ(registry.size(), 9u);
+  EXPECT_EQ(registry.PoolOf(0, ResourceKind::kDisk), 2u);
+  EXPECT_EQ(fleet.CapacityVector()[2], 16.0);
 }
 
 TEST(FleetTest, VectorsAreConsistent) {

@@ -101,14 +101,34 @@ TEST(PoolRegistryTest, KeyOfOutOfRangeThrows) {
   EXPECT_THROW(reg.KeyOf(0), CheckFailure);
 }
 
-TEST(PoolRegistryTest, PoolsInClusterAndOfKind) {
+TEST(PoolRegistryTest, ClusterTableAndPoolsOfKind) {
   PoolRegistry reg;
   for (const char* cl : {"a", "b"}) {
     for (ResourceKind kind : kAllResourceKinds) reg.Intern(cl, kind);
   }
-  EXPECT_EQ(reg.PoolsInCluster("a").size(), 3u);
   EXPECT_EQ(reg.PoolsOfKind(ResourceKind::kCpu).size(), 2u);
   EXPECT_EQ(reg.Clusters(), (std::vector<std::string>{"a", "b"}));
+  EXPECT_EQ(reg.FindCluster("b"), std::optional<std::size_t>{1});
+  EXPECT_FALSE(reg.FindCluster("c").has_value());
+  EXPECT_EQ(reg.PoolOf(0, ResourceKind::kDisk), 2u);
+  EXPECT_EQ(reg.PoolOf(1, ResourceKind::kCpu), 3u);
+}
+
+TEST(PoolRegistryTest, ClusterTableMarksKindsNeverInterned) {
+  PoolRegistry reg;
+  reg.Intern("b", ResourceKind::kRam);
+  reg.Intern("a", ResourceKind::kCpu);
+  reg.Intern("b", ResourceKind::kCpu);
+  // Clusters keep first-intern order, not name order.
+  EXPECT_EQ(reg.Clusters(), (std::vector<std::string>{"b", "a"}));
+  EXPECT_EQ(reg.PoolOf(0, ResourceKind::kRam), 0u);
+  EXPECT_EQ(reg.PoolOf(0, ResourceKind::kCpu), 2u);
+  EXPECT_EQ(reg.PoolOf(0, ResourceKind::kDisk), kInvalidPool);
+  EXPECT_EQ(reg.PoolOf(1, ResourceKind::kCpu), 1u);
+  EXPECT_EQ(reg.PoolOf(1, ResourceKind::kRam), kInvalidPool);
+  EXPECT_FALSE(reg.Find(PoolKey{"a", ResourceKind::kRam}).has_value());
+  EXPECT_THROW(reg.Intern("a", static_cast<ResourceKind>(7)), CheckFailure);
+  EXPECT_EQ(reg.size(), 3u);
 }
 
 // ------------------------------------------------------------------ money --
