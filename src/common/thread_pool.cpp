@@ -36,20 +36,6 @@ void ThreadPool::Post(std::function<void()> fn) {
   cv_.notify_one();
 }
 
-std::future<void> ThreadPool::Submit(std::function<void()> fn) {
-  auto done = std::make_shared<std::promise<void>>();
-  std::future<void> fut = done->get_future();
-  Post([done, fn = std::move(fn)] {
-    try {
-      fn();
-      done->set_value();
-    } catch (...) {
-      done->set_exception(std::current_exception());
-    }
-  });
-  return fut;
-}
-
 void ThreadPool::WorkerLoop() {
   for (;;) {
     std::function<void()> task;

@@ -19,7 +19,6 @@
 #include <cstddef>
 #include <deque>
 #include <functional>
-#include <future>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -41,12 +40,9 @@ class ThreadPool {
 
   /// Enqueues `fn` fire-and-forget: no future, no completion signal. `fn`
   /// must not throw — an escaping exception terminates the process. Use
-  /// Submit when the caller needs completion or exception propagation.
+  /// ParallelFor when the caller needs completion or exception
+  /// propagation.
   void Post(std::function<void()> fn);
-
-  /// Enqueues `fn`; the future resolves when it has run. Exceptions thrown
-  /// by `fn` propagate through the future.
-  std::future<void> Submit(std::function<void()> fn);
 
   /// Number of worker threads.
   std::size_t size() const { return workers_.size(); }

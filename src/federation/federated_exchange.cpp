@@ -751,8 +751,6 @@ FederationReport FederatedExchange::RunEpochInternal(const int epoch) {
           }
         }
       }
-      reg.AddCounter("fed_router_parts_placed", telemetry::Labels{},
-                     static_cast<double>(routing.routed.size()));
       for (std::size_t i = 0; i < routing.decisions.size(); ++i) {
         if (epoch_traces[i] == 0) continue;
         const RouteDecision& decision = routing.decisions[i];

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <future>
 #include <set>
 
 #include "common/ascii_chart.h"
@@ -309,23 +310,6 @@ TEST(RngTest, ShuffleIsPermutation) {
 }
 
 // -------------------------------------------------------------- threadpool --
-
-TEST(ThreadPoolTest, RunsSubmittedWork) {
-  ThreadPool pool(3);
-  std::atomic<int> counter{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 50; ++i) {
-    futures.push_back(pool.Submit([&counter] { ++counter; }));
-  }
-  for (auto& f : futures) f.get();
-  EXPECT_EQ(counter.load(), 50);
-}
-
-TEST(ThreadPoolTest, PropagatesExceptions) {
-  ThreadPool pool(2);
-  auto f = pool.Submit([] { throw std::runtime_error("boom"); });
-  EXPECT_THROW(f.get(), std::runtime_error);
-}
 
 TEST(ThreadPoolTest, MinimumOneWorker) {
   ThreadPool pool(0);

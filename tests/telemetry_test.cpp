@@ -362,8 +362,16 @@ TEST(TelemetryCountersTest, EngineAndRouterCountersLand) {
   // Every auction's demand collections are phase-split into full sweeps
   // plus incremental passes; at least the two round-0 sweeps must show.
   EXPECT_GE(collections, 2.0);
-  EXPECT_GT(
-      reg.CounterValue("fed_router_parts_placed", Labels{}), 0.0);
+  // The one submitted bid is routed once, under whichever policy phase.
+  double routed = 0.0;
+  for (const federation::RoutingPolicy policy :
+       {federation::RoutingPolicy::kHomeAffinity,
+        federation::RoutingPolicy::kCheapestPrice}) {
+    Labels by_policy;
+    by_policy.phase = std::string(federation::ToString(policy));
+    routed += reg.CounterValue("fed_router_bids_routed", by_policy);
+  }
+  EXPECT_EQ(routed, 1.0);
   EXPECT_EQ(reg.NumEpochs(), 1u);
   // The clearing-price histogram exists for at least one kind.
   EXPECT_NE(reg.FindHistogram("fed_clearing_price",
