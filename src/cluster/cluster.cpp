@@ -29,11 +29,10 @@ Cluster Cluster::Homogeneous(std::string name, int num_machines,
   return Cluster(std::move(name), std::move(machines));
 }
 
-bool Cluster::AddJob(const Job& job, PlacementPolicy policy) {
+bool Cluster::AddJob(const Job& job) {
   PM_CHECK_MSG(jobs_.count(job.id) == 0,
                "job " << job.id << " already in cluster " << name_);
-  PlacementResult placement =
-      PlaceTasks(machines_, job.shape, job.tasks, policy);
+  PlacementResult placement = PlaceTasks(machines_, job.shape, job.tasks);
   if (!placement.Complete()) {
     UndoPlacement(machines_, job.shape, placement);
     SumUsed();  // Place-then-undo need not restore usage bit-exactly.
@@ -127,15 +126,6 @@ void Cluster::RestoreJobs(std::vector<PlacedJobRecord> records) {
     jobs_.emplace(id, PlacedJob{std::move(record.job),
                                 std::move(record.placement), next_order_++});
   }
-}
-
-bool Cluster::CanFit(const Job& job, PlacementPolicy policy) const {
-  // Trial placement on a copy of the machine state. Machine copies are
-  // cheap (two shapes); clusters have O(100..1000) machines.
-  std::vector<Machine> scratch = machines_;
-  const PlacementResult r = PlaceTasks(scratch, job.shape, job.tasks,
-                                       policy);
-  return r.Complete();
 }
 
 }  // namespace pm::cluster

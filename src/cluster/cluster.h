@@ -35,7 +35,7 @@ class Cluster {
 
   /// Tries to place every task of `job`. Atomic: on failure nothing
   /// changes and false is returned.
-  bool AddJob(const Job& job, PlacementPolicy policy);
+  bool AddJob(const Job& job);
 
   /// Removes a job and frees its resources. Returns the job if present.
   std::optional<Job> RemoveJob(JobId id);
@@ -69,9 +69,6 @@ class Cluster {
   double Free(ResourceKind kind) const {
     return Capacity(kind) - Used(kind);
   }
-
-  /// Would `job` fit right now (non-mutating check)?
-  bool CanFit(const Job& job, PlacementPolicy policy) const;
 
   /// One placed job with its machine assignment, for checkpointing.
   struct PlacedJobRecord {

@@ -26,11 +26,8 @@ std::vector<double> PerPool(const std::vector<Cluster>& clusters,
 
 }  // namespace
 
-Fleet::Fleet(std::vector<Cluster> clusters, TaskShape unit_costs,
-             PlacementPolicy policy)
-    : clusters_(std::move(clusters)),
-      unit_costs_(unit_costs),
-      policy_(policy) {
+Fleet::Fleet(std::vector<Cluster> clusters, TaskShape unit_costs)
+    : clusters_(std::move(clusters)), unit_costs_(unit_costs) {
   PM_CHECK_MSG(!clusters_.empty(), "fleet needs at least one cluster");
   PM_CHECK_MSG(unit_costs_.cpu > 0 && unit_costs_.ram_gb > 0 &&
                    unit_costs_.disk_tb > 0,
@@ -47,16 +44,14 @@ Fleet::Fleet(std::vector<Cluster> clusters, TaskShape unit_costs,
 }
 
 Fleet::Fleet(RestoreTag, std::vector<Cluster> clusters,
-             TaskShape unit_costs, PlacementPolicy policy)
-    : clusters_(std::move(clusters)),
-      unit_costs_(unit_costs),
-      policy_(policy) {}
+             TaskShape unit_costs)
+    : clusters_(std::move(clusters)), unit_costs_(unit_costs) {}
 
 Fleet Fleet::FromState(std::vector<Cluster> clusters,
                        const std::vector<PoolKey>& pool_order,
-                       TaskShape unit_costs, PlacementPolicy policy) {
+                       TaskShape unit_costs) {
   PM_CHECK_MSG(!clusters.empty(), "fleet needs at least one cluster");
-  Fleet fleet(RestoreTag{}, std::move(clusters), unit_costs, policy);
+  Fleet fleet(RestoreTag{}, std::move(clusters), unit_costs);
   for (std::size_t i = 0; i < pool_order.size(); ++i) {
     const PoolId id = fleet.registry_.Intern(pool_order[i]);
     PM_CHECK_MSG(id == i, "duplicate pool in saved interning order: "
@@ -177,7 +172,7 @@ void Fleet::AdoptCluster(Cluster cluster) {
 }
 
 bool Fleet::AddJob(const std::string& cluster, const Job& job) {
-  return ClusterByName(cluster).AddJob(job, policy_);
+  return ClusterByName(cluster).AddJob(job);
 }
 
 std::optional<Job> Fleet::RemoveJob(JobId id) {
@@ -185,24 +180,6 @@ std::optional<Job> Fleet::RemoveJob(JobId id) {
     if (c.HasJob(id)) return c.RemoveJob(id);
   }
   return std::nullopt;
-}
-
-bool Fleet::MoveJob(JobId id, const std::string& to_cluster) {
-  Cluster& dest = ClusterByName(to_cluster);
-  for (Cluster& c : clusters_) {
-    if (!c.HasJob(id)) continue;
-    if (&c == &dest) return true;  // Already there.
-    std::optional<Job> job = c.RemoveJob(id);
-    PM_CHECK(job.has_value());
-    if (dest.AddJob(*job, policy_)) return true;
-    // Destination full: put it back. The source must still fit it, since
-    // removal freed exactly the space the job occupied.
-    const bool restored = c.AddJob(*job, policy_);
-    PM_CHECK_MSG(restored, "failed to restore job " << id
-                                                    << " after aborted move");
-    return false;
-  }
-  return false;
 }
 
 std::string Fleet::LocateJob(JobId id) const {

@@ -4,8 +4,9 @@
 // (cluster, resource-kind) pair is interned as one PoolId, and all
 // per-pool quantities the auction needs — capacity, usage, free supply,
 // utilization ψ(r), unit cost c(r) — are exposed as dense vectors indexed
-// by PoolId. The fleet also executes the physical side of settled trades:
-// moving a team's jobs between clusters.
+// by PoolId. The fleet also places and removes jobs, cluster by cluster,
+// when a settled trade changes what a team runs (the settlement pipeline
+// moves a job as a removal plus an add).
 #pragma once
 
 #include <memory>
@@ -29,8 +30,7 @@ class Fleet {
   /// `unit_costs` gives the operator's real cost c(r) per unit of each
   /// resource kind (e.g. $/core, $/GB, $/TB per auction period); the
   /// reserve pricer scales these by the congestion weighting.
-  Fleet(std::vector<Cluster> clusters, TaskShape unit_costs,
-        PlacementPolicy policy = PlacementPolicy::kBestFit);
+  Fleet(std::vector<Cluster> clusters, TaskShape unit_costs);
 
   /// Checkpoint restore: rebuilds a fleet from restored clusters plus the
   /// saved pool-interning order. The order can differ from cluster-major
@@ -40,7 +40,7 @@ class Fleet {
   /// `pool_order`.
   static Fleet FromState(std::vector<Cluster> clusters,
                          const std::vector<PoolKey>& pool_order,
-                         TaskShape unit_costs, PlacementPolicy policy);
+                         TaskShape unit_costs);
 
   const PoolRegistry& registry() const { return registry_; }
   std::size_t NumPools() const { return registry_.size(); }
@@ -51,8 +51,6 @@ class Fleet {
   Cluster& ClusterByName(const std::string& name);
   const Cluster& ClusterByName(const std::string& name) const;
   bool HasCluster(const std::string& name) const;
-
-  PlacementPolicy policy() const { return policy_; }
 
   /// The operator's per-unit resource costs c(r), as passed at build time.
   const TaskShape& unit_costs() const { return unit_costs_; }
@@ -94,10 +92,6 @@ class Fleet {
   /// Removes a job wherever it lives. Returns it, or nullopt if unknown.
   std::optional<Job> RemoveJob(JobId id);
 
-  /// Moves a job between clusters. Atomic: if the destination cannot hold
-  /// it, the job stays where it was and false is returned.
-  bool MoveJob(JobId id, const std::string& to_cluster);
-
   /// Cluster currently hosting a job (empty if none).
   std::string LocateJob(JobId id) const;
 
@@ -114,15 +108,13 @@ class Fleet {
 
  private:
   struct RestoreTag {};
-  Fleet(RestoreTag, std::vector<Cluster> clusters, TaskShape unit_costs,
-        PlacementPolicy policy);
+  Fleet(RestoreTag, std::vector<Cluster> clusters, TaskShape unit_costs);
 
   std::size_t IndexOf(const std::string& cluster) const;
 
   std::vector<Cluster> clusters_;
   PoolRegistry registry_;
   TaskShape unit_costs_;
-  PlacementPolicy policy_;
 };
 
 }  // namespace pm::cluster

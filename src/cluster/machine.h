@@ -11,8 +11,8 @@ namespace pm::cluster {
 using MachineIndex = std::uint32_t;
 
 /// One machine: a capacity shape and the sum of placed task shapes.
-/// Placement respects capacity in every dimension; see Scheduler for the
-/// policies that pick machines.
+/// Placement respects capacity in every dimension; see scheduler.h for the
+/// best-fit rule that picks machines.
 class Machine {
  public:
   explicit Machine(TaskShape capacity);

@@ -1,23 +1,10 @@
 #include "cluster/scheduler.h"
 
-#include <limits>
 #include <numeric>
 
 #include "common/check.h"
 
 namespace pm::cluster {
-
-std::string_view ToString(PlacementPolicy policy) {
-  switch (policy) {
-    case PlacementPolicy::kFirstFit:
-      return "first-fit";
-    case PlacementPolicy::kBestFit:
-      return "best-fit";
-    case PlacementPolicy::kWorstFit:
-      return "worst-fit";
-  }
-  return "unknown";
-}
 
 int PlacementResult::TotalPlaced() const {
   return std::accumulate(tasks_placed.begin(), tasks_placed.end(), 0);
@@ -25,31 +12,17 @@ int PlacementResult::TotalPlaced() const {
 
 namespace {
 
-int PickMachine(const std::vector<Machine>& machines, const TaskShape& shape,
-                PlacementPolicy policy) {
+/// Best fit: the machine with the largest fill after placing, the lowest
+/// index on a tie; -1 when none fits.
+int PickMachine(const std::vector<Machine>& machines, const TaskShape& shape) {
   int best = -1;
   double best_fill = 0.0;
   for (std::size_t i = 0; i < machines.size(); ++i) {
     if (!machines[i].CanFit(shape)) continue;
-    switch (policy) {
-      case PlacementPolicy::kFirstFit:
-        return static_cast<int>(i);
-      case PlacementPolicy::kBestFit: {
-        const double fill = machines[i].FillAfter(shape);
-        if (best < 0 || fill > best_fill) {
-          best = static_cast<int>(i);
-          best_fill = fill;
-        }
-        break;
-      }
-      case PlacementPolicy::kWorstFit: {
-        const double fill = machines[i].FillAfter(shape);
-        if (best < 0 || fill < best_fill) {
-          best = static_cast<int>(i);
-          best_fill = fill;
-        }
-        break;
-      }
+    const double fill = machines[i].FillAfter(shape);
+    if (best < 0 || fill > best_fill) {
+      best = static_cast<int>(i);
+      best_fill = fill;
     }
   }
   return best;
@@ -58,13 +31,12 @@ int PickMachine(const std::vector<Machine>& machines, const TaskShape& shape,
 }  // namespace
 
 PlacementResult PlaceTasks(std::vector<Machine>& machines,
-                           const TaskShape& shape, int count,
-                           PlacementPolicy policy) {
+                           const TaskShape& shape, int count) {
   PM_CHECK_MSG(count >= 0, "negative task count " << count);
   PlacementResult result;
   result.tasks_placed.assign(machines.size(), 0);
   for (int t = 0; t < count; ++t) {
-    const int pick = PickMachine(machines, shape, policy);
+    const int pick = PickMachine(machines, shape);
     if (pick < 0) {
       result.tasks_failed = count - t;
       break;

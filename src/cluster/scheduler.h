@@ -1,29 +1,21 @@
-// planetmarket: task-to-machine placement policies.
+// planetmarket: task-to-machine placement (best-fit bin packing).
 //
 // The market's provisioning layer sits above a per-cluster scheduler
 // ("these allocation limits are then mapped into the low-level scheduling
 // algorithms used to actually assign jobs to units of physical hardware",
-// §I). This module implements the classic online bin-packing policies; the
-// fleet uses them to answer "does this job actually fit in that cluster?",
-// which is what makes utilization ψ(r) a real, packing-constrained number
-// rather than a bookkeeping fiction.
+// §I). This module implements online best-fit bin packing: each task goes
+// to the machine left tightest (largest max-dimension fill) after placing
+// it, ties going to the lowest index. The fleet uses it to answer "does
+// this job actually fit in that cluster?", which is what makes
+// utilization ψ(r) a real, packing-constrained number rather than a
+// bookkeeping fiction.
 #pragma once
 
-#include <string_view>
 #include <vector>
 
 #include "cluster/machine.h"
 
 namespace pm::cluster {
-
-/// Placement policy for choosing among machines that can fit a task.
-enum class PlacementPolicy {
-  kFirstFit,  // Lowest-index machine that fits.
-  kBestFit,   // Machine left tightest (max dimension fill) after placing.
-  kWorstFit,  // Machine left loosest after placing (load spreading).
-};
-
-std::string_view ToString(PlacementPolicy policy);
 
 /// Result of placing a multi-task job onto a machine set.
 struct PlacementResult {
@@ -39,13 +31,12 @@ struct PlacementResult {
   int TotalPlaced() const;
 };
 
-/// Places `count` tasks of `shape` one at a time using `policy`, mutating
+/// Places `count` tasks of `shape` one at a time by best fit, mutating
 /// `machines`. Returns where each task went. Placement is all-or-nothing
 /// per *task* but not per job: callers wanting atomic job placement check
 /// Complete() and call UndoPlacement on failure.
 PlacementResult PlaceTasks(std::vector<Machine>& machines,
-                           const TaskShape& shape, int count,
-                           PlacementPolicy policy);
+                           const TaskShape& shape, int count);
 
 /// Reverts a placement previously returned by PlaceTasks with the same
 /// shape.

@@ -96,6 +96,24 @@ std::string FormatPct(double fraction, int digits) {
   return buf;
 }
 
+std::string JsonQuote(const std::string& s) {
+  std::string out = "\"";
+  for (char c : s) {
+    if (c == '\n') {
+      out += "\\n";
+      continue;
+    }
+    if (c == '"' || c == '\\') out += '\\';
+    out += c;
+  }
+  return out + "\"";
+}
+
+std::string JsonNum(double value) {
+  if (value == 0.0) return FormatF(0.0, 6);  // -0.0 too.
+  return FormatF(value, 6);
+}
+
 void CsvWriter::WriteRow(const std::vector<std::string>& cells) {
   for (std::size_t i = 0; i < cells.size(); ++i) {
     if (i > 0) os_ << ',';

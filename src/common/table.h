@@ -1,8 +1,10 @@
-// planetmarket: plain-text table and CSV rendering.
+// planetmarket: plain-text table, CSV and JSON scalar rendering.
 //
 // Every bench binary reproducing a paper table/figure prints its rows
 // through TextTable (for the console) and optionally CsvWriter (for
 // downstream plotting), so all experiment output is uniform and parseable.
+// The JSON writers (telemetry exports, scenario metrics) share JsonQuote
+// and JsonNum so their documents stay byte-deterministic.
 #pragma once
 
 #include <cstddef>
@@ -58,6 +60,15 @@ std::string FormatF(double value, int digits);
 /// Formats a double as a percentage with `digits` decimals ("61.8%").
 /// The input is a fraction: 0.618 → "61.8%".
 std::string FormatPct(double fraction, int digits);
+
+/// A JSON string literal: `s` in double quotes, with '"', '\' and newline
+/// escaped.
+std::string JsonQuote(const std::string& s);
+
+/// A JSON number with 6 fixed decimals: no exponent, no locale separator,
+/// and negative zero printed as "0.000000" so equal runs stay
+/// byte-identical.
+std::string JsonNum(double value);
 
 /// Streams rows as RFC-4180-ish CSV (fields containing commas, quotes or
 /// newlines are quoted; quotes doubled).

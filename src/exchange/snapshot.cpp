@@ -26,6 +26,11 @@ namespace {
 
 constexpr std::uint32_t kSnapshotVersion = 1;
 
+/// The fleet section's placement byte: best fit, the only bin-packer.
+/// Frames keep the byte so the layout stays fixed; a restore rejects any
+/// other value.
+constexpr std::uint8_t kBestFitPlacement = 1;
+
 template <typename T>
 T Req(std::optional<T> v, const char* what) {
   PM_CHECK_MSG(v.has_value(), "market snapshot truncated at " << what);
@@ -72,10 +77,11 @@ std::vector<std::uint8_t> Market::Snapshot() const {
   s.WriteU64(next_job_id_);
   WriteRngState(s, rng_.SaveState());
 
-  // Fleet: unit costs, policy, the exact pool-interning order, then every
-  // cluster with machines (capacity + raw used bits) and placed jobs.
+  // Fleet: unit costs, the placement byte, the exact pool-interning order,
+  // then every cluster with machines (capacity + raw used bits) and placed
+  // jobs.
   WriteShape(s, fleet_->unit_costs());
-  s.WriteU8(static_cast<std::uint8_t>(fleet_->policy()));
+  s.WriteU8(kBestFitPlacement);
   const PoolRegistry& registry = fleet_->registry();
   s.WriteU32(static_cast<std::uint32_t>(registry.size()));
   for (PoolId r = 0; r < registry.size(); ++r) {
@@ -187,8 +193,10 @@ void Market::Restore(const std::vector<std::uint8_t>& frame) {
 
   // Fleet.
   const cluster::TaskShape unit_costs = ReadShape(d);
-  const auto policy =
-      static_cast<cluster::PlacementPolicy>(Req(d.ReadU8(), "policy"));
+  const std::uint8_t placement = Req(d.ReadU8(), "placement");
+  PM_CHECK_MSG(placement == kBestFitPlacement,
+               "market snapshot placement byte " << int{placement}
+                                                 << " is not best fit");
   const std::uint32_t num_pools = Req(d.ReadU32(), "pool count");
   std::vector<PoolKey> pool_order;
   pool_order.reserve(num_pools);
@@ -236,7 +244,7 @@ void Market::Restore(const std::vector<std::uint8_t>& frame) {
     clusters.push_back(std::move(cl));
   }
   *fleet_ = cluster::Fleet::FromState(std::move(clusters), pool_order,
-                                      unit_costs, policy);
+                                      unit_costs);
   PM_CHECK_MSG(fixed_prices_.size() == fleet_->NumPools(),
                "restored fixed prices do not cover the restored pools");
 

@@ -819,11 +819,7 @@ FederationReport FederatedExchange::RunEpochInternal(const int epoch) {
       summaries[k].failure = e.what();
     }
   };
-  if (pool_ != nullptr) {
-    ParallelFor(pool_.get(), 0, shards_.size(), run_shard);
-  } else {
-    for (std::size_t k = 0; k < shards_.size(); ++k) run_shard(k);
-  }
+  ParallelFor(pool_.get(), 0, shards_.size(), run_shard);
 
   // T1. Telemetry ingest at the epoch barrier: the shard auctions are
   // done and the epoch is single-threaded again, so every write in

@@ -8,27 +8,7 @@
 namespace pm::scenario {
 namespace {
 
-/// Fixed-precision double rendering for the deterministic JSON contract.
-/// FormatF never emits exponents or locale separators, and 6 decimals
-/// comfortably out-resolves every metric we sample (dollars, units,
-/// spreads) without printing noise digits.
-std::string Num(double value) {
-  // Avoid "-0.000000": it round-trips fine but breaks byte-equality
-  // between mathematically equal runs.
-  if (value == 0.0) return FormatF(0.0, 6);
-  return FormatF(value, 6);
-}
-
 std::string Bool(bool value) { return value ? "true" : "false"; }
-
-std::string Quote(const std::string& s) {
-  std::string out = "\"";
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out + "\"";
-}
 
 }  // namespace
 
@@ -75,7 +55,7 @@ EpochSample SampleEpoch(const federation::FederationReport& report,
 std::string ScenarioMetrics::ToJson() const {
   std::ostringstream os;
   os << "{\n";
-  os << "  \"scenario\": " << Quote(scenario) << ",\n";
+  os << "  \"scenario\": " << JsonQuote(scenario) << ",\n";
   os << "  \"seed\": " << seed << ",\n";
   os << "  \"epochs\": " << epochs << ",\n";
   os << "  \"num_shards\": " << num_shards << ",\n";
@@ -86,21 +66,21 @@ std::string ScenarioMetrics::ToJson() const {
        << ", \"events_fired\": " << s.events_fired
        << ", \"bids\": " << s.total_bids
        << ", \"winners\": " << s.total_winners
-       << ", \"revenue\": " << Num(s.operator_revenue)
-       << ", \"clearing_spread\": " << Num(s.clearing_spread)
-       << ", \"utilization_spread\": " << Num(s.utilization_spread)
-       << ", \"utilization_p10\": " << Num(s.utilization_p10)
-       << ", \"utilization_p50\": " << Num(s.utilization_p50)
-       << ", \"utilization_p90\": " << Num(s.utilization_p90)
+       << ", \"revenue\": " << JsonNum(s.operator_revenue)
+       << ", \"clearing_spread\": " << JsonNum(s.clearing_spread)
+       << ", \"utilization_spread\": " << JsonNum(s.utilization_spread)
+       << ", \"utilization_p10\": " << JsonNum(s.utilization_p10)
+       << ", \"utilization_p50\": " << JsonNum(s.utilization_p50)
+       << ", \"utilization_p90\": " << JsonNum(s.utilization_p90)
        << ", \"all_converged\": " << Bool(s.all_converged)
        << ", \"placement_failures\": " << s.placement_failures
        << ", \"partial_placements\": " << s.partial_placements
-       << ", \"awarded_units\": " << Num(s.awarded_units)
-       << ", \"placed_units\": " << Num(s.placed_units)
-       << ", \"refunded_units\": " << Num(s.refunded_units)
-       << ", \"refund_total\": " << Num(s.refund_total)
-       << ", \"move_billing_total\": " << Num(s.move_billing_total)
-       << ", \"treasury_residual\": " << Num(s.treasury_residual)
+       << ", \"awarded_units\": " << JsonNum(s.awarded_units)
+       << ", \"placed_units\": " << JsonNum(s.placed_units)
+       << ", \"refunded_units\": " << JsonNum(s.refunded_units)
+       << ", \"refund_total\": " << JsonNum(s.refund_total)
+       << ", \"move_billing_total\": " << JsonNum(s.move_billing_total)
+       << ", \"treasury_residual\": " << JsonNum(s.treasury_residual)
        << ", \"migrations\": " << s.migrations
        << ", \"total_pools\": " << s.total_pools
        << ", \"churn_started\": " << s.churn_started
@@ -108,20 +88,20 @@ std::string ScenarioMetrics::ToJson() const {
        << ", \"quarantined_shards\": " << s.quarantined_shards
        << ", \"restored_checkpoints\": " << s.restored_checkpoints
        << ", \"rerouted_bids\": " << s.rerouted_bids
-       << ", \"refunded_allowance\": " << Num(s.refunded_allowance) << "}"
+       << ", \"refunded_allowance\": " << JsonNum(s.refunded_allowance) << "}"
        << (i + 1 < series.size() ? "," : "") << "\n";
   }
   os << "  ],\n";
   os << "  \"totals\": {\n";
-  os << "    \"refund_total\": " << Num(refund_total) << ",\n";
-  os << "    \"awarded_units\": " << Num(awarded_units) << ",\n";
-  os << "    \"placed_units\": " << Num(placed_units) << ",\n";
-  os << "    \"refunded_units\": " << Num(refunded_units) << ",\n";
-  os << "    \"move_billing_total\": " << Num(move_billing_total) << ",\n";
+  os << "    \"refund_total\": " << JsonNum(refund_total) << ",\n";
+  os << "    \"awarded_units\": " << JsonNum(awarded_units) << ",\n";
+  os << "    \"placed_units\": " << JsonNum(placed_units) << ",\n";
+  os << "    \"refunded_units\": " << JsonNum(refunded_units) << ",\n";
+  os << "    \"move_billing_total\": " << JsonNum(move_billing_total) << ",\n";
   os << "    \"placement_failures\": " << placement_failures << ",\n";
-  os << "    \"peak_clearing_spread\": " << Num(peak_clearing_spread)
+  os << "    \"peak_clearing_spread\": " << JsonNum(peak_clearing_spread)
      << ",\n";
-  os << "    \"max_treasury_residual\": " << Num(max_treasury_residual)
+  os << "    \"max_treasury_residual\": " << JsonNum(max_treasury_residual)
      << ",\n";
   os << "    \"shard_failures\": " << shard_failures << ",\n";
   os << "    \"checkpoint_restores\": " << checkpoint_restores
@@ -131,9 +111,9 @@ std::string ScenarioMetrics::ToJson() const {
   os << "    \"pass\": " << Bool(slo_pass) << ",\n";
   os << "    \"checks\": [\n";
   for (std::size_t i = 0; i < slos.size(); ++i) {
-    os << "      {\"name\": " << Quote(slos[i].name)
+    os << "      {\"name\": " << JsonQuote(slos[i].name)
        << ", \"pass\": " << Bool(slos[i].pass)
-       << ", \"detail\": " << Quote(slos[i].detail) << "}"
+       << ", \"detail\": " << JsonQuote(slos[i].detail) << "}"
        << (i + 1 < slos.size() ? "," : "") << "\n";
   }
   os << "    ]\n  }\n";

@@ -8,24 +8,6 @@
 #include "common/table.h"
 
 namespace pm::telemetry {
-namespace {
-
-std::string QuoteJson(const std::string& s) {
-  std::string out = "\"";
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out + "\"";
-}
-
-std::string Num(double value) {
-  if (value == 0.0) return FormatF(0.0, 6);
-  return FormatF(value, 6);
-}
-
-}  // namespace
-
 std::string_view ToString(AlertSeverity severity) {
   switch (severity) {
     case AlertSeverity::kInfo: return "info";
@@ -197,10 +179,10 @@ std::string AlertEngine::TimelineJson() const {
   for (std::size_t i = 0; i < timeline_.size(); ++i) {
     const AlertTransition& t = timeline_[i];
     os << "  {\"epoch\": " << t.epoch << ", \"alert\": "
-       << QuoteJson(t.rule) << ", \"series\": " << QuoteJson(t.series)
+       << JsonQuote(t.rule) << ", \"series\": " << JsonQuote(t.series)
        << ", \"severity\": \"" << ToString(t.severity) << "\", \"from\": \""
        << ToString(t.from) << "\", \"to\": \"" << ToString(t.to)
-       << "\", \"value\": " << Num(t.value) << "}"
+       << "\", \"value\": " << JsonNum(t.value) << "}"
        << (i + 1 < timeline_.size() ? "," : "") << "\n";
   }
   os << "]\n}\n";

@@ -3,25 +3,9 @@
 #include <sstream>
 
 #include "common/check.h"
+#include "common/table.h"
 
 namespace pm::telemetry {
-namespace {
-
-std::string QuoteJson(const std::string& s) {
-  std::string out = "\"";
-  for (char c : s) {
-    if (c == '\n') {
-      out += "\\n";
-      continue;
-    }
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out + "\"";
-}
-
-}  // namespace
-
 FlightRecorder::FlightRecorder(std::size_t num_shards,
                                std::size_t capacity)
     : capacity_(capacity), rings_(num_shards), dropped_(num_shards, 0) {
@@ -100,11 +84,11 @@ std::string FlightRecorder::DumpsJson() const {
   for (std::size_t i = 0; i < dumps_.size(); ++i) {
     const FlightDump& d = dumps_[i];
     os << "  {\"epoch\": " << d.epoch << ", \"shard\": " << d.shard
-       << ", \"shard_name\": " << QuoteJson(d.shard_name)
-       << ", \"reason\": " << QuoteJson(d.reason)
-       << ", \"transition\": " << QuoteJson(d.transition)
+       << ", \"shard_name\": " << JsonQuote(d.shard_name)
+       << ", \"reason\": " << JsonQuote(d.reason)
+       << ", \"transition\": " << JsonQuote(d.transition)
        << ", \"dropped_events\": " << d.dropped_events
-       << ", \"text\": " << QuoteJson(d.text) << "}"
+       << ", \"text\": " << JsonQuote(d.text) << "}"
        << (i + 1 < dumps_.size() ? "," : "") << "\n";
   }
   os << "]";

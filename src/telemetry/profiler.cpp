@@ -9,15 +9,6 @@
 namespace pm::telemetry {
 namespace {
 
-std::string QuoteJson(const std::string& s) {
-  std::string out = "\"";
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out + "\"";
-}
-
 /// Microseconds with sub-microsecond detail — chrome's native unit.
 std::string Us(std::uint64_t ns) { return FormatF(ns / 1000.0, 3); }
 
@@ -110,7 +101,7 @@ std::string PhaseProfiler::ChromeTraceJson() const {
     first = false;
     os << "    {\"ph\": \"M\", \"pid\": 1, \"tid\": " << t
        << ", \"name\": \"thread_name\", \"args\": {\"name\": "
-       << QuoteJson(tracks_[t]) << "}}";
+       << JsonQuote(tracks_[t]) << "}}";
   }
   for (const TraceEvent& ev : events_) {
     const std::uint64_t begin = ev.span.begin_ns - t0;
@@ -121,7 +112,7 @@ std::string PhaseProfiler::ChromeTraceJson() const {
     os << (first ? "\n" : ",\n");
     first = false;
     os << "    {\"ph\": \"X\", \"pid\": 1, \"tid\": " << ev.track
-       << ", \"name\": " << QuoteJson(ev.span.name)
+       << ", \"name\": " << JsonQuote(ev.span.name)
        << ", \"ts\": " << Us(begin) << ", \"dur\": " << Us(dur)
        << ", \"args\": {\"epoch\": " << ev.epoch << "}}";
   }

@@ -8,35 +8,13 @@
 namespace pm::telemetry {
 namespace {
 
-/// Fixed-precision rendering for both export channels — the same
-/// determinism discipline as scenario::ScenarioMetrics (no exponents, no
-/// locale, no "-0.000000").
-std::string Num(double value) {
-  if (value == 0.0) return FormatF(0.0, 6);
-  return FormatF(value, 6);
-}
-
-std::string QuoteJson(const std::string& s) {
-  std::string out = "\"";
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out + "\"";
-}
-
-
 void AppendLabel(std::string& out, const char* label,
                  const std::string& value, bool& any) {
   if (value.empty()) return;
   out += any ? "," : "{";
   out += label;
-  out += "=\"";
-  for (char c : value) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  out += '"';
+  out += '=';
+  out += JsonQuote(value);
   any = true;
 }
 
@@ -62,8 +40,12 @@ Labels KeyLabels(const std::string& key) {
     std::string value;
     std::size_t i = eq + 2;
     for (; i < key.size() && key[i] != '"'; ++i) {
-      if (key[i] == '\\' && i + 1 < key.size()) ++i;  // Unescape.
-      value += key[i];
+      char c = key[i];
+      if (c == '\\' && i + 1 < key.size()) {  // Undo JsonQuote.
+        c = key[++i];
+        if (c == 'n') c = '\n';
+      }
+      value += c;
     }
     PM_CHECK_MSG(i < key.size(), "malformed canonical key '" << key << "'");
     if (label == "shard") {
@@ -174,8 +156,8 @@ std::string MetricsRegistry::ToJson() const {
     os << "  \"" << title << "\": [\n";
     std::size_t i = 0;
     for (const auto& [key, value] : values) {
-      os << "    {\"key\": " << QuoteJson(key)
-         << ", \"value\": " << Num(value) << "}"
+      os << "    {\"key\": " << JsonQuote(key)
+         << ", \"value\": " << JsonNum(value) << "}"
          << (++i < values.size() ? "," : "") << "\n";
     }
     os << "  ]" << (trailing_comma ? "," : "") << "\n";
@@ -212,14 +194,14 @@ std::string MetricsRegistry::ToJson() const {
     const std::size_t total = rows.size() + aggregates.size();
     const auto emit = [&](const std::string& key,
                           const stats::Histogram& h) {
-      os << "    {\"key\": " << QuoteJson(key)
+      os << "    {\"key\": " << JsonQuote(key)
          << ", \"count\": " << h.TotalCount()
-         << ", \"sum\": " << Num(h.Sum())
+         << ", \"sum\": " << JsonNum(h.Sum())
          << ", \"underflow\": " << h.Underflow()
          << ", \"overflow\": " << h.Overflow()
-         << ", \"p50\": " << Num(h.Quantile(0.50))
-         << ", \"p90\": " << Num(h.Quantile(0.90))
-         << ", \"p99\": " << Num(h.Quantile(0.99)) << "}"
+         << ", \"p50\": " << JsonNum(h.Quantile(0.50))
+         << ", \"p90\": " << JsonNum(h.Quantile(0.90))
+         << ", \"p99\": " << JsonNum(h.Quantile(0.99)) << "}"
          << (++i < total ? "," : "") << "\n";
     };
     for (const auto& [key, hist] : rows) emit(key, *hist);
@@ -234,14 +216,14 @@ std::string MetricsRegistry::ToJson() const {
     os << "    {\"epoch\": " << snap.epoch << ", \"counters\": [";
     for (std::size_t i = 0; i < snap.counters.size(); ++i) {
       os << (i > 0 ? ", " : "") << "{\"key\": "
-         << QuoteJson(snap.counters[i].first)
-         << ", \"value\": " << Num(snap.counters[i].second) << "}";
+         << JsonQuote(snap.counters[i].first)
+         << ", \"value\": " << JsonNum(snap.counters[i].second) << "}";
     }
     os << "], \"gauges\": [";
     for (std::size_t i = 0; i < snap.gauges.size(); ++i) {
       os << (i > 0 ? ", " : "") << "{\"key\": "
-         << QuoteJson(snap.gauges[i].first)
-         << ", \"value\": " << Num(snap.gauges[i].second) << "}";
+         << JsonQuote(snap.gauges[i].first)
+         << ", \"value\": " << JsonNum(snap.gauges[i].second) << "}";
     }
     os << "]}" << (e + 1 < epochs_.size() ? "," : "") << "\n";
   }
@@ -263,12 +245,12 @@ std::string MetricsRegistry::ToPrometheusText() const {
 
   for (const auto& [key, value] : counters_) {
     type_line(key, "counter");
-    os << key << " " << Num(value) << "\n";
+    os << key << " " << JsonNum(value) << "\n";
   }
   last_type_for = {};
   for (const auto& [key, value] : gauges_) {
     type_line(key, "gauge");
-    os << key << " " << Num(value) << "\n";
+    os << key << " " << JsonNum(value) << "\n";
   }
   last_type_for = {};
   for (const auto& [key, entry] : hists_) {
@@ -291,7 +273,7 @@ std::string MetricsRegistry::ToPrometheusText() const {
     std::size_t cum = h.Underflow();
     for (std::size_t b = 0; b < h.NumBins(); ++b) {
       cum += h.Count(b);
-      os << bucket_key(Num(h.BinLow(b) + (h.BinCenter(b) - h.BinLow(b)) *
+      os << bucket_key(JsonNum(h.BinLow(b) + (h.BinCenter(b) - h.BinLow(b)) *
                                              2.0))
          << " " << cum << "\n";
     }
@@ -300,7 +282,7 @@ std::string MetricsRegistry::ToPrometheusText() const {
     const std::string name(KeyName(key));
     const std::string suffix =
         brace == std::string::npos ? "" : key.substr(brace);
-    os << name << "_sum" << suffix << " " << Num(h.Sum()) << "\n";
+    os << name << "_sum" << suffix << " " << JsonNum(h.Sum()) << "\n";
     os << name << "_count" << suffix << " " << h.TotalCount() << "\n";
   }
   return os.str();

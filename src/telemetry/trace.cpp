@@ -2,20 +2,9 @@
 
 #include <sstream>
 
+#include "common/table.h"
+
 namespace pm::telemetry {
-namespace {
-
-std::string QuoteJson(const std::string& s) {
-  std::string out = "\"";
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out + "\"";
-}
-
-}  // namespace
-
 std::string Span::Render() const {
   std::ostringstream os;
   os << "[e" << epoch << " #" << seq << "] " << name;
@@ -53,11 +42,11 @@ std::string BidTracer::ToJson() const {
   for (std::size_t i = 0; i < spans_.size(); ++i) {
     const Span& s = spans_[i];
     os << "  {\"trace\": " << s.trace << ", \"seq\": " << s.seq
-       << ", \"name\": " << QuoteJson(s.name) << ", \"epoch\": " << s.epoch
+       << ", \"name\": " << JsonQuote(s.name) << ", \"epoch\": " << s.epoch
        << ", \"shard\": " << s.shard << ", \"attrs\": {";
     for (std::size_t a = 0; a < s.attrs.size(); ++a) {
-      os << (a > 0 ? ", " : "") << QuoteJson(s.attrs[a].first) << ": "
-         << QuoteJson(s.attrs[a].second);
+      os << (a > 0 ? ", " : "") << JsonQuote(s.attrs[a].first) << ": "
+         << JsonQuote(s.attrs[a].second);
     }
     os << "}}" << (i + 1 < spans_.size() ? "," : "") << "\n";
   }

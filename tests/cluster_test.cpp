@@ -1,4 +1,4 @@
-// Tests for pm::cluster: machines, placement policies, clusters, fleet.
+// Tests for pm::cluster: machines, best-fit placement, clusters, fleet.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -100,36 +100,17 @@ std::vector<Machine> ThreeMachines() {
   return {Machine(kMachine), Machine(kMachine), Machine(kMachine)};
 }
 
-TEST(SchedulerTest, FirstFitPicksLowestIndex) {
-  auto machines = ThreeMachines();
-  const PlacementResult r =
-      PlaceTasks(machines, {4.0, 4.0, 1.0}, 2, PlacementPolicy::kFirstFit);
-  EXPECT_TRUE(r.Complete());
-  EXPECT_EQ(r.tasks_placed[0], 2);
-  EXPECT_EQ(r.tasks_placed[1], 0);
-}
-
-TEST(SchedulerTest, WorstFitSpreadsLoad) {
-  auto machines = ThreeMachines();
-  const PlacementResult r =
-      PlaceTasks(machines, {4.0, 4.0, 1.0}, 3, PlacementPolicy::kWorstFit);
-  EXPECT_TRUE(r.Complete());
-  EXPECT_EQ(r.tasks_placed, (std::vector<int>{1, 1, 1}));
-}
-
 TEST(SchedulerTest, BestFitPacksTightly) {
   auto machines = ThreeMachines();
   machines[1].Place({12.0, 12.0, 1.0});  // Machine 1 is nearly full.
-  const PlacementResult r =
-      PlaceTasks(machines, {4.0, 4.0, 1.0}, 1, PlacementPolicy::kBestFit);
+  const PlacementResult r = PlaceTasks(machines, {4.0, 4.0, 1.0}, 1);
   EXPECT_TRUE(r.Complete());
   EXPECT_EQ(r.tasks_placed[1], 1);  // Fills the tight machine first.
 }
 
 TEST(SchedulerTest, ReportsFailuresWhenFull) {
   std::vector<Machine> machines = {Machine({4.0, 4.0, 4.0})};
-  const PlacementResult r =
-      PlaceTasks(machines, {3.0, 1.0, 1.0}, 3, PlacementPolicy::kFirstFit);
+  const PlacementResult r = PlaceTasks(machines, {3.0, 1.0, 1.0}, 3);
   EXPECT_FALSE(r.Complete());
   EXPECT_EQ(r.TotalPlaced(), 1);
   EXPECT_EQ(r.tasks_failed, 2);
@@ -138,18 +119,11 @@ TEST(SchedulerTest, ReportsFailuresWhenFull) {
 TEST(SchedulerTest, UndoRestoresState) {
   auto machines = ThreeMachines();
   const TaskShape task{4.0, 4.0, 1.0};
-  const PlacementResult r =
-      PlaceTasks(machines, task, 5, PlacementPolicy::kWorstFit);
+  const PlacementResult r = PlaceTasks(machines, task, 5);
   UndoPlacement(machines, task, r);
   for (const Machine& m : machines) {
     EXPECT_EQ(m.used().cpu, 0.0);
   }
-}
-
-TEST(SchedulerTest, PolicyNames) {
-  EXPECT_EQ(ToString(PlacementPolicy::kFirstFit), "first-fit");
-  EXPECT_EQ(ToString(PlacementPolicy::kBestFit), "best-fit");
-  EXPECT_EQ(ToString(PlacementPolicy::kWorstFit), "worst-fit");
 }
 
 // ---------------------------------------------------------------- cluster --
@@ -173,14 +147,14 @@ TEST(ClusterTest, HomogeneousConstruction) {
 TEST(ClusterTest, AddJobIsAtomic) {
   Cluster c = Cluster::Homogeneous("c1", 1, {8.0, 32.0, 4.0});
   // 5 tasks of 2 cpu = 10 cpu > 8: must fail and leave no residue.
-  EXPECT_FALSE(c.AddJob(MakeJob(1, "t", 5), PlacementPolicy::kFirstFit));
+  EXPECT_FALSE(c.AddJob(MakeJob(1, "t", 5)));
   EXPECT_EQ(c.Used(ResourceKind::kCpu), 0.0);
   EXPECT_FALSE(c.HasJob(1));
 }
 
 TEST(ClusterTest, AddRemoveRoundTrip) {
   Cluster c = Cluster::Homogeneous("c1", 4, kMachine);
-  EXPECT_TRUE(c.AddJob(MakeJob(7, "team-a"), PlacementPolicy::kBestFit));
+  EXPECT_TRUE(c.AddJob(MakeJob(7, "team-a")));
   EXPECT_TRUE(c.HasJob(7));
   EXPECT_EQ(c.Used(ResourceKind::kCpu), 8.0);
   const auto job = c.RemoveJob(7);
@@ -196,32 +170,25 @@ TEST(ClusterTest, RemoveUnknownJobReturnsNullopt) {
 
 TEST(ClusterTest, DuplicateJobIdThrows) {
   Cluster c = Cluster::Homogeneous("c1", 4, kMachine);
-  ASSERT_TRUE(c.AddJob(MakeJob(1, "a"), PlacementPolicy::kFirstFit));
-  EXPECT_THROW(c.AddJob(MakeJob(1, "b"), PlacementPolicy::kFirstFit),
-               CheckFailure);
+  ASSERT_TRUE(c.AddJob(MakeJob(1, "a")));
+  EXPECT_THROW(c.AddJob(MakeJob(1, "b")), CheckFailure);
 }
 
 TEST(ClusterTest, JobIdsInInsertionOrder) {
   Cluster c = Cluster::Homogeneous("c1", 8, kMachine);
   for (JobId id : {5, 2, 9}) {
-    ASSERT_TRUE(c.AddJob(MakeJob(id, "t", 1), PlacementPolicy::kBestFit));
+    ASSERT_TRUE(c.AddJob(MakeJob(id, "t", 1)));
   }
   EXPECT_EQ(c.JobIds(), (std::vector<JobId>{5, 2, 9}));
 }
 
 TEST(ClusterTest, UtilizationAggregatesMachines) {
   Cluster c = Cluster::Homogeneous("c1", 2, kMachine);
-  ASSERT_TRUE(c.AddJob(MakeJob(1, "t", 4), PlacementPolicy::kWorstFit));
+  ASSERT_TRUE(c.AddJob(MakeJob(1, "t", 4)));
   // 8 cpu over 32 capacity.
   EXPECT_DOUBLE_EQ(c.Utilization(ResourceKind::kCpu), 0.25);
   EXPECT_DOUBLE_EQ(c.MaxUtilization(),
                    c.Utilization(ResourceKind::kRam));  // RAM dominates.
-}
-
-TEST(ClusterTest, CanFitDoesNotMutate) {
-  Cluster c = Cluster::Homogeneous("c1", 1, kMachine);
-  EXPECT_TRUE(c.CanFit(MakeJob(1, "t", 2), PlacementPolicy::kBestFit));
-  EXPECT_EQ(c.Used(ResourceKind::kCpu), 0.0);
 }
 
 /// Every cluster's cached totals equal a fresh machine-order sum, exactly.
@@ -260,7 +227,7 @@ TEST(ClusterTest, CachedTotalsEqualMachineSums) {
   std::mt19937_64 rng(20090425);
   std::vector<JobId> live;
   JobId next_id = 1;
-  int failed_adds = 0, reverted_moves = 0;
+  int failed_adds = 0;
   for (int step = 0; step < 400; ++step) {
     if (step == 200) {
       market.Restore(market.Snapshot());
@@ -281,18 +248,15 @@ TEST(ClusterTest, CachedTotalsEqualMachineSums) {
       } else {
         ++failed_adds;
       }
-    } else if (op == 2) {
+    } else {
       const std::size_t pick = rng() % live.size();
       ASSERT_TRUE(fleet.RemoveJob(live[pick]).has_value());
       live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
-    } else if (!fleet.MoveJob(live[rng() % live.size()], cluster)) {
-      ++reverted_moves;
     }
     ExpectTotalsEqualMachineSums(fleet);
   }
-  // The sequence must exercise the undo paths, not just clean placements.
+  // The sequence must exercise the undo path, not just clean placements.
   EXPECT_GT(failed_adds, 0);
-  EXPECT_GT(reverted_moves, 0);
 }
 
 // ------------------------------------------------------------------ fleet --
@@ -327,10 +291,9 @@ TEST(FleetTest, FromStateRejectsDuplicateClusterNames) {
   const std::vector<PoolKey> order = {{"x", ResourceKind::kCpu},
                                       {"x", ResourceKind::kRam},
                                       {"x", ResourceKind::kDisk}};
-  EXPECT_THROW(Fleet::FromState(std::move(clusters), order,
-                                TaskShape{1, 1, 1},
-                                PlacementPolicy::kBestFit),
-               CheckFailure);
+  EXPECT_THROW(
+      Fleet::FromState(std::move(clusters), order, TaskShape{1, 1, 1}),
+      CheckFailure);
 }
 
 /// The registry's cluster table agrees with its interned keys: clusters
@@ -370,9 +333,8 @@ TEST(FleetTest, RegistryTableAfterFromState) {
       {"gone", ResourceKind::kCpu}, {"b", ResourceKind::kRam},
       {"a", ResourceKind::kDisk},   {"b", ResourceKind::kDisk},
       {"gone", ResourceKind::kDisk}};
-  const Fleet fleet = Fleet::FromState(std::move(clusters), order,
-                                       TaskShape{1, 1, 1},
-                                       PlacementPolicy::kBestFit);
+  const Fleet fleet =
+      Fleet::FromState(std::move(clusters), order, TaskShape{1, 1, 1});
   const PoolRegistry& registry = fleet.registry();
   ExpectTableMatchesKeys(registry);
   EXPECT_EQ(registry.Clusters(),
@@ -424,39 +386,6 @@ TEST(FleetTest, CostVectorFollowsKind) {
       fleet.registry().Find(PoolKey{"b", ResourceKind::kDisk});
   EXPECT_DOUBLE_EQ(costs[*cpu_a], 10.0);
   EXPECT_DOUBLE_EQ(costs[*disk_b], 0.8);
-}
-
-TEST(FleetTest, MoveJobBetweenClusters) {
-  Fleet fleet = MakeFleet();
-  ASSERT_TRUE(fleet.AddJob("a", MakeJob(1, "t", 4)));
-  EXPECT_EQ(fleet.LocateJob(1), "a");
-  EXPECT_TRUE(fleet.MoveJob(1, "b"));
-  EXPECT_EQ(fleet.LocateJob(1), "b");
-  EXPECT_EQ(fleet.ClusterByName("a").Used(ResourceKind::kCpu), 0.0);
-}
-
-TEST(FleetTest, MoveJobRevertsWhenDestinationFull) {
-  Fleet fleet = MakeFleet();
-  ASSERT_TRUE(fleet.AddJob("a", MakeJob(1, "t", 4)));
-  // Fill cluster b completely: each 8-task job fills one 16-core
-  // machine exactly; b has 4 machines.
-  for (JobId id = 10; id < 14; ++id) {
-    ASSERT_TRUE(fleet.AddJob("b", MakeJob(id, "filler", 8)));
-  }
-  EXPECT_FALSE(fleet.MoveJob(1, "b"));
-  EXPECT_EQ(fleet.LocateJob(1), "a");  // Restored.
-}
-
-TEST(FleetTest, MoveToSameClusterIsNoop) {
-  Fleet fleet = MakeFleet();
-  ASSERT_TRUE(fleet.AddJob("a", MakeJob(1, "t", 1)));
-  EXPECT_TRUE(fleet.MoveJob(1, "a"));
-  EXPECT_EQ(fleet.LocateJob(1), "a");
-}
-
-TEST(FleetTest, MoveUnknownJobReturnsFalse) {
-  Fleet fleet = MakeFleet();
-  EXPECT_FALSE(fleet.MoveJob(99, "b"));
 }
 
 TEST(FleetTest, RemoveJobSearchesAllClusters) {

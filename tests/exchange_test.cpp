@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "agents/workload_gen.h"
 #include "common/check.h"
 #include "exchange/market.h"
 #include "exchange/summary.h"
+#include "net/serializer.h"
 
 namespace pm::exchange {
 namespace {
@@ -368,6 +371,36 @@ TEST(MarketTest, SupplyFractionValidated) {
   EXPECT_THROW(Market(&world.fleet, &world.agents, world.fixed_prices,
                       config),
                pm::CheckFailure);
+}
+
+TEST(MarketTest, RestoreRejectsPlacementOtherThanBestFit) {
+  agents::World world = GenerateWorld(SmallWorldConfig());
+  Market market(&world.fleet, &world.agents, world.fixed_prices,
+                FastMarketConfig());
+  const std::vector<std::uint8_t> frame = market.Snapshot();
+  // The fleet section's placement byte follows the version, the
+  // fixed-price vector (u32 count, then 8 bytes each), `endowed`, the
+  // next job id, 4 RNG words and the unit-cost shape.
+  std::uint32_t num_prices = 0;
+  for (int i = 0; i < 4; ++i) {
+    num_prices |= static_cast<std::uint32_t>(frame[4 + i]) << (8 * i);
+  }
+  ASSERT_EQ(num_prices, world.fleet.NumPools());
+  const std::size_t placement = 4 + 4 + 8 * num_prices + 1 + 8 + 4 * 8 + 3 * 8;
+  ASSERT_EQ(frame[placement], 1);  // Best fit.
+  market.Restore(frame);
+  for (const std::uint8_t bad : {0, 2, 7}) {
+    // Re-seal the tampered payload so only the placement check can fail.
+    std::vector<std::uint8_t> tampered(frame.begin(), frame.end() - 8);
+    tampered[placement] = bad;
+    const std::uint64_t checksum =
+        net::Fnv1a(tampered.data(), tampered.size());
+    for (int i = 0; i < 8; ++i) {
+      tampered.push_back(static_cast<std::uint8_t>(checksum >> (8 * i)));
+    }
+    EXPECT_THROW(market.Restore(tampered), pm::CheckFailure)
+        << "placement byte " << int{bad};
+  }
 }
 
 // ----------------------------------------------------------------- summary --

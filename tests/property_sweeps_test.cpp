@@ -1,7 +1,7 @@
 // Parameterized property sweeps across modules:
 //  * random bid-language trees: alternative counting vs actual expansion,
 //    and concrete-syntax round-trips through the parser
-//  * bin-packing placement invariants across policies × random workloads
+//  * best-fit placement invariants across random workloads
 //  * whole-market invariants across seeds (conservation, price floors,
 //    report sanity)
 //  * distributed/serial equivalence across proxy-node counts
@@ -92,15 +92,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, TbblPropertyTest, ::testing::Range(0, 12));
 
 // ------------------------------------------------ placement invariants --
 
-using PlacementParam = std::tuple<int, cluster::PlacementPolicy>;
-
-class PlacementPropertyTest
-    : public ::testing::TestWithParam<PlacementParam> {};
+class PlacementPropertyTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(PlacementPropertyTest, NeverExceedsCapacityAndUndoRestores) {
-  RandomStream rng(7700 + static_cast<std::uint64_t>(
-                              std::get<0>(GetParam())));
-  const cluster::PlacementPolicy policy = std::get<1>(GetParam());
+  RandomStream rng(7700 + static_cast<std::uint64_t>(GetParam()));
 
   std::vector<cluster::Machine> machines;
   const int num_machines = static_cast<int>(rng.UniformInt(3, 12));
@@ -121,8 +116,7 @@ TEST_P(PlacementPropertyTest, NeverExceedsCapacityAndUndoRestores) {
                                    rng.Uniform(1.0, 24.0),
                                    rng.Uniform(0.1, 3.0)};
     const int count = static_cast<int>(rng.UniformInt(1, 10));
-    cluster::PlacementResult result =
-        PlaceTasks(machines, shape, count, policy);
+    cluster::PlacementResult result = PlaceTasks(machines, shape, count);
     EXPECT_EQ(result.TotalPlaced() + result.tasks_failed, count);
     for (const cluster::Machine& m : machines) {
       for (ResourceKind kind : kAllResourceKinds) {
@@ -145,13 +139,7 @@ TEST_P(PlacementPropertyTest, NeverExceedsCapacityAndUndoRestores) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    SeedsAndPolicies, PlacementPropertyTest,
-    ::testing::Combine(
-        ::testing::Range(0, 6),
-        ::testing::Values(cluster::PlacementPolicy::kFirstFit,
-                          cluster::PlacementPolicy::kBestFit,
-                          cluster::PlacementPolicy::kWorstFit)));
+INSTANTIATE_TEST_SUITE_P(Seeds, PlacementPropertyTest, ::testing::Range(0, 6));
 
 // --------------------------------------------------- market invariants --
 

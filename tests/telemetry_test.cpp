@@ -42,6 +42,16 @@ TEST(RenderKeyTest, OmitsEmptyLabelsAndOrdersComponents) {
             "up{phase=\"settle\"}");
 }
 
+TEST(RenderKeyTest, KeyLabelsUndoesEscapes) {
+  const Labels labels{"a\"b", "c\\d", "e\nf"};
+  const std::string key = RenderKey("up", labels);
+  EXPECT_EQ(key, "up{shard=\"a\\\"b\",kind=\"c\\\\d\",phase=\"e\\nf\"}");
+  const Labels parsed = KeyLabels(key);
+  EXPECT_EQ(parsed.shard, labels.shard);
+  EXPECT_EQ(parsed.kind, labels.kind);
+  EXPECT_EQ(parsed.phase, labels.phase);
+}
+
 TEST(MetricsRegistryTest, ExportIgnoresRecordingOrder) {
   const auto record = [](MetricsRegistry& reg, bool reversed) {
     const std::vector<std::pair<std::string, double>> counters = {
