@@ -33,7 +33,8 @@ Four metric classes, three levels of trust:
               shares, and per-layer work counts. A failure names the
               path, e.g. `workloads.big-clusters.per_layer.
               exchange.jobs_added.value: fresh 3 vs baseline 2`.
-  wall        Wall-clock timings. Loose bands, and skipped entirely
+  wall        Wall-clock timings. Loose one-sided bands (a faster run
+              never fails), and skipped entirely
               when either document carries a single-vCPU stamp
               (`invalid_on_single_vcpu` / `single_vcpu` guard paths) —
               a 1-vCPU container cannot produce comparable timings.
@@ -63,9 +64,9 @@ record must name the commit it measured.
 --self-test runs the gate against synthetic megascale and planetbench
 documents and verifies the gate itself: a >=20% work-counter regression
 must fail, a within-band fresh run must pass, a flipped or absent
-invariant must fail, a lost counter must fail, any change to an exact
-value must fail and name its path, and a dirty trajectory record must
-be refused. Wired as a tier-1 ctest so the gate cannot silently rot.
+invariant must fail, a wall speedup of any size must pass, a lost
+counter must fail, any change to an exact value must fail and name its
+path, and a dirty trajectory record must be refused. Wired as a tier-1 ctest so the gate cannot silently rot.
 
 Exit codes: 0 gate passed, 1 regression or invariant failure,
 2 usage / unreadable input / a --trajectory document without a clean
@@ -272,8 +273,9 @@ def wall_guard_tripped(spec, doc):
 def compare(path, fresh, baseline, gate, kind, rel_tol=None):
     """Compares each value `path` selects in the baseline with the fresh
     value at the same concrete path: equal when `rel_tol` is None,
-    within the relative band otherwise. A value the baseline has and
-    the fresh document lacks fails."""
+    within the relative band otherwise. A wall band is one-sided: only a
+    fresh run slower than the band fails, never a faster one. A value
+    the baseline has and the fresh document lacks fails."""
     b_entries = resolve(baseline, path)
     if not b_entries:
         gate.note(f"{kind} path absent in the baseline: {dotted(path)}")
@@ -294,7 +296,7 @@ def compare(path, fresh, baseline, gate, kind, rel_tol=None):
             gate.skip(f"{kind} {label}: non-numeric value")
             continue
         denom = max(abs(b), 1e-9)
-        rel = abs(f - b) / denom
+        rel = (f - b if kind == "wall" else abs(f - b)) / denom
         if rel > rel_tol:
             gate.fail(
                 f"{kind} {label}: fresh {f} vs baseline {b} "
@@ -477,6 +479,8 @@ def self_test():
          synthetic_megascale(1000, False, 100.0), False),
         ("wall blowup beyond the loose band fails",
          synthetic_megascale(1000, True, 300.0), False),
+        ("wall speedup beyond the band passes",
+         synthetic_megascale(1000, True, 10.0), True),
         ("wall blowup under a single-vCPU stamp passes", stamped, True),
         ("signature mismatch skips numerics", resized, True),
         ("signature mismatch still enforces invariants", resized_bad,

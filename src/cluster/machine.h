@@ -39,7 +39,7 @@ class Machine {
   /// capacity in that dimension).
   double Utilization(ResourceKind kind) const;
 
-  /// Scalar fill metric used by best/worst-fit: the maximum utilization
+  /// Scalar fill metric used by best fit: the maximum utilization
   /// across dimensions after hypothetically placing `shape`.
   double FillAfter(const TaskShape& shape) const;
 

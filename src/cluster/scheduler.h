@@ -9,6 +9,18 @@
 // this job actually fit in that cluster?", which is what makes
 // utilization ψ(r) a real, packing-constrained number rather than a
 // bookkeeping fiction.
+//
+// PlaceTasks keeps the candidates in a max-heap of (FillAfter, index)
+// over the machines that pass CanFit, built once per call. Each task pops
+// the top, places there, and pushes that machine back with its new fill
+// if it still fits. A call costs O(machines + tasks · log machines), and
+// every pick equals that of a full best-fit scan over the machines
+// (PlacementPropertyTest.MatchesLinearBestFitScan), because:
+//  * CanFit and FillAfter read only the machine's own usage and the
+//    call's one shape, so placing a task changes no other machine's key;
+//  * the heap breaks fill ties on the lower index, so when a task has no
+//    demand in the kind that sets the fill (the pick's fill is unchanged)
+//    the next task still goes to the lowest-index machine of that fill.
 #pragma once
 
 #include <vector>
@@ -34,7 +46,8 @@ struct PlacementResult {
 /// Places `count` tasks of `shape` one at a time by best fit, mutating
 /// `machines`. Returns where each task went. Placement is all-or-nothing
 /// per *task* but not per job: callers wanting atomic job placement check
-/// Complete() and call UndoPlacement on failure.
+/// Complete() and call UndoPlacement on failure. Every component of
+/// `shape` must be finite and non-negative.
 PlacementResult PlaceTasks(std::vector<Machine>& machines,
                            const TaskShape& shape, int count);
 

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <random>
 
 #include "cluster/fleet.h"
@@ -123,6 +124,24 @@ TEST(SchedulerTest, UndoRestoresState) {
   UndoPlacement(machines, task, r);
   for (const Machine& m : machines) {
     EXPECT_EQ(m.used().cpu, 0.0);
+  }
+}
+
+TEST(SchedulerTest, RejectsNegativeOrNonFiniteShape) {
+  // A negative component would pass CanFit and then drive used() below
+  // zero, minting capacity; a NaN one would fail every machine silently.
+  auto machines = ThreeMachines();
+  machines[0].Place({1.0, 1.0, 1.0});
+  const std::vector<Machine> before = machines;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const TaskShape& shape :
+       {TaskShape{-1.0, 1.0, 1.0}, TaskShape{1.0, -0.5, 1.0},
+        TaskShape{1.0, 1.0, nan}, TaskShape{inf, 1.0, 1.0}}) {
+    EXPECT_THROW(PlaceTasks(machines, shape, 1), CheckFailure);
+  }
+  for (std::size_t i = 0; i < machines.size(); ++i) {
+    EXPECT_EQ(machines[i].used(), before[i].used());
   }
 }
 

@@ -1,7 +1,8 @@
 // Parameterized property sweeps across modules:
 //  * random bid-language trees: alternative counting vs actual expansion,
 //    and concrete-syntax round-trips through the parser
-//  * best-fit placement invariants across random workloads
+//  * best-fit placement invariants across random workloads, and
+//    equivalence with a full linear scan per task
 //  * whole-market invariants across seeds (conservation, price floors,
 //    report sanity)
 //  * distributed/serial equivalence across proxy-node counts
@@ -139,7 +140,126 @@ TEST_P(PlacementPropertyTest, NeverExceedsCapacityAndUndoRestores) {
   }
 }
 
+/// The best-fit rule as a full scan per task: the largest FillAfter
+/// among machines that pass CanFit, a strict `>` so ties go to the lowest
+/// index. PlaceTasks must pick exactly what this picks.
+cluster::PlacementResult LinearBestFit(std::vector<cluster::Machine>& machines,
+                                       const cluster::TaskShape& shape,
+                                       int count) {
+  cluster::PlacementResult result;
+  result.tasks_placed.assign(machines.size(), 0);
+  for (int t = 0; t < count; ++t) {
+    int best = -1;
+    double best_fill = 0.0;
+    for (std::size_t i = 0; i < machines.size(); ++i) {
+      if (!machines[i].CanFit(shape)) continue;
+      const double fill = machines[i].FillAfter(shape);
+      if (best < 0 || fill > best_fill) {
+        best = static_cast<int>(i);
+        best_fill = fill;
+      }
+    }
+    if (best < 0) {
+      result.tasks_failed = count - t;
+      break;
+    }
+    machines[static_cast<std::size_t>(best)].Place(shape);
+    ++result.tasks_placed[static_cast<std::size_t>(best)];
+  }
+  return result;
+}
+
+TEST_P(PlacementPropertyTest, MatchesLinearBestFitScan) {
+  RandomStream rng(9100 + static_cast<std::uint64_t>(GetParam()));
+  int short_calls = 0;  // Calls that ran out of room part-way.
+  int diskless_picks = 0;
+  for (int fleet = 0; fleet < 8; ++fleet) {
+    // Odd fleets are identical machines with whole-unit shapes, so fills
+    // tie exactly; even fleets are heterogeneous. Machine 0 has no disk.
+    const bool identical = fleet % 2 == 1;
+    std::vector<cluster::Machine> machines;
+    const int num_machines = static_cast<int>(rng.UniformInt(2, 24));
+    for (int m = 0; m < num_machines; ++m) {
+      cluster::TaskShape capacity =
+          identical ? cluster::TaskShape{16.0, 64.0, 8.0}
+                    : cluster::TaskShape{rng.Uniform(4.0, 32.0),
+                                         rng.Uniform(16.0, 128.0),
+                                         rng.Uniform(2.0, 16.0)};
+      if (m == 0) capacity.disk_tb = 0.0;
+      machines.emplace_back(capacity);
+    }
+    std::vector<cluster::Machine> reference = machines;
+
+    struct Placed {
+      cluster::TaskShape shape;
+      cluster::PlacementResult result;
+    };
+    std::vector<Placed> history;
+    for (int round = 0; round < 30; ++round) {
+      cluster::TaskShape shape =
+          identical ? cluster::TaskShape{
+                          static_cast<double>(rng.UniformInt(1, 4)),
+                          static_cast<double>(rng.UniformInt(2, 16)),
+                          static_cast<double>(rng.UniformInt(1, 2))}
+                    : cluster::TaskShape{rng.Uniform(0.25, 6.0),
+                                         rng.Uniform(1.0, 24.0),
+                                         rng.Uniform(0.1, 3.0)};
+      // Zero demand in a kind: when that kind sets a machine's fill, a
+      // pick leaves its fill unchanged and the tie rule decides.
+      for (ResourceKind kind : kAllResourceKinds) {
+        if (rng.Bernoulli(0.3)) shape.Of(kind) = 0.0;
+      }
+      // Up to 3 tasks per machine a call; with few undos the fleet fills
+      // over the rounds, so later calls fail part-way.
+      const int count = static_cast<int>(rng.UniformInt(0, 3 * num_machines));
+
+      const cluster::PlacementResult got = PlaceTasks(machines, shape, count);
+      const cluster::PlacementResult want =
+          LinearBestFit(reference, shape, count);
+      ASSERT_EQ(got.tasks_placed, want.tasks_placed)
+          << "fleet " << fleet << " round " << round;
+      ASSERT_EQ(got.tasks_failed, want.tasks_failed)
+          << "fleet " << fleet << " round " << round;
+      for (std::size_t m = 0; m < machines.size(); ++m) {
+        ASSERT_EQ(machines[m].used(), reference[m].used())
+            << "fleet " << fleet << " round " << round << " machine " << m;
+      }
+      short_calls += got.tasks_failed > 0 ? 1 : 0;
+      diskless_picks += got.tasks_placed[0];
+      history.push_back(Placed{shape, got});
+      // Free an earlier placement now and then, as a failed or removed
+      // job does, so fills also fall between calls.
+      if (rng.Bernoulli(0.25)) {
+        const auto victim = static_cast<std::size_t>(rng.UniformInt(
+            0, static_cast<std::int64_t>(history.size()) - 1));
+        UndoPlacement(machines, history[victim].shape, history[victim].result);
+        UndoPlacement(reference, history[victim].shape,
+                      history[victim].result);
+        history.erase(history.begin() +
+                      static_cast<std::ptrdiff_t>(victim));
+      }
+    }
+  }
+  EXPECT_GT(short_calls, 0);
+  EXPECT_GT(diskless_picks, 0);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, PlacementPropertyTest, ::testing::Range(0, 6));
+
+// A pick whose fill does not change (the task has no demand in the kind
+// that sets the fill) must not lose its tie to a higher index: the
+// linear scan keeps filling machine 0. A heap ordered on fill alone
+// alternates between the two.
+TEST(BestFitTieTest, UnchangedFillStaysOnLowestIndex) {
+  std::vector<cluster::Machine> machines(
+      2, cluster::Machine(cluster::TaskShape{10.0, 10.0, 10.0}));
+  for (cluster::Machine& m : machines) m.Place({8.0, 0.0, 0.0});
+  // cpu sets both fills at 0.8; ram stays below that for 8 tasks.
+  const cluster::PlacementResult r =
+      PlaceTasks(machines, cluster::TaskShape{0.0, 1.0, 0.0}, 4);
+  EXPECT_EQ(r.tasks_placed, (std::vector<int>{4, 0}));
+  EXPECT_EQ(r.tasks_failed, 0);
+}
 
 // --------------------------------------------------- market invariants --
 
