@@ -17,6 +17,7 @@
 #include "common/ascii_chart.h"
 #include "common/table.h"
 #include "exchange/market.h"
+#include "stats/descriptive.h"
 #include "common/bench_meta.h"
 #include "common/thread_pool.h"
 

@@ -16,7 +16,6 @@
 #include <iostream>
 #include <string>
 #include <vector>
-#include <algorithm>
 
 #include "common/bench_meta.h"
 #include "common/table.h"
@@ -25,6 +24,7 @@
 
 int main(int argc, char** argv) {
   pm::scenario::RunnerConfig config;
+  config.num_threads = pm::ParseThreadsFlag(&argc, argv, 0);
   std::string out_path = "BENCH_scenario_suite.json";
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -32,9 +32,6 @@ int main(int argc, char** argv) {
       config.epochs = std::atoi(argv[++i]);
     } else if (arg == "--seed" && i + 1 < argc) {
       config.seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (arg == "--threads" && i + 1 < argc) {
-      config.num_threads = static_cast<std::size_t>(
-          std::max(0, std::atoi(argv[++i])));
     } else if (arg == "--out" && i + 1 < argc) {
       out_path = argv[++i];
     } else {

@@ -35,7 +35,7 @@ int main() {
   // --- 1-2. Bid window with preliminary ticks -------------------------
   pm::sim::EventQueue queue;
   pm::exchange::BidWindow window(
-      queue, /*close_at=*/72.0, /*tick_period=*/12.0,
+      queue, world.fleet.NumPools(), /*close_at=*/72.0, /*tick_period=*/12.0,
       [&market](std::vector<pm::bid::Bid> bids) {
         return market.ComputePreliminaryPrices(std::move(bids));
       });

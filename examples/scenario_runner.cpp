@@ -48,6 +48,7 @@
 #include <sstream>
 #include <string>
 
+#include "common/bench_meta.h"
 #include "common/check.h"
 #include "scenario/runner.h"
 #include "scenario/scenario.h"
@@ -124,6 +125,12 @@ int main(int argc, char** argv) {
   bool console = false;
   bool profile = false;
 
+  try {
+    config.num_threads = pm::ParseThreadsFlag(&argc, argv, 0);
+  } catch (const pm::CheckFailure& e) {
+    std::cerr << e.what() << "\n";
+    return Usage();
+  }
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const auto next = [&]() -> const char* {
@@ -148,10 +155,6 @@ int main(int argc, char** argv) {
       const char* v = next();
       if (v == nullptr) return Usage();
       config.epochs = std::atoi(v);
-    } else if (arg == "--threads") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      config.num_threads = static_cast<std::size_t>(std::atoi(v));
     } else if (arg == "--out") {
       const char* v = next();
       if (v == nullptr) return Usage();

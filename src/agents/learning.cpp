@@ -26,16 +26,6 @@ double PriceLearner::Belief(std::size_t pool) const {
   return beliefs_[pool];
 }
 
-double PriceLearner::BelievedCost(std::span<const std::size_t> pools,
-                                  std::span<const double> qtys) const {
-  PM_CHECK(pools.size() == qtys.size());
-  double cost = 0.0;
-  for (std::size_t i = 0; i < pools.size(); ++i) {
-    cost += qtys[i] * Belief(pools[i]);
-  }
-  return cost;
-}
-
 void PriceLearner::ExtendBeliefs(std::span<const double> defaults) {
   PM_CHECK_MSG(defaults.size() >= beliefs_.size(),
                "defaults cover " << defaults.size()

@@ -28,10 +28,6 @@ class PriceLearner {
   /// Current believed price for a pool.
   double Belief(std::size_t pool) const;
 
-  /// Believed cost of a quantity vector: Σ qty·belief over items.
-  double BelievedCost(std::span<const std::size_t> pools,
-                      std::span<const double> qtys) const;
-
   /// Current safety markup (≥ 0).
   double Markup() const { return markup_; }
 

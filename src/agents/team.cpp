@@ -7,22 +7,6 @@
 
 namespace pm::agents {
 
-std::string_view ToString(StrategyKind kind) {
-  switch (kind) {
-    case StrategyKind::kTruthfulGrowth:
-      return "truthful-growth";
-    case StrategyKind::kPremiumSticky:
-      return "premium-sticky";
-    case StrategyKind::kOpportunistMover:
-      return "opportunist-mover";
-    case StrategyKind::kLowballSeller:
-      return "lowball-seller";
-    case StrategyKind::kArbitrageur:
-      return "arbitrageur";
-  }
-  return "unknown";
-}
-
 TeamAgent::TeamAgent(TeamProfile profile,
                      std::vector<double> initial_price_beliefs,
                      std::uint64_t seed)

@@ -28,8 +28,6 @@ enum class StrategyKind {
   kArbitrageur,      // Buy under-believed pools, resell over-believed.
 };
 
-std::string_view ToString(StrategyKind kind);
-
 /// Static description of a team.
 struct TeamProfile {
   std::string name;

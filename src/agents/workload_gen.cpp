@@ -65,7 +65,7 @@ World GenerateWorld(const WorkloadConfig& config) {
     clusters.push_back(cluster::Cluster::Homogeneous(
         ClusterName(c), machines, kMachineShape));
   }
-  cluster::Fleet fleet(std::move(clusters), config.unit_costs);
+  cluster::Fleet fleet(std::move(clusters), kUnitCosts);
 
   // --- Teams: homes weighted toward congested clusters -------------------
   // Historical pile-up is what created the hot clusters in the first
@@ -148,9 +148,9 @@ World GenerateWorld(const WorkloadConfig& config) {
     // Relocation cost: heavy-tailed, proportional to footprint value —
     // big entangled services are expensive to move (§V.B).
     const double footprint_value =
-        profile.footprint.cpu * config.unit_costs.cpu +
-        profile.footprint.ram_gb * config.unit_costs.ram_gb +
-        profile.footprint.disk_tb * config.unit_costs.disk_tb;
+        profile.footprint.cpu * kUnitCosts.cpu +
+        profile.footprint.ram_gb * kUnitCosts.ram_gb +
+        profile.footprint.disk_tb * kUnitCosts.disk_tb;
     RandomStream team_rng(drafts[t].seed);
     profile.relocation_cost =
         footprint_value * 0.05 * team_rng.Pareto(1.0, 2.5);

@@ -25,16 +25,16 @@ namespace pm::agents {
 /// clusters and scenario capacity expansions are built from it.
 inline constexpr cluster::TaskShape kMachineShape{48.0, 192.0, 24.0};
 
+/// The operator's real unit costs c(r): $/core, $/GB, $/TB per auction
+/// period. These double as the pre-market fixed prices.
+inline constexpr cluster::TaskShape kUnitCosts{10.0, 1.5, 0.8};
+
 /// Knobs for GenerateWorld. Defaults approximate the paper's experimental
 /// scale: ~34 clusters × 3 resource kinds ≈ 100 pools, ~100 teams.
 struct WorkloadConfig {
   int num_clusters = 34;
   int min_machines_per_cluster = 40;
   int max_machines_per_cluster = 90;
-
-  /// The operator's real unit costs c(r): $/core, $/GB, $/TB per auction
-  /// period. These double as the pre-market fixed prices.
-  cluster::TaskShape unit_costs{10.0, 1.5, 0.8};
 
   int num_teams = 100;
 

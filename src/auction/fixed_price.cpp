@@ -24,35 +24,24 @@ int PickAffordable(const bid::Bid& bid,
   return -1;
 }
 
-void FinishShortageSurplus(const std::vector<bid::Bid>& bids,
-                           const std::vector<double>& supply,
-                           FixedPriceResult& result) {
-  const std::size_t num_pools = supply.size();
-  std::vector<double> granted(num_pools, 0.0);
-  std::vector<double> requested(num_pools, 0.0);
+/// Per-pool supply left after the served users' buy sides.
+std::vector<double> Surplus(const std::vector<bid::Bid>& bids,
+                            const std::vector<double>& supply,
+                            const std::vector<int>& chosen) {
+  std::vector<double> granted(supply.size(), 0.0);
   for (std::size_t u = 0; u < bids.size(); ++u) {
-    if (result.chosen[u] < 0) {
-      // Unserved users still *requested*: count their cheapest-at-fixed
-      // bundle's buy side as latent demand if they could afford it — the
-      // shortages traditional allocation hides. A user priced out by the
-      // fixed price is not a shortage, it is disinterest.
-      continue;
-    }
+    if (chosen[u] < 0) continue;
     const bid::Bundle& bundle =
-        bids[u].bundles[static_cast<std::size_t>(result.chosen[u])];
+        bids[u].bundles[static_cast<std::size_t>(chosen[u])];
     for (const bid::BundleItem& item : bundle.items()) {
-      if (item.qty > 0.0) {
-        requested[item.pool] += item.qty;
-        granted[item.pool] += item.qty * result.scale[u];
-      }
+      if (item.qty > 0.0) granted[item.pool] += item.qty;
     }
   }
-  result.shortage.assign(num_pools, 0.0);
-  result.surplus.assign(num_pools, 0.0);
-  for (std::size_t r = 0; r < num_pools; ++r) {
-    result.shortage[r] = std::max(0.0, requested[r] - granted[r]);
-    result.surplus[r] = std::max(0.0, supply[r] - granted[r]);
+  std::vector<double> surplus(supply.size(), 0.0);
+  for (std::size_t r = 0; r < supply.size(); ++r) {
+    surplus[r] = std::max(0.0, supply[r] - granted[r]);
   }
+  return surplus;
 }
 
 }  // namespace
@@ -69,7 +58,6 @@ FixedPriceResult AllocatePriorityOrder(
 
   FixedPriceResult result;
   result.chosen.assign(bids.size(), -1);
-  result.scale.assign(bids.size(), 0.0);
   std::vector<double> remaining = supply;
 
   for (std::size_t u : priority) {
@@ -90,12 +78,13 @@ FixedPriceResult AllocatePriorityOrder(
       remaining[item.pool] -= item.qty;
     }
     result.chosen[u] = pick;
-    result.scale[u] = 1.0;
     result.operator_revenue += bundle.Dot(fixed_prices);
   }
-  // Re-run the fit test for unserved users to count shortage mass: what
-  // they wanted but could not get.
-  FinishShortageSurplus(bids, supply, result);
+  // Shortage mass: what unserved users who could afford their cheapest
+  // bundle at the fixed prices wanted but could not get. A user priced
+  // out by the fixed price is not a shortage, it is disinterest.
+  result.surplus = Surplus(bids, supply, result.chosen);
+  result.shortage.assign(supply.size(), 0.0);
   for (std::size_t u = 0; u < bids.size(); ++u) {
     if (result.chosen[u] >= 0) continue;
     const int pick = PickAffordable(bids[u], fixed_prices);
@@ -106,73 +95,6 @@ FixedPriceResult AllocatePriorityOrder(
       if (item.qty > 0.0) result.shortage[item.pool] += item.qty;
     }
   }
-  return result;
-}
-
-FixedPriceResult AllocateProportionalShare(
-    const std::vector<bid::Bid>& bids, const std::vector<double>& supply,
-    const std::vector<double>& fixed_prices) {
-  PM_CHECK(supply.size() == fixed_prices.size());
-  const std::string problem = bid::ValidateBids(bids, supply.size());
-  PM_CHECK_MSG(problem.empty(), "invalid bid set: " << problem);
-
-  FixedPriceResult result;
-  result.chosen.assign(bids.size(), -1);
-  result.scale.assign(bids.size(), 0.0);
-
-  // Everyone claims their cheapest affordable bundle.
-  for (std::size_t u = 0; u < bids.size(); ++u) {
-    const int pick = PickAffordable(bids[u], fixed_prices);
-    if (pick < 0) continue;
-    result.chosen[u] = pick;
-    result.scale[u] = 1.0;
-  }
-
-  // Iteratively scale down claimants of oversubscribed pools. Each pass
-  // fixes the currently worst pool; terminates because scales only shrink.
-  const std::size_t num_pools = supply.size();
-  for (int pass = 0; pass < 64; ++pass) {
-    std::vector<double> demand(num_pools, 0.0);
-    for (std::size_t u = 0; u < bids.size(); ++u) {
-      if (result.chosen[u] < 0) continue;
-      const bid::Bundle& bundle =
-          bids[u].bundles[static_cast<std::size_t>(result.chosen[u])];
-      for (const bid::BundleItem& item : bundle.items()) {
-        if (item.qty > 0.0) {
-          demand[item.pool] += item.qty * result.scale[u];
-        }
-      }
-    }
-    double worst_ratio = 1.0;
-    std::size_t worst_pool = num_pools;
-    for (std::size_t r = 0; r < num_pools; ++r) {
-      if (demand[r] > supply[r] + 1e-9) {
-        const double ratio = supply[r] / demand[r];
-        if (ratio < worst_ratio) {
-          worst_ratio = ratio;
-          worst_pool = r;
-        }
-      }
-    }
-    if (worst_pool == num_pools) break;  // Feasible.
-    for (std::size_t u = 0; u < bids.size(); ++u) {
-      if (result.chosen[u] < 0) continue;
-      const bid::Bundle& bundle =
-          bids[u].bundles[static_cast<std::size_t>(result.chosen[u])];
-      if (bundle.QuantityOf(static_cast<PoolId>(worst_pool)) > 0.0) {
-        result.scale[u] *= worst_ratio;
-      }
-    }
-  }
-
-  for (std::size_t u = 0; u < bids.size(); ++u) {
-    if (result.chosen[u] < 0) continue;
-    const bid::Bundle& bundle =
-        bids[u].bundles[static_cast<std::size_t>(result.chosen[u])];
-    result.operator_revenue +=
-        bundle.Dot(fixed_prices) * result.scale[u];
-  }
-  FinishShortageSurplus(bids, supply, result);
   return result;
 }
 

@@ -3,17 +3,11 @@
 // §I describes how quotas were set before the market: "the operator either
 // grants each user an equal share of the system or decides that certain
 // jobs / users are 'more important' than others". These baselines model
-// that world so the benches can compare it against the auction:
+// that world so the benches can compare it against the auction: users are
+// served in an exogenous ranking; each takes their cheapest affordable
+// bundle if it fits, at fixed prices. First-come shortage dynamics.
 //
-//  * Priority order:     users are served in an exogenous ranking; each
-//                        takes their first bundle that fits, at fixed
-//                        prices. First-come shortage dynamics.
-//  * Proportional share: when a pool is oversubscribed every requester is
-//                        scaled down pro-rata (violating the paper's
-//                        no-scaling constraint (1) — which is the point:
-//                        teams get fractions of what they need).
-//
-// Both charge the *fixed* price vector (the denominator of Figure 6's
+// It charges the *fixed* price vector (the denominator of Figure 6's
 // "market price / fixed price" ratio).
 #pragma once
 
@@ -26,12 +20,8 @@ namespace pm::auction {
 
 /// Outcome of a fixed-price allocation.
 struct FixedPriceResult {
-  /// chosen[u]: bundle index served (possibly scaled), or -1.
+  /// chosen[u]: bundle index served in full, or -1.
   std::vector<int> chosen;
-
-  /// scale[u]: fraction of the chosen bundle actually granted (1 for the
-  /// priority policy; ≤ 1 under proportional sharing).
-  std::vector<double> scale;
 
   /// Per pool: requested demand that could not be served (shortage mass).
   std::vector<double> shortage;
@@ -39,7 +29,7 @@ struct FixedPriceResult {
   /// Per pool: supply left unrequested (surplus mass).
   std::vector<double> surplus;
 
-  /// Σ payments at the fixed prices (scaled bundles pay pro-rata).
+  /// Σ payments at the fixed prices.
   double operator_revenue = 0.0;
 };
 
@@ -50,12 +40,5 @@ FixedPriceResult AllocatePriorityOrder(
     const std::vector<bid::Bid>& bids, const std::vector<double>& supply,
     const std::vector<double>& fixed_prices,
     const std::vector<std::size_t>& priority);
-
-/// Grants every user their cheapest affordable bundle, then resolves
-/// oversubscribed pools by scaling every claimant of that pool down
-/// pro-rata (iterating until feasible).
-FixedPriceResult AllocateProportionalShare(
-    const std::vector<bid::Bid>& bids, const std::vector<double>& supply,
-    const std::vector<double>& fixed_prices);
 
 }  // namespace pm::auction

@@ -68,16 +68,6 @@ PoolId Bundle::MinVectorSize() const {
   return items_.back().pool + 1;  // Items are sorted by pool.
 }
 
-bool Bundle::IsPureBuy() const {
-  return std::all_of(items_.begin(), items_.end(),
-                     [](const BundleItem& item) { return item.qty >= 0.0; });
-}
-
-bool Bundle::IsPureSell() const {
-  return std::all_of(items_.begin(), items_.end(),
-                     [](const BundleItem& item) { return item.qty <= 0.0; });
-}
-
 Bundle operator+(const Bundle& a, const Bundle& b) {
   std::vector<BundleItem> items = a.items_;
   items.insert(items.end(), b.items_.begin(), b.items_.end());

@@ -57,13 +57,6 @@ class Bundle {
   /// this to validate against the registry/price-vector size.
   PoolId MinVectorSize() const;
 
-  /// True when every component is >= 0 (a "pure buy" bundle). The empty
-  /// bundle is both pure-buy and pure-sell.
-  bool IsPureBuy() const;
-
-  /// True when every component is <= 0.
-  bool IsPureSell() const;
-
   /// Component-wise sum (used by the AND combinator of the bid language).
   friend Bundle operator+(const Bundle& a, const Bundle& b);
 

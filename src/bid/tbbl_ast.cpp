@@ -34,12 +34,6 @@ std::unique_ptr<TbblNode> TbblNode::Xor(
   return node;
 }
 
-std::size_t TbblNode::TreeSize() const {
-  std::size_t size = 1;
-  for (const auto& child : children) size += child->TreeSize();
-  return size;
-}
-
 std::size_t TbblNode::CountAlternatives(std::size_t cap) const {
   PM_CHECK(cap >= 1);
   switch (kind) {

@@ -51,9 +51,6 @@ struct TbblNode {
   static std::unique_ptr<TbblNode> Xor(
       std::vector<std::unique_ptr<TbblNode>> children);
 
-  /// Number of nodes in this subtree (including this one).
-  std::size_t TreeSize() const;
-
   /// Number of flat alternatives this subtree expands to (product over AND
   /// children, sum over XOR children, 1 for leaves), saturating at `cap`.
   /// Lets the flattener reject combinatorial explosions before expanding.

@@ -30,11 +30,6 @@ double& TaskShape::Of(ResourceKind kind) {
   return cpu;
 }
 
-bool TaskShape::Fits(const TaskShape& other) const {
-  return other.cpu <= cpu && other.ram_gb <= ram_gb &&
-         other.disk_tb <= disk_tb;
-}
-
 TaskShape& TaskShape::operator+=(const TaskShape& other) {
   cpu += other.cpu;
   ram_gb += other.ram_gb;

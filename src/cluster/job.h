@@ -28,9 +28,6 @@ struct TaskShape {
   /// Mutable component lookup.
   double& Of(ResourceKind kind);
 
-  /// True when every component of `other` fits within this shape.
-  bool Fits(const TaskShape& other) const;
-
   TaskShape& operator+=(const TaskShape& other);
   TaskShape& operator-=(const TaskShape& other);
   friend TaskShape operator+(TaskShape a, const TaskShape& b) {

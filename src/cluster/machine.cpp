@@ -45,12 +45,6 @@ void Machine::Remove(const TaskShape& shape) {
   used_.disk_tb = std::max(used_.disk_tb, 0.0);
 }
 
-double Machine::Utilization(ResourceKind kind) const {
-  const double cap = capacity_.Of(kind);
-  if (cap <= 0.0) return 0.0;
-  return used_.Of(kind) / cap;
-}
-
 double Machine::FillAfter(const TaskShape& shape) const {
   double fill = 0.0;
   for (ResourceKind kind : kAllResourceKinds) {

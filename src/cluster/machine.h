@@ -35,10 +35,6 @@ class Machine {
   /// is in use in every dimension.
   void Remove(const TaskShape& shape);
 
-  /// Fraction of capacity in use for `kind` (0 when the machine has no
-  /// capacity in that dimension).
-  double Utilization(ResourceKind kind) const;
-
   /// Scalar fill metric used by best fit: the maximum utilization
   /// across dimensions after hypothetically placing `shape`.
   double FillAfter(const TaskShape& shape) const;

@@ -1,12 +1,14 @@
 #include "common/bench_meta.h"
 
-#include <algorithm>
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <ctime>
 #include <filesystem>
 #include <sstream>
+#include <string_view>
 #include <thread>
+
+#include "common/check.h"
 
 namespace pm {
 namespace {
@@ -43,6 +45,17 @@ std::string ShellQuote(const std::string& text) {
     }
   }
   return quoted + "'";
+}
+
+/// `text` as a thread count: decimal digits only, within unsigned range.
+unsigned ParseThreadCount(std::string_view text) {
+  unsigned value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  PM_CHECK_MSG(ec == std::errc() && ptr == end,
+               "--threads needs a non-negative integer, got '" << text
+                                                               << "'");
+  return value;
 }
 
 std::string UtcNow() {
@@ -113,15 +126,14 @@ unsigned ParseThreadsFlag(int* argc, char** argv, unsigned fallback) {
   unsigned threads = fallback;
   int out = 1;
   for (int i = 1; i < *argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--threads" && i + 1 < *argc) {
-      threads = static_cast<unsigned>(
-          std::max(0, std::atoi(argv[++i])));
+    const std::string_view arg = argv[i];
+    if (arg == "--threads") {
+      PM_CHECK_MSG(i + 1 < *argc, "--threads needs a value");
+      threads = ParseThreadCount(argv[++i]);
       continue;  // Consumed the flag and its value.
     }
-    if (arg.rfind("--threads=", 0) == 0) {
-      threads = static_cast<unsigned>(
-          std::max(0, std::atoi(arg.c_str() + 10)));
+    if (arg.starts_with("--threads=")) {
+      threads = ParseThreadCount(arg.substr(10));
       continue;
     }
     argv[out++] = argv[i];

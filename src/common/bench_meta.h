@@ -28,6 +28,9 @@ HostMetadata CollectHostMetadata();
 /// binary accepts the flag so a multi-core host can pin its pool sizes
 /// without editing per-bench positional conventions. A parsed value of 0
 /// means "serial" (no pool), matching the configs' num_threads = 0.
+/// CHECK-fails on a missing value or one that is not a plain decimal
+/// unsigned (sign, trailing characters, overflow); ThreadPool bounds the
+/// count itself.
 unsigned ParseThreadsFlag(int* argc, char** argv, unsigned fallback);
 
 /// Per-section host stamp for bench sections whose numbers are only

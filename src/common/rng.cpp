@@ -1,7 +1,6 @@
 #include "common/rng.h"
 
 #include <cmath>
-#include <numbers>
 
 namespace pm {
 namespace {
@@ -90,20 +89,6 @@ bool RandomStream::Bernoulli(double p) {
     return true;
   }
   return NextDouble() < p;
-}
-
-double RandomStream::Normal() {
-  // Box–Muller; consumes exactly two engine outputs.
-  double u1 = NextDouble();
-  const double u2 = NextDouble();
-  if (u1 <= 0.0) u1 = 0x1.0p-53;  // Guard log(0).
-  return std::sqrt(-2.0 * std::log(u1)) *
-         std::cos(2.0 * std::numbers::pi * u2);
-}
-
-double RandomStream::Normal(double mean, double sd) {
-  PM_CHECK_MSG(sd >= 0.0, "Normal requires sd >= 0, got " << sd);
-  return mean + sd * Normal();
 }
 
 double RandomStream::Exponential(double lambda) {

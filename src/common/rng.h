@@ -82,12 +82,6 @@ class RandomStream {
   /// true with probability p (clamped to [0,1]).
   bool Bernoulli(double p);
 
-  /// Standard normal via Box–Muller (deterministic, two engine draws).
-  double Normal();
-
-  /// Normal with the given mean and standard deviation (sd >= 0).
-  double Normal(double mean, double sd);
-
   /// Exponential with the given rate lambda > 0.
   double Exponential(double lambda);
 

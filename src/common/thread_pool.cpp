@@ -11,6 +11,9 @@
 namespace pm {
 
 ThreadPool::ThreadPool(std::size_t num_threads) {
+  PM_CHECK_MSG(num_threads <= kMaxThreads,
+               "ThreadPool of " << num_threads << " threads exceeds "
+                                << kMaxThreads);
   const std::size_t n = std::max<std::size_t>(1, num_threads);
   workers_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {

@@ -25,11 +25,16 @@
 
 namespace pm {
 
+/// Largest pool a ThreadPool accepts, so that a mistyped count fails
+/// instead of spawning thousands of threads.
+inline constexpr std::size_t kMaxThreads = 256;
+
 /// A fixed-size pool of worker threads executing submitted tasks FIFO.
 /// Thread-safe; destruction drains the queue (all submitted work runs).
 class ThreadPool {
  public:
-  /// Spawns `num_threads` workers (minimum 1).
+  /// Spawns `num_threads` workers (minimum 1). CHECK-fails above
+  /// kMaxThreads, before any worker starts.
   explicit ThreadPool(std::size_t num_threads);
 
   /// Waits for all queued work to finish, then joins the workers.

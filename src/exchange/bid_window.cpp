@@ -7,10 +7,13 @@
 namespace pm::exchange {
 
 BidWindow::BidWindow(
-    sim::EventQueue& queue, sim::SimTime close_at, sim::SimTime tick_period,
+    sim::EventQueue& queue, std::size_t num_pools, sim::SimTime close_at,
+    sim::SimTime tick_period,
     std::function<std::vector<double>(std::vector<bid::Bid>)>
         compute_preliminary)
-    : queue_(queue), compute_preliminary_(std::move(compute_preliminary)) {
+    : queue_(queue),
+      num_pools_(num_pools),
+      compute_preliminary_(std::move(compute_preliminary)) {
   PM_CHECK(compute_preliminary_ != nullptr);
   PM_CHECK_MSG(close_at > queue.Now(),
                "window must close in the future");
@@ -34,14 +37,14 @@ BidWindow::~BidWindow() {
 }
 
 bool BidWindow::Submit(bid::Bid bid) {
-  if (!open_) return false;
+  if (!open_ || !bid::ValidateBid(bid, num_pools_).empty()) return false;
   book_.push_back(std::move(bid));
   return true;
 }
 
 std::size_t BidWindow::Amend(const std::string& name,
                              bid::Bid replacement) {
-  if (!open_) return 0;
+  if (!open_ || !bid::ValidateBid(replacement, num_pools_).empty()) return 0;
   const std::size_t removed = Withdraw(name);
   if (removed > 0) {
     book_.push_back(std::move(replacement));

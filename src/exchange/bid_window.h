@@ -34,10 +34,11 @@ class BidWindow {
  public:
   /// `compute_preliminary` maps the current book to non-binding prices
   /// (typically Market::ComputePreliminaryPrices); ticks fire every
-  /// `tick_period` from opening until `close_at`. The window registers
-  /// itself on `queue` immediately.
-  BidWindow(sim::EventQueue& queue, sim::SimTime close_at,
-            sim::SimTime tick_period,
+  /// `tick_period` from opening until `close_at`. The book accepts only
+  /// bids valid over `num_pools` pools. The window registers itself on
+  /// `queue` immediately.
+  BidWindow(sim::EventQueue& queue, std::size_t num_pools,
+            sim::SimTime close_at, sim::SimTime tick_period,
             std::function<std::vector<double>(std::vector<bid::Bid>)>
                 compute_preliminary);
 
@@ -46,12 +47,14 @@ class BidWindow {
   BidWindow(const BidWindow&) = delete;
   BidWindow& operator=(const BidWindow&) = delete;
 
-  /// Submits a bid. Returns false (bid rejected) once the window closed.
+  /// Submits a bid. Returns false (bid rejected) once the window closed
+  /// or when bid::ValidateBid finds the bid malformed.
   bool Submit(bid::Bid bid);
 
   /// Replaces the caller's earlier bids (matched by Bid::name): the
   /// "respond to environmental conditions" behaviour §II allows during
-  /// the entry period. Returns the number of replaced bids.
+  /// the entry period. Returns the number of replaced bids; a malformed
+  /// replacement replaces nothing.
   std::size_t Amend(const std::string& name, bid::Bid replacement);
 
   /// Withdraws all bids with the given name. Returns how many were
@@ -78,6 +81,7 @@ class BidWindow {
   void OnTick();
 
   sim::EventQueue& queue_;
+  std::size_t num_pools_;
   std::function<std::vector<double>(std::vector<bid::Bid>)>
       compute_preliminary_;
   std::vector<bid::Bid> book_;

@@ -5,6 +5,13 @@
 #include "common/check.h"
 
 namespace pm::exchange {
+namespace {
+
+/// Headroom over the status quo: a team's budget is this multiple of its
+/// footprint value.
+constexpr double kBudgetMultiplier = 6.0;
+
+}  // namespace
 
 double FootprintValue(const PoolRegistry& registry,
                       const std::string& home_cluster,
@@ -26,14 +33,13 @@ std::vector<Money> ComputeEndowments(
     const PoolRegistry& registry,
     const std::vector<agents::TeamAgent>& agents,
     std::span<const double> prices, const EndowmentPolicy& policy) {
-  PM_CHECK_MSG(policy.multiplier > 0.0, "multiplier must be positive");
   std::vector<Money> out;
   out.reserve(agents.size());
   for (const agents::TeamAgent& agent : agents) {
     const double value =
         FootprintValue(registry, agent.profile().home_cluster,
                        agent.profile().footprint, prices);
-    Money endowment = Money::FromDollarsRounded(value * policy.multiplier);
+    Money endowment = Money::FromDollarsRounded(value * kBudgetMultiplier);
     out.push_back(std::max(endowment, policy.minimum));
   }
   return out;

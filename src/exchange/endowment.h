@@ -19,11 +19,9 @@
 
 namespace pm::exchange {
 
-/// Endowment policy parameters.
+/// Endowment policy parameters. A team's budget is a fixed multiple of
+/// its footprint value at the given prices, never below `minimum`.
 struct EndowmentPolicy {
-  /// Budget = multiplier × (footprint value at the given prices).
-  double multiplier = 6.0;
-
   /// Floor so that zero-footprint teams can still participate.
   Money minimum = Money::FromDollars(100);
 };

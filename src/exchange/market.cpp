@@ -81,6 +81,12 @@ std::vector<double> Market::CurrentReservePrices() const {
   return pricer_.PriceFleet(*fleet_);
 }
 
+std::vector<double> Market::OfferedSupply() const {
+  std::vector<double> supply = fleet_->FreeVector();
+  for (double& s : supply) s *= config_.supply_fraction;
+  return supply;
+}
+
 void Market::SubmitExternalBid(ExternalBid bid) {
   PM_CHECK_MSG(!bid.team.empty(), "external bid needs a billing team");
   external_.push_back(std::move(bid));
@@ -230,9 +236,7 @@ Market::CollectedBids Market::CollectBids(
 std::vector<double> Market::ComputePreliminaryPrices(
     std::vector<bid::Bid> bids) const {
   bid::AssignUserIds(bids);
-  std::vector<double> supply = fleet_->FreeVector();
-  for (double& s : supply) s *= config_.supply_fraction;
-  auction::ClockAuction auction(std::move(bids), std::move(supply),
+  auction::ClockAuction auction(std::move(bids), OfferedSupply(),
                                 CurrentReservePrices());
   return auction.Run(config_.auction).prices;
 }
@@ -256,8 +260,7 @@ AuctionReport Market::RunAuction() {
     endowed_ = true;
   }
 
-  std::vector<double> supply = fleet_->FreeVector();
-  for (double& s : supply) s *= config_.supply_fraction;
+  const std::vector<double> supply = OfferedSupply();
 
   CollectedBids collected =
       CollectBids(report.reserve_prices, report.pre_utilization, supply);

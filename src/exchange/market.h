@@ -184,9 +184,9 @@ class Market {
   const cluster::Fleet& fleet() const { return *fleet_; }
   const std::vector<double>& fixed_prices() const { return fixed_prices_; }
 
-  /// Fraction of free capacity offered for sale each round (capacity
-  /// snapshots taken by routing layers must scale by this).
-  double supply_fraction() const { return config_.supply_fraction; }
+  /// What an auction sells: the fleet's free capacity per pool, scaled
+  /// by `supply_fraction`. Routing layers size shards by it too.
+  std::vector<double> OfferedSupply() const;
 
   /// The §I quota registry: entitlements granted/released by settled
   /// trades, usage charged/refunded as jobs come and go. Teams start

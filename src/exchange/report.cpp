@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "common/check.h"
+#include "stats/descriptive.h"
 
 namespace pm::exchange {
 
@@ -49,14 +50,6 @@ std::vector<double> TradePercentiles(const AuctionReport& report,
     }
   }
   return out;
-}
-
-stats::BoxplotSummary TradeBoxplot(const AuctionReport& report,
-                                   ResourceKind kind, bool is_bid) {
-  const std::vector<double> samples =
-      TradePercentiles(report, kind, is_bid);
-  if (samples.empty()) return stats::BoxplotSummary{};
-  return stats::Boxplot(samples);
 }
 
 double UtilizationSpread(const std::vector<double>& utilization) {

@@ -14,7 +14,6 @@
 #include "cluster/job.h"
 #include "common/phase_span.h"
 #include "common/types.h"
-#include "stats/descriptive.h"
 
 namespace pm::exchange {
 
@@ -197,11 +196,6 @@ std::vector<double> PriceRatios(const AuctionReport& report);
 /// Figure 7's samples for one (kind, side) cell.
 std::vector<double> TradePercentiles(const AuctionReport& report,
                                      ResourceKind kind, bool is_bid);
-
-/// Boxplot summary of one Figure 7 cell; n == 0 when there were no such
-/// trades.
-stats::BoxplotSummary TradeBoxplot(const AuctionReport& report,
-                                   ResourceKind kind, bool is_bid);
 
 /// Cross-cluster utilization dispersion (mean absolute deviation of the
 /// per-pool utilization, as percentage points) — the shortage/surplus

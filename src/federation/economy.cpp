@@ -8,24 +8,6 @@
 
 namespace pm::federation {
 
-std::string_view ToString(CrossShardTransfer::Kind kind) {
-  switch (kind) {
-    case CrossShardTransfer::Kind::kMint:
-      return "mint";
-    case CrossShardTransfer::Kind::kBurn:
-      return "burn";
-    case CrossShardTransfer::Kind::kAllowance:
-      return "allowance";
-    case CrossShardTransfer::Kind::kReturn:
-      return "return";
-    case CrossShardTransfer::Kind::kSpend:
-      return "spend";
-    case CrossShardTransfer::Kind::kEarn:
-      return "earn";
-  }
-  return "?";
-}
-
 FederationTreasury::FederationTreasury(std::vector<std::string> shard_names)
     : shard_names_(std::move(shard_names)) {
   PM_CHECK_MSG(!shard_names_.empty(), "treasury needs at least one shard");

@@ -56,8 +56,6 @@ struct CrossShardTransfer {
   Money amount;
 };
 
-std::string_view ToString(CrossShardTransfer::Kind kind);
-
 /// The planet-wide ledger: per-team accounts, one float account per shard
 /// (money currently pushed into that shard's local market), and one
 /// net-settlement account per shard (cumulative amount the shard's

@@ -190,12 +190,8 @@ std::vector<ShardView> FederatedExchange::BuildShardViews() const {
     view.name = shard->name;
     view.registry = &shard->world.fleet.registry();
     view.reserve_prices = shard->market->CurrentReservePrices();
-    // What the shard's auction will actually sell, not raw headroom: the
-    // market only offers supply_fraction of free capacity each round.
-    view.free_capacity = shard->world.fleet.FreeVector();
-    for (double& units : view.free_capacity) {
-      units *= shard->market->supply_fraction();
-    }
+    // What the shard's auction will actually sell, not raw headroom.
+    view.free_capacity = shard->market->OfferedSupply();
     view.fixed_prices = shard->market->fixed_prices();
     // Failure-domain gating: the router refuses quarantined shards and
     // sheds load off degraded/recovering ones.

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "common/table.h"
+#include "stats/descriptive.h"
 
 namespace pm::federation {
 

@@ -110,19 +110,6 @@ std::optional<DemandReply> DecodeDemandReply(
   return msg;
 }
 
-std::optional<Terminate> DecodeTerminate(std::vector<std::uint8_t> frame) {
-  Deserializer d(std::move(frame));
-  if (!d.VerifyChecksum()) return std::nullopt;
-  const auto type = d.ReadU8();
-  if (!type ||
-      *type != static_cast<std::uint8_t>(MessageType::kTerminate)) {
-    return std::nullopt;
-  }
-  const auto converged = d.ReadU8();
-  if (!converged || !d.Exhausted()) return std::nullopt;
-  return Terminate{*converged != 0};
-}
-
 std::optional<Envelope> DecodeEnvelope(std::vector<std::uint8_t> frame) {
   Deserializer d(std::move(frame));
   if (!d.VerifyChecksum()) return std::nullopt;

@@ -47,7 +47,8 @@ struct DemandReply {
   std::vector<WireDecision> decisions;
 };
 
-/// Auctioneer → proxies: the auction ended.
+/// Auctioneer → proxies: the auction ended. Proxy nodes stop on the
+/// frame's PeekType alone; nothing decodes the body.
 struct Terminate {
   bool converged = false;
 };
@@ -82,7 +83,6 @@ std::optional<PriceAnnounce> DecodePriceAnnounce(
     std::vector<std::uint8_t> frame);
 std::optional<DemandReply> DecodeDemandReply(
     std::vector<std::uint8_t> frame);
-std::optional<Terminate> DecodeTerminate(std::vector<std::uint8_t> frame);
 std::optional<Envelope> DecodeEnvelope(std::vector<std::uint8_t> frame);
 std::optional<LinkDown> DecodeLinkDown(std::vector<std::uint8_t> frame);
 

@@ -7,17 +7,9 @@
 namespace pm::reserve {
 
 ReservePricer::ReservePricer(
-    std::shared_ptr<const WeightingFunction> curve) {
-  PM_CHECK(curve != nullptr);
-  curves_.assign(kNumResourceKinds, std::move(curve));
-}
-
-ReservePricer::ReservePricer(
-    std::vector<std::shared_ptr<const WeightingFunction>> per_kind_curves)
-    : curves_(std::move(per_kind_curves)) {
-  PM_CHECK_MSG(curves_.size() == kNumResourceKinds,
-               "need one curve per resource kind");
-  for (const auto& curve : curves_) PM_CHECK(curve != nullptr);
+    std::shared_ptr<const WeightingFunction> curve)
+    : curve_(std::move(curve)) {
+  PM_CHECK(curve_ != nullptr);
 }
 
 std::vector<double> ReservePricer::Price(
@@ -26,11 +18,11 @@ std::vector<double> ReservePricer::Price(
   PM_CHECK_MSG(utilization.size() == registry.size() &&
                    cost.size() == registry.size(),
                "utilization/cost vectors must match the registry size");
+  const WeightingFunction& phi = *curve_;
   std::vector<double> prices(registry.size(), 0.0);
   for (PoolId r = 0; r < registry.size(); ++r) {
     const double psi = std::clamp(utilization[r], 0.0, 1.0);
     PM_CHECK_MSG(cost[r] >= 0.0, "negative cost for pool " << r);
-    const WeightingFunction& phi = CurveFor(registry.KeyOf(r).kind);
     prices[r] = phi(psi) * cost[r];
   }
   return prices;
@@ -40,10 +32,6 @@ std::vector<double> ReservePricer::PriceFleet(
     const cluster::Fleet& fleet) const {
   return Price(fleet.registry(), fleet.UtilizationVector(),
                fleet.CostVector());
-}
-
-const WeightingFunction& ReservePricer::CurveFor(ResourceKind kind) const {
-  return *curves_[static_cast<std::size_t>(kind)];
 }
 
 }  // namespace pm::reserve

@@ -24,14 +24,8 @@ class ReservePricer {
   /// One weighting curve shared by all pools.
   explicit ReservePricer(std::shared_ptr<const WeightingFunction> curve);
 
-  /// Per-kind curves: pools are weighted by the curve of their resource
-  /// kind (the paper's φ_r subscript allows per-pool curves; per-kind is
-  /// the granularity our market uses). `curves[kind]` must be non-null.
-  explicit ReservePricer(
-      std::vector<std::shared_ptr<const WeightingFunction>> per_kind_curves);
-
-  /// p̃ = φ(ψ)·c element-wise. Inputs are dense per-pool vectors; the
-  /// registry supplies each pool's kind for per-kind curves.
+  /// p̃ = φ(ψ)·c element-wise. Inputs are dense per-pool vectors, one
+  /// entry per pool of `registry`.
   std::vector<double> Price(const PoolRegistry& registry,
                             std::span<const double> utilization,
                             std::span<const double> cost) const;
@@ -39,11 +33,8 @@ class ReservePricer {
   /// Convenience: price a fleet's pools from its current state.
   std::vector<double> PriceFleet(const cluster::Fleet& fleet) const;
 
-  /// The curve used for `kind`.
-  const WeightingFunction& CurveFor(ResourceKind kind) const;
-
  private:
-  std::vector<std::shared_ptr<const WeightingFunction>> curves_;
+  std::shared_ptr<const WeightingFunction> curve_;
 };
 
 }  // namespace pm::reserve

@@ -1,6 +1,5 @@
 #include "reserve/weighting.h"
 
-#include <algorithm>
 #include <cmath>
 #include <sstream>
 
@@ -35,57 +34,6 @@ class FlatWeighting final : public WeightingFunction {
   std::string_view Name() const override { return "flat"; }
 };
 
-class PiecewiseLinearWeighting final : public WeightingFunction {
- public:
-  PiecewiseLinearWeighting(std::vector<std::pair<double, double>> points,
-                           std::string name)
-      : points_(std::move(points)), name_(std::move(name)) {
-    PM_CHECK_MSG(points_.size() >= 2,
-                 "piecewise curve needs at least two points");
-    PM_CHECK_MSG(points_.front().first == 0.0 &&
-                     points_.back().first == 1.0,
-                 "piecewise curve must span [0, 1]");
-    for (std::size_t i = 1; i < points_.size(); ++i) {
-      PM_CHECK_MSG(points_[i].first > points_[i - 1].first,
-                   "piecewise x-coordinates must strictly increase");
-    }
-  }
-
-  double operator()(double x) const override {
-    x = std::clamp(x, 0.0, 1.0);
-    for (std::size_t i = 1; i < points_.size(); ++i) {
-      if (x <= points_[i].first) {
-        const auto& [x0, y0] = points_[i - 1];
-        const auto& [x1, y1] = points_[i];
-        const double t = (x - x0) / (x1 - x0);
-        return y0 + t * (y1 - y0);
-      }
-    }
-    return points_.back().second;
-  }
-
-  std::string_view Name() const override { return name_; }
-
- private:
-  std::vector<std::pair<double, double>> points_;
-  std::string name_;
-};
-
-class CustomWeighting final : public WeightingFunction {
- public:
-  CustomWeighting(std::function<double(double)> fn, std::string name)
-      : fn_(std::move(fn)), name_(std::move(name)) {
-    PM_CHECK(fn_ != nullptr);
-  }
-
-  double operator()(double x) const override { return fn_(x); }
-  std::string_view Name() const override { return name_; }
-
- private:
-  std::function<double(double)> fn_;
-  std::string name_;
-};
-
 }  // namespace
 
 std::unique_ptr<WeightingFunction> MakeExp2Weighting() {
@@ -102,17 +50,6 @@ std::unique_ptr<WeightingFunction> MakeReciprocalWeighting() {
 
 std::unique_ptr<WeightingFunction> MakeFlatWeighting() {
   return std::make_unique<FlatWeighting>();
-}
-
-std::unique_ptr<WeightingFunction> MakePiecewiseLinearWeighting(
-    std::vector<std::pair<double, double>> points, std::string name) {
-  return std::make_unique<PiecewiseLinearWeighting>(std::move(points),
-                                                    std::move(name));
-}
-
-std::unique_ptr<WeightingFunction> MakeCustomWeighting(
-    std::function<double(double)> fn, std::string name) {
-  return std::make_unique<CustomWeighting>(std::move(fn), std::move(name));
 }
 
 std::string CheckWeightingProperties(const WeightingFunction& fn,

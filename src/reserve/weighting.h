@@ -16,11 +16,9 @@
 // in [0, 1].
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace pm::reserve {
 
@@ -51,16 +49,6 @@ std::unique_ptr<WeightingFunction> MakeReciprocalWeighting();
 
 /// φ(x) = 1: congestion-blind reserves (the ablation control).
 std::unique_ptr<WeightingFunction> MakeFlatWeighting();
-
-/// Piecewise-linear curve through (x_i, y_i) control points with
-/// x_0 = 0 ≤ … ≤ x_n = 1; linear between points. For operators tuning
-/// custom curves.
-std::unique_ptr<WeightingFunction> MakePiecewiseLinearWeighting(
-    std::vector<std::pair<double, double>> points, std::string name);
-
-/// Wraps any callable as a weighting function (for experiments).
-std::unique_ptr<WeightingFunction> MakeCustomWeighting(
-    std::function<double(double)> fn, std::string name);
 
 /// Checks §IV.A properties 1–5 on a curve by dense sampling. Returns the
 /// empty string when all hold, else a description of the first failure.

@@ -43,6 +43,12 @@ std::vector<std::size_t> SampleDistinct(RandomStream& rng,
   return picked;
 }
 
+/// The approximate fixed-price cost of a requirement (unit costs dotted
+/// with the shape) — cohort bid limits anchor on it.
+double FixedCostOf(const cluster::TaskShape& shape) {
+  return cluster::Dot(shape, agents::kUnitCosts);
+}
+
 }  // namespace
 
 std::uint64_t ScenarioRunner::EventSeed(std::uint64_t root,
@@ -285,10 +291,6 @@ void ScenarioRunner::FireChurnWave(std::size_t event_index) {
   queue_.ScheduleAtEpoch(
       event.epoch + event.duration,
       [this, wave_index] { churn_[wave_index].process->Stop(); });
-}
-
-double ScenarioRunner::FixedCostOf(const cluster::TaskShape& shape) const {
-  return cluster::Dot(shape, spec_.shards[0].workload.unit_costs);
 }
 
 void ScenarioRunner::SubmitCohortBids() {

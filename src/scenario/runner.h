@@ -127,10 +127,6 @@ class ScenarioRunner {
   /// order, then team order — deterministic).
   void SubmitCohortBids();
 
-  /// The approximate fixed-price cost of a requirement (spec unit costs
-  /// dotted with the shape) — cohort bid limits anchor on it.
-  double FixedCostOf(const cluster::TaskShape& shape) const;
-
   double TreasuryResidual() const;
   std::size_t TotalPools() const;
   long long ChurnStarted() const;

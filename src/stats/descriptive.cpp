@@ -34,26 +34,6 @@ double Mean(std::span<const double> xs) {
   return sum / static_cast<double>(xs.size());
 }
 
-double Variance(std::span<const double> xs) {
-  PM_CHECK_MSG(xs.size() >= 2, "variance needs n >= 2, got " << xs.size());
-  const double m = Mean(xs);
-  double acc = 0.0;
-  for (double x : xs) acc += (x - m) * (x - m);
-  return acc / static_cast<double>(xs.size() - 1);
-}
-
-double StdDev(std::span<const double> xs) { return std::sqrt(Variance(xs)); }
-
-double Min(std::span<const double> xs) {
-  PM_CHECK(!xs.empty());
-  return *std::min_element(xs.begin(), xs.end());
-}
-
-double Max(std::span<const double> xs) {
-  PM_CHECK(!xs.empty());
-  return *std::max_element(xs.begin(), xs.end());
-}
-
 double Quantile(std::span<const double> xs, double q) {
   return QuantileSorted(Sorted(xs), q);
 }
@@ -116,25 +96,6 @@ double MeanAbsDeviation(std::span<const double> xs) {
   double acc = 0.0;
   for (double x : xs) acc += std::abs(x - m);
   return acc / static_cast<double>(xs.size());
-}
-
-double PearsonCorrelation(std::span<const double> xs,
-                          std::span<const double> ys) {
-  PM_CHECK_MSG(xs.size() == ys.size() && xs.size() >= 2,
-               "correlation needs equal sizes >= 2");
-  const double mx = Mean(xs);
-  const double my = Mean(ys);
-  double sxy = 0.0, sxx = 0.0, syy = 0.0;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    const double dx = xs[i] - mx;
-    const double dy = ys[i] - my;
-    sxy += dx * dy;
-    sxx += dx * dx;
-    syy += dy * dy;
-  }
-  PM_CHECK_MSG(sxx > 0.0 && syy > 0.0,
-               "correlation undefined for a constant sample");
-  return sxy / std::sqrt(sxx * syy);
 }
 
 }  // namespace pm::stats

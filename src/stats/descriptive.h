@@ -14,16 +14,6 @@ namespace pm::stats {
 /// Arithmetic mean. Requires a non-empty input.
 double Mean(std::span<const double> xs);
 
-/// Unbiased sample variance (n-1 denominator). Requires size >= 2.
-double Variance(std::span<const double> xs);
-
-/// sqrt(Variance).
-double StdDev(std::span<const double> xs);
-
-/// Minimum / maximum. Require non-empty input.
-double Min(std::span<const double> xs);
-double Max(std::span<const double> xs);
-
 /// Quantile with linear interpolation between order statistics (the "R-7"
 /// definition used by R and NumPy). q in [0, 1]. Requires non-empty input.
 double Quantile(std::span<const double> xs, double q);
@@ -56,10 +46,5 @@ BoxplotSummary Boxplot(std::span<const double> xs);
 /// reserve-pricing ablation to quantify "shortages and surpluses" of
 /// utilization across clusters.
 double MeanAbsDeviation(std::span<const double> xs);
-
-/// Pearson correlation of two equal-length samples (size >= 2, both with
-/// nonzero variance).
-double PearsonCorrelation(std::span<const double> xs,
-                          std::span<const double> ys);
 
 }  // namespace pm::stats

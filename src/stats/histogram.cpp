@@ -1,9 +1,6 @@
 #include "stats/histogram.h"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdio>
-#include <sstream>
 
 #include "common/check.h"
 
@@ -33,10 +30,6 @@ void Histogram::Add(double value) {
   ++counts_[bin];
 }
 
-void Histogram::AddAll(const std::vector<double>& values) {
-  for (double v : values) Add(v);
-}
-
 std::size_t Histogram::Count(std::size_t bin) const {
   PM_CHECK(bin < counts_.size());
   return counts_[bin];
@@ -50,14 +43,6 @@ double Histogram::BinCenter(std::size_t bin) const {
 double Histogram::BinLow(std::size_t bin) const {
   PM_CHECK(bin < counts_.size());
   return lo_ + static_cast<double>(bin) * width_;
-}
-
-double Histogram::Fraction(std::size_t bin) const {
-  PM_CHECK(bin < counts_.size());
-  const std::size_t in_range = total_ - underflow_ - overflow_;
-  if (in_range == 0) return 0.0;
-  return static_cast<double>(counts_[bin]) /
-         static_cast<double>(in_range);
 }
 
 bool Histogram::SameShape(const Histogram& other) const {
@@ -102,26 +87,6 @@ double Histogram::Quantile(double q) const {
     cum = next;
   }
   return hi_;  // Remaining mass sits above the range.
-}
-
-std::string Histogram::Render(int max_width) const {
-  PM_CHECK(max_width >= 1);
-  std::size_t peak = 1;
-  for (std::size_t c : counts_) peak = std::max(peak, c);
-  std::ostringstream os;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    char head[96];
-    std::snprintf(head, sizeof(head), "[%9.3f,%9.3f) %8zu ", BinLow(i),
-                  BinLow(i) + width_, counts_[i]);
-    os << head;
-    const int len = static_cast<int>(std::lround(
-        static_cast<double>(counts_[i]) / static_cast<double>(peak) *
-        max_width));
-    os << std::string(static_cast<std::size_t>(len), '#') << '\n';
-  }
-  if (underflow_ > 0) os << "underflow: " << underflow_ << '\n';
-  if (overflow_ > 0) os << "overflow: " << overflow_ << '\n';
-  return os.str();
 }
 
 }  // namespace pm::stats

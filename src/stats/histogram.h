@@ -2,7 +2,6 @@
 #pragma once
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 namespace pm::stats {
@@ -14,7 +13,6 @@ class Histogram {
   Histogram(double lo, double hi, std::size_t bins);
 
   void Add(double value);
-  void AddAll(const std::vector<double>& values);
 
   std::size_t NumBins() const { return counts_.size(); }
   std::size_t Count(std::size_t bin) const;
@@ -27,9 +25,6 @@ class Histogram {
 
   /// Inclusive lower edge of bin i.
   double BinLow(std::size_t bin) const;
-
-  /// Fraction of in-range samples in bin i (0 if empty histogram).
-  double Fraction(std::size_t bin) const;
 
   /// Sum of every Add()ed value (under/overflow included) — Prometheus
   /// exposition's `_sum` companion to the bucket counts.
@@ -54,9 +49,6 @@ class Histogram {
   /// empty histogram returns lo — the deterministic "no data" answer the
   /// metrics registry relies on.
   double Quantile(double q) const;
-
-  /// One line per bin: "[lo,hi) count ###…".
-  std::string Render(int max_width) const;
 
  private:
   double lo_, hi_, width_;

@@ -39,13 +39,6 @@ TEST(PriceLearnerTest, MarkupDecaysGeometrically) {
   EXPECT_DOUBLE_EQ(learner.Markup(), 0.2);
 }
 
-TEST(PriceLearnerTest, BelievedCostSumsItems) {
-  PriceLearner learner({2.0, 3.0, 5.0}, 0.5, 0.0, 1.0);
-  const std::vector<std::size_t> pools = {0, 2};
-  const std::vector<double> qtys = {4.0, 2.0};
-  EXPECT_DOUBLE_EQ(learner.BelievedCost(pools, qtys), 18.0);
-}
-
 TEST(PriceLearnerTest, ValidatesArguments) {
   EXPECT_THROW(PriceLearner({}, 0.5, 0.5, 0.9), pm::CheckFailure);
   EXPECT_THROW(PriceLearner({1.0}, 0.0, 0.5, 0.9), pm::CheckFailure);
@@ -390,15 +383,6 @@ TEST(PlacementPenaltyTest, DistrustedClusterDropsOutOfGrowthBids) {
   EXPECT_FALSE(mentions_cold(agent.MakeBids(fx.View())));
 }
 
-TEST(StrategyTest, StrategyNamesRoundTrip) {
-  for (StrategyKind kind :
-       {StrategyKind::kTruthfulGrowth, StrategyKind::kPremiumSticky,
-        StrategyKind::kOpportunistMover, StrategyKind::kLowballSeller,
-        StrategyKind::kArbitrageur}) {
-    EXPECT_EQ(MakeStrategy(kind)->Name(), ToString(kind));
-  }
-}
-
 // ------------------------------------------------------------ workload gen --
 
 TEST(WorkloadGenTest, GeneratesRequestedShape) {
@@ -487,7 +471,7 @@ TEST(WorkloadGenTest, FixedPricesMatchUnitCosts) {
   for (PoolId r = 0; r < world.fleet.NumPools(); ++r) {
     const ResourceKind kind = world.fleet.registry().KeyOf(r).kind;
     EXPECT_DOUBLE_EQ(world.fixed_prices[r],
-                     config.unit_costs.Of(kind));
+                     kUnitCosts.Of(kind));
   }
 }
 

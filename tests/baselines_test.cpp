@@ -1,5 +1,5 @@
 // Tests for the baseline mechanisms: exact WDP branch & bound, greedy
-// pay-as-bid, and the traditional fixed-price allocators.
+// pay-as-bid, and the traditional priority-order allocator.
 #include <gtest/gtest.h>
 
 #include <numeric>
@@ -196,67 +196,6 @@ TEST(FixedPriceTest, PriceOutIsNotShortage) {
   EXPECT_EQ(r.chosen[0], -1);
   EXPECT_DOUBLE_EQ(r.shortage[0], 0.0);
   EXPECT_DOUBLE_EQ(r.surplus[0], 5.0);
-}
-
-TEST(FixedPriceTest, ProportionalShareScalesOversubscribedPool) {
-  std::vector<Bid> bids = {
-      MakeBid(0, {Bundle({{0, 4.0}})}, 100.0),
-      MakeBid(1, {Bundle({{0, 4.0}})}, 100.0),
-  };
-  const FixedPriceResult r =
-      AllocateProportionalShare(bids, {4.0}, {1.0});
-  EXPECT_EQ(r.chosen[0], 0);
-  EXPECT_EQ(r.chosen[1], 0);
-  EXPECT_NEAR(r.scale[0], 0.5, 1e-9);
-  EXPECT_NEAR(r.scale[1], 0.5, 1e-9);
-  EXPECT_NEAR(r.shortage[0], 4.0, 1e-9);  // Half of 8 requested.
-  EXPECT_NEAR(r.operator_revenue, 4.0, 1e-9);
-}
-
-TEST(FixedPriceTest, ProportionalShareLeavesFeasibleLoads) {
-  RandomStream rng(17);
-  std::vector<Bid> bids;
-  for (UserId u = 0; u < 20; ++u) {
-    std::vector<BundleItem> items;
-    const int n = static_cast<int>(rng.UniformInt(1, 3));
-    for (int i = 0; i < n; ++i) {
-      items.push_back(BundleItem{
-          static_cast<PoolId>(rng.UniformInt(0, 3)),
-          rng.Uniform(1.0, 6.0)});
-    }
-    bid::Bundle bundle(std::move(items));
-    if (bundle.Empty()) continue;
-    bids.push_back(MakeBid(u, {std::move(bundle)}, 1000.0));
-  }
-  bid::AssignUserIds(bids);
-  const std::vector<double> supply = {10.0, 10.0, 10.0, 10.0};
-  const std::vector<double> fixed = {1.0, 1.0, 1.0, 1.0};
-  const FixedPriceResult r = AllocateProportionalShare(bids, supply, fixed);
-  // Granted demand must never exceed supply in any pool.
-  std::vector<double> granted(supply.size(), 0.0);
-  for (std::size_t u = 0; u < bids.size(); ++u) {
-    if (r.chosen[u] < 0) continue;
-    for (const BundleItem& item :
-         bids[u].bundles[static_cast<std::size_t>(r.chosen[u])].items()) {
-      granted[item.pool] += item.qty * r.scale[u];
-    }
-  }
-  for (std::size_t p = 0; p < supply.size(); ++p) {
-    EXPECT_LE(granted[p], supply[p] + 1e-6);
-  }
-}
-
-TEST(FixedPriceTest, ProportionalScalingViolatesBundleIntegrity) {
-  // The documented flaw of the traditional scheme: teams get fractions
-  // of the bundle they need (the paper's constraint (1) forbids this).
-  std::vector<Bid> bids = {
-      MakeBid(0, {Bundle({{0, 10.0}})}, 100.0),
-      MakeBid(1, {Bundle({{0, 10.0}})}, 100.0),
-  };
-  const FixedPriceResult r =
-      AllocateProportionalShare(bids, {10.0}, {1.0});
-  EXPECT_LT(r.scale[0], 1.0);
-  EXPECT_GT(r.scale[0], 0.0);
 }
 
 TEST(FixedPriceTest, PriorityRequiresFullRanking) {

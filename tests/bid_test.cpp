@@ -12,8 +12,6 @@ TEST(BundleTest, DefaultIsEmpty) {
   Bundle b;
   EXPECT_TRUE(b.Empty());
   EXPECT_EQ(b.MinVectorSize(), 0u);
-  EXPECT_TRUE(b.IsPureBuy());
-  EXPECT_TRUE(b.IsPureSell());
 }
 
 TEST(BundleTest, CanonicalizesSortedUniqueNonzero) {
@@ -47,15 +45,6 @@ TEST(BundleTest, DotBeyondPriceVectorThrows) {
   Bundle b({{5, 1.0}});
   const std::vector<double> prices = {1.0, 2.0};
   EXPECT_THROW(b.Dot(prices), CheckFailure);
-}
-
-TEST(BundleTest, PurityClassification) {
-  EXPECT_TRUE(Bundle({{0, 1.0}, {1, 2.0}}).IsPureBuy());
-  EXPECT_FALSE(Bundle({{0, 1.0}, {1, 2.0}}).IsPureSell());
-  EXPECT_TRUE(Bundle({{0, -1.0}}).IsPureSell());
-  Bundle trader({{0, 1.0}, {1, -1.0}});
-  EXPECT_FALSE(trader.IsPureBuy());
-  EXPECT_FALSE(trader.IsPureSell());
 }
 
 TEST(BundleTest, AdditionMergesComponentWise) {

@@ -3,6 +3,8 @@
 // end-to-end handoff to a binding auction.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "agents/workload_gen.h"
 #include "auction/clock_auction.h"
 #include "common/check.h"
@@ -21,20 +23,23 @@ bid::Bid SimpleBid(const std::string& name, PoolId pool, double qty,
   return b;
 }
 
+/// Pool count of the stub book.
+constexpr std::size_t kPools = 3;
+
 /// A stub preliminary computation that records call counts and returns
 /// a constant price per bid in the book.
 struct StubPricer {
   int calls = 0;
   std::vector<double> operator()(std::vector<bid::Bid> bids) {
     ++calls;
-    return std::vector<double>(3, static_cast<double>(bids.size()));
+    return std::vector<double>(kPools, static_cast<double>(bids.size()));
   }
 };
 
 TEST(BidWindowTest, CollectsAndClosesAutomatically) {
   sim::EventQueue queue;
   StubPricer pricer;
-  BidWindow window(queue, /*close_at=*/100.0, /*tick_period=*/10.0,
+  BidWindow window(queue, kPools, /*close_at=*/100.0, /*tick_period=*/10.0,
                    std::ref(pricer));
   EXPECT_TRUE(window.Submit(SimpleBid("a", 0, 1.0, 5.0)));
   queue.RunUntil(50.0);
@@ -48,7 +53,7 @@ TEST(BidWindowTest, CollectsAndClosesAutomatically) {
 TEST(BidWindowTest, TicksComputePreliminaryPrices) {
   sim::EventQueue queue;
   StubPricer pricer;
-  BidWindow window(queue, 100.0, 10.0, std::ref(pricer));
+  BidWindow window(queue, kPools, 100.0, 10.0, std::ref(pricer));
   window.Submit(SimpleBid("a", 0, 1.0, 5.0));
   queue.RunUntil(35.0);
   // Ticks at 10, 20, 30.
@@ -66,7 +71,7 @@ TEST(BidWindowTest, TicksComputePreliminaryPrices) {
 TEST(BidWindowTest, NoTicksAfterClose) {
   sim::EventQueue queue;
   StubPricer pricer;
-  BidWindow window(queue, 25.0, 10.0, std::ref(pricer));
+  BidWindow window(queue, kPools, 25.0, 10.0, std::ref(pricer));
   queue.RunAll();
   EXPECT_FALSE(window.IsOpen());
   EXPECT_EQ(pricer.calls, 2);  // Ticks at 10 and 20 only.
@@ -75,7 +80,7 @@ TEST(BidWindowTest, NoTicksAfterClose) {
 TEST(BidWindowTest, AmendReplacesByName) {
   sim::EventQueue queue;
   StubPricer pricer;
-  BidWindow window(queue, 100.0, 10.0, std::ref(pricer));
+  BidWindow window(queue, kPools, 100.0, 10.0, std::ref(pricer));
   window.Submit(SimpleBid("team-a/grow", 0, 1.0, 5.0));
   window.Submit(SimpleBid("team-b/grow", 0, 1.0, 6.0));
   EXPECT_EQ(window.Amend("team-a/grow",
@@ -90,7 +95,7 @@ TEST(BidWindowTest, AmendReplacesByName) {
 TEST(BidWindowTest, WithdrawRemovesAllWithName) {
   sim::EventQueue queue;
   StubPricer pricer;
-  BidWindow window(queue, 100.0, 10.0, std::ref(pricer));
+  BidWindow window(queue, kPools, 100.0, 10.0, std::ref(pricer));
   window.Submit(SimpleBid("dup", 0, 1.0, 5.0));
   window.Submit(SimpleBid("dup", 1, 1.0, 5.0));
   window.Submit(SimpleBid("other", 0, 1.0, 5.0));
@@ -101,7 +106,7 @@ TEST(BidWindowTest, WithdrawRemovesAllWithName) {
 TEST(BidWindowTest, CloseAssignsUserIdsAndEmptiesBook) {
   sim::EventQueue queue;
   StubPricer pricer;
-  BidWindow window(queue, 100.0, 10.0, std::ref(pricer));
+  BidWindow window(queue, kPools, 100.0, 10.0, std::ref(pricer));
   window.Submit(SimpleBid("a", 0, 1.0, 5.0));
   window.Submit(SimpleBid("b", 1, 2.0, 9.0));
   const std::vector<bid::Bid> final_bids = window.Close();
@@ -115,9 +120,9 @@ TEST(BidWindowTest, CloseAssignsUserIdsAndEmptiesBook) {
 TEST(BidWindowTest, ValidatesConstruction) {
   sim::EventQueue queue;
   StubPricer pricer;
-  EXPECT_THROW(BidWindow(queue, 0.0, 10.0, std::ref(pricer)),
+  EXPECT_THROW(BidWindow(queue, kPools, 0.0, 10.0, std::ref(pricer)),
                CheckFailure);
-  EXPECT_THROW(BidWindow(queue, 10.0, 0.0, std::ref(pricer)),
+  EXPECT_THROW(BidWindow(queue, kPools, 10.0, 0.0, std::ref(pricer)),
                CheckFailure);
 }
 
@@ -136,7 +141,8 @@ TEST(BidWindowTest, EndToEndWithMarketPreliminaryPrices) {
   Market market(&world.fleet, &world.agents, world.fixed_prices, config);
 
   sim::EventQueue queue;
-  BidWindow window(queue, /*close_at=*/72.0, /*tick_period=*/24.0,
+  BidWindow window(queue, world.fleet.NumPools(), /*close_at=*/72.0,
+                   /*tick_period=*/24.0,
                    [&market](std::vector<bid::Bid> bids) {
                      return market.ComputePreliminaryPrices(
                          std::move(bids));
@@ -154,6 +160,44 @@ TEST(BidWindowTest, EndToEndWithMarketPreliminaryPrices) {
   // Preliminary pricing bound nothing.
   EXPECT_EQ(market.AuctionCount(), 0);
   EXPECT_TRUE(market.ledger().Journal().empty());
+}
+
+TEST(BidWindowTest, RejectsMalformedBidAndKeepsTicking) {
+  // A malformed bid must never reach the preliminary auction: it would
+  // throw out of the tick and stop the tick process for the rest of the
+  // window.
+  agents::WorkloadConfig workload;
+  workload.num_clusters = 3;
+  workload.num_teams = 4;
+  workload.min_machines_per_cluster = 5;
+  workload.max_machines_per_cluster = 8;
+  workload.seed = 5;
+  agents::World world = GenerateWorld(workload);
+  Market market(&world.fleet, &world.agents, world.fixed_prices,
+                MarketConfig{});
+  const std::size_t pools = world.fleet.NumPools();
+
+  sim::EventQueue queue;
+  BidWindow window(queue, pools, /*close_at=*/100.0, /*tick_period=*/10.0,
+                   [&market](std::vector<bid::Bid> bids) {
+                     return market.ComputePreliminaryPrices(
+                         std::move(bids));
+                   });
+  EXPECT_FALSE(window.Submit(SimpleBid("bad", 0, 1.0, std::nan(""))));
+  EXPECT_FALSE(window.Submit(
+      SimpleBid("far", static_cast<PoolId>(pools), 1.0, 5.0)));
+  ASSERT_TRUE(window.Submit(SimpleBid("good", 0, 1.0, 1e5)));
+  EXPECT_EQ(window.Amend("good", SimpleBid("good", 0, 1.0, std::nan(""))),
+            0u);
+  EXPECT_EQ(window.BookSize(), 1u);
+
+  queue.RunUntil(15.0);
+  ASSERT_EQ(window.Ticks().size(), 1u);
+  EXPECT_EQ(window.Ticks()[0].bids_in_book, 1u);
+  EXPECT_EQ(window.LatestPreliminaryPrices().size(), pools);
+  const std::vector<bid::Bid> final_bids = window.Close();
+  ASSERT_EQ(final_bids.size(), 1u);
+  EXPECT_EQ(final_bids[0].name, "good");
 }
 
 }  // namespace

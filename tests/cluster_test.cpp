@@ -33,14 +33,6 @@ TEST(TaskShapeTest, ArithmeticAndScaling) {
   EXPECT_EQ((a * 2.0).ram_gb, 4.0);
 }
 
-TEST(TaskShapeTest, FitsIsComponentWise) {
-  const TaskShape big{4.0, 4.0, 4.0};
-  EXPECT_TRUE(big.Fits({4.0, 4.0, 4.0}));
-  EXPECT_TRUE(big.Fits({1.0, 1.0, 1.0}));
-  EXPECT_FALSE(big.Fits({5.0, 1.0, 1.0}));
-  EXPECT_FALSE(big.Fits({1.0, 1.0, 4.1}));
-}
-
 TEST(JobTest, TotalDemandScalesByTasks) {
   Job job;
   job.shape = {2.0, 8.0, 1.0};
@@ -75,14 +67,6 @@ TEST(MachineTest, FitIsPerDimension) {
   m.Place({1.0, 60.0, 1.0});
   EXPECT_FALSE(m.CanFit({1.0, 8.0, 1.0}));  // RAM binds.
   EXPECT_TRUE(m.CanFit({1.0, 4.0, 1.0}));
-}
-
-TEST(MachineTest, UtilizationPerKind) {
-  Machine m(kMachine);
-  m.Place({8.0, 16.0, 2.0});
-  EXPECT_DOUBLE_EQ(m.Utilization(ResourceKind::kCpu), 0.5);
-  EXPECT_DOUBLE_EQ(m.Utilization(ResourceKind::kRam), 0.25);
-  EXPECT_DOUBLE_EQ(m.Utilization(ResourceKind::kDisk), 0.25);
 }
 
 TEST(MachineTest, RemoveUnplacedThrows) {

@@ -3,11 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <climits>
 #include <cmath>
 #include <future>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "common/ascii_chart.h"
+#include "common/bench_meta.h"
 #include "common/check.h"
 #include "common/money.h"
 #include "common/rng.h"
@@ -244,19 +248,6 @@ TEST(RngTest, UniformIntBadRangeThrows) {
   EXPECT_THROW(rng.UniformInt(3, 2), CheckFailure);
 }
 
-TEST(RngTest, NormalMomentsMatch) {
-  RandomStream rng(21);
-  double sum = 0.0, sq = 0.0;
-  const int n = 200000;
-  for (int i = 0; i < n; ++i) {
-    const double x = rng.Normal();
-    sum += x;
-    sq += x * x;
-  }
-  EXPECT_NEAR(sum / n, 0.0, 0.02);
-  EXPECT_NEAR(sq / n, 1.0, 0.03);
-}
-
 TEST(RngTest, ExponentialMeanMatches) {
   RandomStream rng(33);
   double sum = 0.0;
@@ -314,6 +305,10 @@ TEST(RngTest, ShuffleIsPermutation) {
 TEST(ThreadPoolTest, MinimumOneWorker) {
   ThreadPool pool(0);
   EXPECT_EQ(pool.size(), 1u);
+}
+
+TEST(ThreadPoolTest, RejectsMoreThanMaxThreads) {
+  EXPECT_THROW(ThreadPool(kMaxThreads + 1), CheckFailure);
 }
 
 TEST(ParallelForTest, CoversRangeExactlyOnce) {
@@ -406,6 +401,65 @@ TEST(ParallelForTest, EmptyRangeWithReversedBoundsIsNoop) {
   bool called = false;
   ParallelFor(&pool, 9, 4, [&](std::size_t) { called = true; });
   EXPECT_FALSE(called);
+}
+
+// ------------------------------------------------------------ threads flag --
+
+struct ThreadsFlagResult {
+  unsigned threads = 0;
+  std::vector<std::string> rest;  // argv[1..argc) after the strip.
+};
+
+/// Runs ParseThreadsFlag (fallback 7) over `args` behind a program name.
+ThreadsFlagResult ParseThreads(std::vector<std::string> args) {
+  args.insert(args.begin(), "bench");
+  std::vector<char*> argv;
+  for (std::string& arg : args) argv.push_back(arg.data());
+  int argc = static_cast<int>(argv.size());
+  ThreadsFlagResult result;
+  result.threads = ParseThreadsFlag(&argc, argv.data(), 7);
+  result.rest.assign(argv.begin() + 1, argv.begin() + argc);
+  return result;
+}
+
+TEST(ParseThreadsFlagTest, AcceptsDecimalCounts) {
+  const struct {
+    std::vector<std::string> args;
+    unsigned threads;
+    std::vector<std::string> rest;
+  } cases[] = {
+      {{}, 7, {}},
+      {{"pos"}, 7, {"pos"}},
+      {{"--threads", "4"}, 4, {}},
+      {{"--threads=0"}, 0, {}},
+      {{"a", "--threads", "16", "b"}, 16, {"a", "b"}},
+      {{"--threads=2", "--threads", "3"}, 3, {}},
+      {{"--threads", "4294967295"}, UINT_MAX, {}},
+  };
+  for (const auto& c : cases) {
+    const ThreadsFlagResult got = ParseThreads(c.args);
+    EXPECT_EQ(got.threads, c.threads) << testing::PrintToString(c.args);
+    EXPECT_EQ(got.rest, c.rest) << testing::PrintToString(c.args);
+  }
+}
+
+TEST(ParseThreadsFlagTest, RejectsMalformedValues) {
+  const std::vector<std::vector<std::string>> cases = {
+      {"--threads"},                          // Missing value.
+      {"pos", "--threads"},                   // Missing value, trailing.
+      {"--threads", "abc"},                   // Non-numeric.
+      {"--threads", "4x"},                    // Trailing characters.
+      {"--threads", " 4"},                    // Leading space.
+      {"--threads", "-1"},                    // Negative.
+      {"--threads=-2"},                       // Negative, joined form.
+      {"--threads="},                         // Empty, joined form.
+      {"--threads", "4294967296"},            // One past UINT_MAX.
+      {"--threads", "99999999999999999999"},  // Far past any width.
+  };
+  for (const auto& args : cases) {
+    EXPECT_THROW(ParseThreads(args), CheckFailure)
+        << testing::PrintToString(args);
+  }
 }
 
 // ------------------------------------------------------------------ tables --

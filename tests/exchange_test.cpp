@@ -140,12 +140,10 @@ TEST(EndowmentTest, ProportionalToFootprintValue) {
   agents.emplace_back(small, prices, 1);
   agents.emplace_back(big, prices, 2);
 
-  EndowmentPolicy policy;
-  policy.multiplier = 2.0;
   const std::vector<Money> out =
-      ComputeEndowments(reg, agents, prices, policy);
-  EXPECT_EQ(out[0], Money::FromDollars(200));
-  EXPECT_EQ(out[1], Money::FromDollars(2000));
+      ComputeEndowments(reg, agents, prices, EndowmentPolicy{});
+  EXPECT_EQ(out[0], Money::FromDollars(600));  // 6 × footprint value.
+  EXPECT_EQ(out[1], Money::FromDollars(6000));
 }
 
 TEST(EndowmentTest, MinimumFloorApplies) {
@@ -159,7 +157,6 @@ TEST(EndowmentTest, MinimumFloorApplies) {
   std::vector<agents::TeamAgent> agents;
   agents.emplace_back(tiny, prices, 1);
   EndowmentPolicy policy;
-  policy.multiplier = 1.0;
   policy.minimum = Money::FromDollars(100);
   EXPECT_EQ(ComputeEndowments(reg, agents, prices, policy)[0],
             Money::FromDollars(100));
@@ -188,10 +185,7 @@ TEST(ReportTest, TradePercentilesFilterKindAndSide) {
   const auto cpu_bids =
       TradePercentiles(report, ResourceKind::kCpu, true);
   EXPECT_EQ(cpu_bids, (std::vector<double>{20.0, 30.0}));
-  const auto boxplot = TradeBoxplot(report, ResourceKind::kCpu, true);
-  EXPECT_EQ(boxplot.n, 2u);
-  EXPECT_DOUBLE_EQ(boxplot.median, 25.0);
-  EXPECT_EQ(TradeBoxplot(report, ResourceKind::kDisk, true).n, 0u);
+  EXPECT_TRUE(TradePercentiles(report, ResourceKind::kDisk, true).empty());
 }
 
 TEST(ReportTest, UtilizationSpreadInPercentagePoints) {

@@ -14,6 +14,7 @@
 #include "exchange/summary.h"
 #include "sim/event_queue.h"
 #include "sim/process.h"
+#include "stats/descriptive.h"
 
 namespace pm {
 namespace {

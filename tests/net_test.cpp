@@ -170,12 +170,6 @@ TEST(WireTest, DemandReplyRoundTrip) {
   EXPECT_EQ(decoded->decisions[1].bundle_index, -1);
 }
 
-TEST(WireTest, TerminateRoundTrip) {
-  const auto decoded = DecodeTerminate(Encode(Terminate{true}));
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_TRUE(decoded->converged);
-}
-
 TEST(WireTest, PeekTypeIdentifiesFrames) {
   EXPECT_EQ(PeekType(Encode(PriceAnnounce{})),
             MessageType::kPriceAnnounce);

@@ -63,10 +63,21 @@ TEST(WeightingTest, FlatFailsSignalingProperties) {
   EXPECT_NE(failure.find("property 2"), std::string::npos);
 }
 
+/// A test-only curve over any callable, for the negative property checks.
+template <typename Fn>
+class LambdaWeighting final : public WeightingFunction {
+ public:
+  explicit LambdaWeighting(Fn fn) : fn_(fn) {}
+  double operator()(double x) const override { return fn_(x); }
+  std::string_view Name() const override { return "test"; }
+
+ private:
+  Fn fn_;
+};
+
 TEST(WeightingTest, DecreasingCurveFailsProperty1) {
-  auto bad = MakeCustomWeighting([](double x) { return 2.0 - x; },
-                                 "decreasing");
-  EXPECT_NE(CheckWeightingProperties(*bad).find("property 1"),
+  const LambdaWeighting bad([](double x) { return 2.0 - x; });
+  EXPECT_NE(CheckWeightingProperties(bad).find("property 1"),
             std::string::npos);
 }
 
@@ -74,42 +85,19 @@ TEST(WeightingTest, ConcaveCurveFailsProperty4) {
   // Satisfies properties 1–3 (monotone, crosses 1 at the threshold) but
   // rises sqrt-fast just above it and flattens toward 100 % — the
   // opposite of the congestion emphasis property 4 demands.
-  auto bad = MakeCustomWeighting(
-      [](double x) {
-        return x <= 0.5 ? 2.0 * x : 1.0 + std::sqrt(x - 0.5);
-      },
-      "concave-top");
-  const std::string failure = CheckWeightingProperties(*bad);
+  const LambdaWeighting bad([](double x) {
+    return x <= 0.5 ? 2.0 * x : 1.0 + std::sqrt(x - 0.5);
+  });
+  const std::string failure = CheckWeightingProperties(bad);
   EXPECT_NE(failure.find("property 4"), std::string::npos) << failure;
 }
 
 TEST(WeightingTest, ExcessiveDynamicRangeFailsProperty5) {
-  auto bad = MakeCustomWeighting(
-      [](double x) { return std::exp(10.0 * (x - 0.5)); }, "wild");
+  const LambdaWeighting bad(
+      [](double x) { return std::exp(10.0 * (x - 0.5)); });
   const std::string failure =
-      CheckWeightingProperties(*bad, 0.5, /*max_dynamic_range=*/64.0);
+      CheckWeightingProperties(bad, 0.5, /*max_dynamic_range=*/64.0);
   EXPECT_NE(failure.find("property 5"), std::string::npos);
-}
-
-TEST(WeightingTest, PiecewiseLinearInterpolates) {
-  auto pw = MakePiecewiseLinearWeighting(
-      {{0.0, 0.5}, {0.5, 1.0}, {1.0, 2.5}}, "pw");
-  EXPECT_NEAR((*pw)(0.25), 0.75, 1e-12);
-  EXPECT_NEAR((*pw)(0.75), 1.75, 1e-12);
-  EXPECT_NEAR((*pw)(0.0), 0.5, 1e-12);
-  EXPECT_NEAR((*pw)(1.0), 2.5, 1e-12);
-  EXPECT_EQ(CheckWeightingProperties(*pw), "");
-}
-
-TEST(WeightingTest, PiecewiseValidation) {
-  EXPECT_THROW(MakePiecewiseLinearWeighting({{0.0, 1.0}}, "x"),
-               pm::CheckFailure);
-  EXPECT_THROW(
-      MakePiecewiseLinearWeighting({{0.1, 1.0}, {1.0, 2.0}}, "x"),
-      pm::CheckFailure);
-  EXPECT_THROW(MakePiecewiseLinearWeighting(
-                   {{0.0, 1.0}, {0.5, 1.0}, {0.5, 2.0}, {1.0, 2.0}}, "x"),
-               pm::CheckFailure);
 }
 
 // ------------------------------------------------------------------ pricer --
@@ -154,25 +142,6 @@ TEST(ReservePricerTest, CongestedPoolsCostMoreThanIdle) {
   // Idle pool is discounted below cost; congested priced above.
   EXPECT_LT(prices[*cold_cpu], 10.0);
   EXPECT_GT(prices[*hot_cpu], 10.0);
-}
-
-TEST(ReservePricerTest, PerKindCurves) {
-  PoolRegistry reg;
-  const PoolId cpu = reg.Intern("c", ResourceKind::kCpu);
-  const PoolId ram = reg.Intern("c", ResourceKind::kRam);
-  const PoolId disk = reg.Intern("c", ResourceKind::kDisk);
-  std::vector<std::shared_ptr<const WeightingFunction>> curves = {
-      std::shared_ptr<const WeightingFunction>(MakeExp2Weighting()),
-      std::shared_ptr<const WeightingFunction>(MakeExpWeighting()),
-      std::shared_ptr<const WeightingFunction>(MakeFlatWeighting()),
-  };
-  ReservePricer pricer(std::move(curves));
-  const std::vector<double> util = {0.9, 0.9, 0.9};
-  const std::vector<double> cost = {1.0, 1.0, 1.0};
-  const std::vector<double> prices = pricer.Price(reg, util, cost);
-  EXPECT_NEAR(prices[cpu], std::exp(0.8), 1e-9);
-  EXPECT_NEAR(prices[ram], std::exp(0.4), 1e-9);
-  EXPECT_NEAR(prices[disk], 1.0, 1e-9);
 }
 
 TEST(ReservePricerTest, ClampsUtilizationToUnitInterval) {

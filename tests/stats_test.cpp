@@ -17,21 +17,9 @@ const std::vector<double> kSample = {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0};
 
 TEST(DescriptiveTest, Mean) { EXPECT_DOUBLE_EQ(Mean(kSample), 5.0); }
 
-TEST(DescriptiveTest, VarianceIsUnbiased) {
-  // Σ(x-5)² = 9+1+1+1+0+0+4+16 = 32; 32/7.
-  EXPECT_NEAR(Variance(kSample), 32.0 / 7.0, 1e-12);
-  EXPECT_NEAR(StdDev(kSample), std::sqrt(32.0 / 7.0), 1e-12);
-}
-
-TEST(DescriptiveTest, MinMax) {
-  EXPECT_EQ(Min(kSample), 2.0);
-  EXPECT_EQ(Max(kSample), 9.0);
-}
-
 TEST(DescriptiveTest, EmptyInputThrows) {
   std::vector<double> empty;
   EXPECT_THROW(Mean(empty), CheckFailure);
-  EXPECT_THROW(Min(empty), CheckFailure);
   EXPECT_THROW(Quantile(empty, 0.5), CheckFailure);
 }
 
@@ -108,21 +96,11 @@ TEST(DescriptiveTest, MeanAbsDeviation) {
   EXPECT_DOUBLE_EQ(MeanAbsDeviation(xs), 1.0);
 }
 
-TEST(DescriptiveTest, PearsonCorrelationSigns) {
-  const std::vector<double> xs = {1, 2, 3, 4, 5};
-  const std::vector<double> up = {2, 4, 6, 8, 10};
-  std::vector<double> down(up.rbegin(), up.rend());
-  EXPECT_NEAR(PearsonCorrelation(xs, up), 1.0, 1e-12);
-  EXPECT_NEAR(PearsonCorrelation(xs, down), -1.0, 1e-12);
-}
-
-TEST(DescriptiveTest, PearsonConstantThrows) {
-  const std::vector<double> xs = {1, 2, 3};
-  const std::vector<double> c = {5, 5, 5};
-  EXPECT_THROW(PearsonCorrelation(xs, c), CheckFailure);
-}
-
 // ---------------------------------------------------------------- histogram --
+
+void AddAll(Histogram& h, std::initializer_list<double> values) {
+  for (double v : values) h.Add(v);
+}
 
 TEST(HistogramTest, BinsValuesCorrectly) {
   Histogram h(0.0, 10.0, 5);
@@ -145,13 +123,6 @@ TEST(HistogramTest, TracksOutOfRange) {
   EXPECT_EQ(h.TotalCount(), 2u);
 }
 
-TEST(HistogramTest, FractionsNormalizeOverInRange) {
-  Histogram h(0.0, 4.0, 4);
-  h.AddAll({0.5, 1.5, 1.7, 99.0});
-  EXPECT_DOUBLE_EQ(h.Fraction(0), 1.0 / 3.0);
-  EXPECT_DOUBLE_EQ(h.Fraction(1), 2.0 / 3.0);
-}
-
 TEST(HistogramTest, BinGeometry) {
   Histogram h(10.0, 20.0, 5);
   EXPECT_DOUBLE_EQ(h.BinLow(0), 10.0);
@@ -162,24 +133,17 @@ TEST(HistogramTest, InvalidRangeThrows) {
   EXPECT_THROW(Histogram(1.0, 1.0, 4), pm::CheckFailure);
 }
 
-TEST(HistogramTest, RenderContainsBars) {
-  Histogram h(0.0, 1.0, 2);
-  h.AddAll({0.1, 0.2, 0.9});
-  const std::string out = h.Render(10);
-  EXPECT_NE(out.find('#'), std::string::npos);
-}
-
 TEST(HistogramTest, SumTracksEveryAdd) {
   Histogram h(0.0, 1.0, 2);
-  h.AddAll({0.25, 0.5, 3.0});  // Overflow still counts toward the sum.
+  AddAll(h, {0.25, 0.5, 3.0});  // Overflow still counts toward the sum.
   EXPECT_DOUBLE_EQ(h.Sum(), 3.75);
 }
 
 TEST(HistogramTest, MergeAddsCountsAndFlows) {
   Histogram a(0.0, 10.0, 5);
-  a.AddAll({1.0, 3.0, -1.0});
+  AddAll(a, {1.0, 3.0, -1.0});
   Histogram b(0.0, 10.0, 5);
-  b.AddAll({1.5, 99.0});
+  AddAll(b, {1.5, 99.0});
   a.Merge(b);
   EXPECT_EQ(a.Count(0), 2u);  // 1.0 and 1.5.
   EXPECT_EQ(a.Count(1), 1u);  // 3.0.
@@ -236,14 +200,14 @@ TEST(HistogramTest, QuantileInterpolatesWithinBin) {
 
 TEST(HistogramTest, QuantileUnderOverflowClampToRange) {
   Histogram h(0.0, 1.0, 2);
-  h.AddAll({-5.0, 0.25, 9.0});  // One below, one in, one above.
+  AddAll(h, {-5.0, 0.25, 9.0});  // One below, one in, one above.
   EXPECT_DOUBLE_EQ(h.Quantile(0.0), 0.0);   // Underflow mass reads lo.
   EXPECT_DOUBLE_EQ(h.Quantile(1.0), 1.0);   // Overflow mass reads hi.
 }
 
 TEST(HistogramTest, QuantileOrderedAcrossBins) {
   Histogram h(0.0, 10.0, 5);
-  h.AddAll({1.0, 3.0, 5.0, 7.0, 9.0});
+  AddAll(h, {1.0, 3.0, 5.0, 7.0, 9.0});
   double prev = h.Quantile(0.0);
   for (double q = 0.1; q <= 1.0; q += 0.1) {
     const double cur = h.Quantile(q);
@@ -255,6 +219,9 @@ TEST(HistogramTest, QuantileOrderedAcrossBins) {
 }
 
 // --------------------------------------------------------------- regression --
+
+/// Half-width of a uniform noise with mean 0 and variance 1.
+const double kUnitNoise = std::sqrt(3.0);
 
 TEST(RegressionTest, RecoversExactLine) {
   std::vector<double> xs, ys;
@@ -273,7 +240,7 @@ TEST(RegressionTest, NoisyLineHasHighR2) {
   std::vector<double> xs, ys;
   for (int i = 0; i < 200; ++i) {
     xs.push_back(i);
-    ys.push_back(10.0 + 0.5 * i + rng.Normal(0.0, 1.0));
+    ys.push_back(10.0 + 0.5 * i + rng.Uniform(-kUnitNoise, kUnitNoise));
   }
   const LinearFit fit = FitLinear(xs, ys);
   EXPECT_NEAR(fit.slope, 0.5, 0.05);
@@ -285,7 +252,7 @@ TEST(RegressionTest, UncorrelatedDataHasLowR2) {
   std::vector<double> xs, ys;
   for (int i = 0; i < 500; ++i) {
     xs.push_back(i);
-    ys.push_back(rng.Normal(0.0, 1.0));
+    ys.push_back(rng.Uniform(-kUnitNoise, kUnitNoise));
   }
   EXPECT_LT(FitLinear(xs, ys).r_squared, 0.05);
 }

@@ -208,13 +208,6 @@ TEST(AstTest, CountAlternativesSaturatesAtCap) {
   EXPECT_EQ(r.statements[0].root->CountAlternatives(2000), 1024u);
 }
 
-TEST(AstTest, TreeSizeCountsNodes) {
-  const ParseResult r = ParseTbbl(
-      R"(bid "t" limit 1 { xor { cpu@a: 1 cpu@b: 1 } })");
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.statements[0].root->TreeSize(), 3u);
-}
-
 TEST(AstTest, ToStringRoundTripsThroughParser) {
   const ParseResult r = ParseTbbl(
       R"(bid "t" limit 1 { xor { and { cpu@a: 2 ram@a: 4 } disk@b: 1 } })");
