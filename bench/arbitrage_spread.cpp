@@ -137,11 +137,12 @@ int main(int argc, char** argv) {
     }
   }
   const int teams =
-      positional.size() > 0 ? std::max(4, std::atoi(positional[0].c_str()))
-                            : 40;
-  const int epochs =
-      positional.size() > 1 ? std::max(2, std::atoi(positional[1].c_str()))
-                            : 8;
+      positional.size() > 0
+          ? pm::ParseNumberArg("teams_per_shard", positional[0], 4)
+          : 40;
+  const int epochs = positional.size() > 1
+                         ? pm::ParseNumberArg("epochs", positional[1], 2)
+                         : 8;
   if (pm::RefuseTrackedOutput(out_path)) return pm::kRefusedOutputExit;
 
   std::cout << "running " << epochs << " epochs x " << teams

@@ -110,12 +110,11 @@ int main(int argc, char** argv) {
     if (arg == "--smoke") {
       smoke = true;
     } else if (arg == "--bidders" && i + 1 < argc) {
-      bidders = std::atoll(argv[++i]);
+      bidders = pm::ParseNumberArg(arg, argv[++i], 1LL);
     } else if (arg == "--shards" && i + 1 < argc) {
-      shards = static_cast<std::size_t>(
-          std::max(1, std::atoi(argv[++i])));
+      shards = pm::ParseNumberArg<std::uint64_t>(arg, argv[++i], 1);
     } else if (arg == "--epochs" && i + 1 < argc) {
-      epochs = std::max(1, std::atoi(argv[++i]));
+      epochs = pm::ParseNumberArg(arg, argv[++i], 1);
     } else if (arg == "--chrome-trace-out" && i + 1 < argc) {
       chrome_trace_out = argv[++i];
     } else if (arg == "--out" && i + 1 < argc) {

@@ -29,9 +29,9 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--epochs" && i + 1 < argc) {
-      config.epochs = std::atoi(argv[++i]);
+      config.epochs = pm::ParseNumberArg(arg, argv[++i], 1);
     } else if (arg == "--seed" && i + 1 < argc) {
-      config.seed = std::strtoull(argv[++i], nullptr, 10);
+      config.seed = pm::ParseNumberArg<std::uint64_t>(arg, argv[++i]);
     } else if (arg == "--out" && i + 1 < argc) {
       out_path = argv[++i];
     } else {

@@ -3,17 +3,19 @@
 // frames over channels, next to the serial engine for comparison.
 //
 //   $ ./distributed_auction [users] [proxy_nodes]
-#include <cstdlib>
+#include <cmath>
 #include <iostream>
 
+#include "common/bench_meta.h"
 #include "common/rng.h"
 #include "common/table.h"
 #include "net/distributed_auction.h"
 
 int main(int argc, char** argv) {
-  const int users = argc > 1 ? std::atoi(argv[1]) : 80;
+  const int users = argc > 1 ? pm::ParseNumberArg("users", argv[1], 1) : 80;
   const std::size_t nodes =
-      argc > 2 ? static_cast<std::size_t>(std::atoi(argv[2])) : 4;
+      argc > 2 ? pm::ParseNumberArg<std::uint64_t>("proxy_nodes", argv[2], 1)
+               : 4;
 
   // A market of mostly buyers with a few sellers over 12 pools.
   pm::RandomStream rng(4242);

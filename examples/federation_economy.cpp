@@ -16,14 +16,15 @@
 //     the hottest once the utilization gap has persisted two epochs.
 //
 //   $ ./federation_economy [epochs] [teams_per_shard]
-#include <cstdlib>
 #include <iostream>
 
+#include "common/bench_meta.h"
 #include "federation/federated_exchange.h"
 
 int main(int argc, char** argv) {
-  const int epochs = argc > 1 ? std::max(1, std::atoi(argv[1])) : 6;
-  const int teams = argc > 2 ? std::max(4, std::atoi(argv[2])) : 24;
+  const int epochs = argc > 1 ? pm::ParseNumberArg("epochs", argv[1], 1) : 6;
+  const int teams =
+      argc > 2 ? pm::ParseNumberArg("teams_per_shard", argv[2], 4) : 24;
 
   std::vector<pm::federation::ShardSpec> specs;
   for (int k = 0; k < 3; ++k) {

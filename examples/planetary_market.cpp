@@ -7,10 +7,11 @@
 // premium statistics the paper reports.
 //
 //   $ ./planetary_market [num_clusters] [num_teams] [auctions]
-#include <cstdlib>
+#include <cmath>
 #include <iostream>
 
 #include "agents/workload_gen.h"
+#include "common/bench_meta.h"
 #include "common/table.h"
 #include "exchange/capacity_advice.h"
 #include "exchange/market.h"
@@ -20,9 +21,12 @@
 
 int main(int argc, char** argv) {
   pm::agents::WorkloadConfig workload;
-  workload.num_clusters = argc > 1 ? std::atoi(argv[1]) : 34;
-  workload.num_teams = argc > 2 ? std::atoi(argv[2]) : 100;
-  const int auctions = argc > 3 ? std::atoi(argv[3]) : 6;
+  workload.num_clusters =
+      argc > 1 ? pm::ParseNumberArg("num_clusters", argv[1], 1) : 34;
+  workload.num_teams =
+      argc > 2 ? pm::ParseNumberArg("num_teams", argv[2], 1) : 100;
+  const int auctions =
+      argc > 3 ? pm::ParseNumberArg("auctions", argv[3], 1) : 6;
   workload.seed = 20090425;
 
   std::cout << "generating a fleet of " << workload.num_clusters

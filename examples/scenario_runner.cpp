@@ -84,7 +84,8 @@ void WriteFileOrExit(const std::string& path, const std::string& content,
 }
 
 /// Parses "drop=P,dup=P,delay=N" (any subset, any order) into a
-/// FaultConfig; returns false on malformed input.
+/// FaultConfig; returns false on a malformed token or an out-of-range
+/// probability, and CHECK-fails on a malformed number.
 bool ParseFaults(const std::string& text, pm::net::FaultConfig& faults) {
   std::istringstream tokens(text);
   std::string token;
@@ -95,11 +96,11 @@ bool ParseFaults(const std::string& text, pm::net::FaultConfig& faults) {
     const std::string value = token.substr(eq + 1);
     if (value.empty()) return false;
     if (key == "drop") {
-      faults.drop = std::atof(value.c_str());
+      faults.drop = pm::ParseNumberArg("--faults drop", value, 0.0);
     } else if (key == "dup") {
-      faults.duplicate = std::atof(value.c_str());
+      faults.duplicate = pm::ParseNumberArg("--faults dup", value, 0.0);
     } else if (key == "delay") {
-      faults.delay_window = std::atoi(value.c_str());
+      faults.delay_window = pm::ParseNumberArg("--faults delay", value, 0);
     } else {
       return false;
     }
@@ -125,72 +126,73 @@ int main(int argc, char** argv) {
   bool console = false;
   bool profile = false;
 
+  // A malformed number in any flag is a usage error (exit 2).
   try {
     config.num_threads = pm::ParseThreadsFlag(&argc, argv, 0);
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      const auto next = [&]() -> const char* {
+        return i + 1 < argc ? argv[++i] : nullptr;
+      };
+      if (arg == "--list") {
+        for (const std::string& s : pm::scenario::ScenarioNames()) {
+          const pm::scenario::ScenarioSpec& spec =
+              pm::scenario::FindScenario(s);
+          std::cout << s << " — " << spec.description << "\n";
+        }
+        return 0;
+      } else if (arg == "--scenario") {
+        const char* v = next();
+        if (v == nullptr) return Usage();
+        name = v;
+      } else if (arg == "--seed") {
+        const char* v = next();
+        if (v == nullptr) return Usage();
+        config.seed = pm::ParseNumberArg<std::uint64_t>(arg, v);
+      } else if (arg == "--epochs") {
+        const char* v = next();
+        if (v == nullptr) return Usage();
+        config.epochs = pm::ParseNumberArg(arg, v, 1);
+      } else if (arg == "--out") {
+        const char* v = next();
+        if (v == nullptr) return Usage();
+        out = v;
+      } else if (arg == "--faults") {
+        const char* v = next();
+        if (v == nullptr || !ParseFaults(v, faults)) return Usage();
+      } else if (arg == "--metrics-out") {
+        const char* v = next();
+        if (v == nullptr) return Usage();
+        metrics_out = v;
+      } else if (arg == "--trace-out") {
+        const char* v = next();
+        if (v == nullptr) return Usage();
+        trace_out = v;
+      } else if (arg == "--prom-out") {
+        const char* v = next();
+        if (v == nullptr) return Usage();
+        prom_out = v;
+      } else if (arg == "--alerts-out") {
+        const char* v = next();
+        if (v == nullptr) return Usage();
+        alerts_out = v;
+      } else if (arg == "--chrome-trace-out") {
+        const char* v = next();
+        if (v == nullptr) return Usage();
+        chrome_trace_out = v;
+      } else if (arg == "--console") {
+        console = true;
+      } else if (arg == "--profile") {
+        profile = true;
+      } else if (arg == "--quiet") {
+        quiet = true;
+      } else {
+        return Usage();
+      }
+    }
   } catch (const pm::CheckFailure& e) {
     std::cerr << e.what() << "\n";
     return Usage();
-  }
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (arg == "--list") {
-      for (const std::string& s : pm::scenario::ScenarioNames()) {
-        const pm::scenario::ScenarioSpec& spec =
-            pm::scenario::FindScenario(s);
-        std::cout << s << " — " << spec.description << "\n";
-      }
-      return 0;
-    } else if (arg == "--scenario") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      name = v;
-    } else if (arg == "--seed") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      config.seed = std::strtoull(v, nullptr, 10);
-    } else if (arg == "--epochs") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      config.epochs = std::atoi(v);
-    } else if (arg == "--out") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      out = v;
-    } else if (arg == "--faults") {
-      const char* v = next();
-      if (v == nullptr || !ParseFaults(v, faults)) return Usage();
-    } else if (arg == "--metrics-out") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      metrics_out = v;
-    } else if (arg == "--trace-out") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      trace_out = v;
-    } else if (arg == "--prom-out") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      prom_out = v;
-    } else if (arg == "--alerts-out") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      alerts_out = v;
-    } else if (arg == "--chrome-trace-out") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      chrome_trace_out = v;
-    } else if (arg == "--console") {
-      console = true;
-    } else if (arg == "--profile") {
-      profile = true;
-    } else if (arg == "--quiet") {
-      quiet = true;
-    } else {
-      return Usage();
-    }
   }
   if (name.empty()) return Usage();
 

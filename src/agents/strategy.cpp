@@ -91,287 +91,262 @@ double ClampLimit(double limit, double budget) {
   return std::min(limit, budget);
 }
 
-class TruthfulGrowthStrategy final : public Strategy {
- public:
-  std::vector<bid::Bid> MakeBids(const StrategyContext& ctx) override {
-    const TeamProfile& profile = *ctx.profile;
-    const cluster::TaskShape delta = GrowthDelta(profile);
-    const PoolRegistry& registry = *ctx.view->registry;
-    const std::size_t home = HomeCluster(registry, profile);
-
-    // XOR over the home cluster and up to three believed-cheapest
-    // alternatives that currently have room. Growth is a *new*
-    // deployment, so unlike a relocation it carries only a small setup
-    // penalty when placed away from home.
-    std::vector<bid::Bundle> bundles;
-    bundles.push_back(BundleForCluster(registry, home, delta));
-    int alternatives = 0;
-    double cheapest_cost =
-        BelievedClusterCost(registry, *ctx.learner, home, delta);
-    const double setup_penalty = 0.02 * profile.relocation_cost;
-    for (std::size_t c : ClustersByBelievedCost(ctx, delta)) {
-      if (c == home) continue;
-      if (!FitsFreeCapacity(*ctx.view, c, delta)) continue;
-      const double cost =
-          BelievedClusterCost(registry, *ctx.learner, c, delta) +
-          setup_penalty;
-      bundles.push_back(BundleForCluster(registry, c, delta));
-      cheapest_cost = std::min(cheapest_cost, cost);
-      if (++alternatives >= 3) break;
-    }
-
-    // Bid the believed cost plus a safety markup (§V.C: reserve prices
-    // associated with bids track believed market prices with a shrinking
-    // cushion). The team's private value caps the limit: when even the
-    // believed price exceeds the value, the team sits out.
-    const double markup = ctx.learner->Markup();
-    const double noise = ctx.rng->Uniform(0.97, 1.03);
-    const double value = cheapest_cost * profile.value_multiplier;
-    double limit =
-        std::min(cheapest_cost * (1.0 + markup) * noise, value);
-    limit = ClampLimit(limit, ctx.view->budget);
-    if (limit <= 0.0) return {};
-
-    bid::Bid bid;
-    bid.name = profile.name + "/grow";
-    bid.bundles = std::move(bundles);
-    bid.limit = limit;
-    return {std::move(bid)};
-  }
-
-  std::string_view Name() const override { return "truthful-growth"; }
-};
-
-class PremiumStickyStrategy final : public Strategy {
- public:
-  std::vector<bid::Bid> MakeBids(const StrategyContext& ctx) override {
-    const TeamProfile& profile = *ctx.profile;
-    const cluster::TaskShape delta = GrowthDelta(profile);
-    const PoolRegistry& registry = *ctx.view->registry;
-    const std::size_t home = HomeCluster(registry, profile);
-
-    // Home cluster only: this team's engineering cost of moving is so
-    // high it pays whatever the home pool asks.
-    const double believed =
-        BelievedClusterCost(registry, *ctx.learner, home, delta);
-    const double markup = ctx.learner->Markup();
-    // A sticky surcharge on top of the learning markup that never fully
-    // decays — the persistent high-percentile bid outliers of Figure 7.
-    const double sticky = ctx.rng->Uniform(0.50, 1.10);
-    const double ceiling =
-        believed * profile.value_multiplier * 1.5;  // Deep pockets.
-    const double limit = ClampLimit(
-        std::min(believed * (1.0 + markup + sticky), ceiling),
-        ctx.view->budget);
-    if (limit <= 0.0) return {};
-
-    bid::Bid bid;
-    bid.name = profile.name + "/grow-home";
-    bid.bundles = {BundleForCluster(registry, home, delta)};
-    bid.limit = limit;
-    return {std::move(bid)};
-  }
-
-  std::string_view Name() const override { return "premium-sticky"; }
-};
-
-class OpportunistMoverStrategy final : public Strategy {
- public:
-  std::vector<bid::Bid> MakeBids(const StrategyContext& ctx) override {
-    const TeamProfile& profile = *ctx.profile;
-    const PoolRegistry& registry = *ctx.view->registry;
-
-    // Sell a slice of the home footprint, rebuy the same slice in the
-    // believed-cheapest cold cluster — if the believed saving clears the
-    // relocation cost.
-    const cluster::TaskShape slice = profile.footprint * 0.5;
-    if (slice.cpu < 1.0) return {};
-
-    const std::size_t home = HomeCluster(registry, profile);
-    const double home_value =
-        BelievedClusterCost(registry, *ctx.learner, home, slice);
-    std::optional<std::size_t> best;
-    double best_cost = std::numeric_limits<double>::infinity();
-    double best_ranked = std::numeric_limits<double>::infinity();
-    for (std::size_t c = 0; c < registry.Clusters().size(); ++c) {
-      if (c == home) continue;
-      if (!FitsFreeCapacity(*ctx.view, c, slice)) continue;
-      // Rank destinations with the placement-failure factor but keep the
-      // raw believed cost for the relocation gate and the bid limit (a
-      // distrusted cluster should lose the ranking, not inflate what the
-      // team is willing to pay elsewhere).
-      const double penalty =
-          ClusterPlacementPenalty(registry, ctx.placement_penalty, c);
-      if (penalty >= kPlacementPenaltyAvoid) continue;
-      const double cost =
-          BelievedClusterCost(registry, *ctx.learner, c, slice);
-      const double ranked = cost * (1.0 + kPlacementPenaltyWeight * penalty);
-      if (ranked < best_ranked) {
-        best_ranked = ranked;
-        best_cost = cost;
-        best = c;
-      }
-    }
-    if (!best.has_value()) return {};
-    if (home_value - best_cost < profile.relocation_cost) {
-      // The spread does not pay for the reconfiguration work; fall back
-      // to growing like a truthful bidder would.
-      return TruthfulGrowthStrategy().MakeBids(ctx);
-    }
-
-    std::vector<bid::Bid> bids;
-
-    // Offer: sell the home slice at slightly below its believed market
-    // value — enough discount to clear, tightening as beliefs converge
-    // (the §V.C adaptation applies to asks as much as to bids).
-    bid::Bid offer;
-    offer.name = profile.name + "/vacate";
-    offer.bundles = {-BundleForCluster(registry, home, slice)};
-    offer.limit =
-        -std::max(home_value * ctx.rng->Uniform(0.80, 0.95), 1.0);
-    bids.push_back(std::move(offer));
-
-    // Bid: rebuy in the cold cluster (with a couple of fallbacks).
-    bid::Bid rebuy;
-    rebuy.name = profile.name + "/relocate";
-    rebuy.bundles = {BundleForCluster(registry, *best, slice)};
-    int alternatives = 0;
-    for (std::size_t c : ClustersByBelievedCost(ctx, slice)) {
-      if (c == home || c == *best) continue;
-      if (!FitsFreeCapacity(*ctx.view, c, slice)) continue;
-      rebuy.bundles.push_back(BundleForCluster(registry, c, slice));
-      if (++alternatives >= 2) break;
-    }
-    const double markup = ctx.learner->Markup();
-    rebuy.limit = ClampLimit(
-        std::min(best_cost * (1.0 + markup),
-                 best_cost * profile.value_multiplier),
-        ctx.view->budget);
-    if (rebuy.limit > 0.0) bids.push_back(std::move(rebuy));
-    return bids;
-  }
-
-  std::string_view Name() const override { return "opportunist-mover"; }
-};
-
-class LowballSellerStrategy final : public Strategy {
- public:
-  std::vector<bid::Bid> MakeBids(const StrategyContext& ctx) override {
-    const TeamProfile& profile = *ctx.profile;
-    const PoolRegistry& registry = *ctx.view->registry;
-    const std::size_t home = HomeCluster(registry, profile);
-
-    // Selling only pays where capacity is scarce: when the home cluster
-    // is not congested there is no premium to harvest, so sit out (the
-    // paper's offers concentrate in overutilized clusters, Fig. 7).
-    const PoolId home_cpu = registry.PoolOf(home, ResourceKind::kCpu);
-    if (home_cpu != kInvalidPool &&
-        ctx.view->utilization[home_cpu] < 0.45) {
-      return {};
-    }
-
-    // Shrink 30 % of the footprint. §V.C: "in some auctions a number of
-    // sellers will enter very low prices confident that there will be
-    // ample competition and that the final market price will be fair" —
-    // so this seller intermittently asks a token price (which spikes the
-    // mean premium γ) and otherwise asks near believed value.
-    const cluster::TaskShape slice = profile.footprint * 0.3;
-    if (slice.cpu < 1.0) return {};
-    bid::Bid offer;
-    offer.name = profile.name + "/shrink";
-    offer.bundles = {-BundleForCluster(registry, home, slice)};
-    if (ctx.rng->Bernoulli(0.4)) {
-      offer.limit = -ctx.rng->Uniform(0.5, 2.0);  // Nearly free.
-    } else {
-      const double believed =
-          BelievedClusterCost(registry, *ctx.learner, home, slice);
-      offer.limit = -std::max(believed * ctx.rng->Uniform(0.75, 0.92),
-                              1.0);
-    }
-    return {std::move(offer)};
-  }
-
-  std::string_view Name() const override { return "lowball-seller"; }
-};
-
-class ArbitrageurStrategy final : public Strategy {
- public:
-  std::vector<bid::Bid> MakeBids(const StrategyContext& ctx) override {
-    const TeamProfile& profile = *ctx.profile;
-    const PoolRegistry& registry = *ctx.view->registry;
-    std::vector<double>& holdings = *ctx.holdings;
-    holdings.resize(registry.size(), 0.0);
-
-    std::vector<bid::Bid> bids;
-
-    // Resell warehoused holdings where the reserve already exceeds the
-    // believed price paid (margin locked in by the uniform price).
-    bid::Bundle sell_bundle;
-    {
-      std::vector<bid::BundleItem> items;
-      for (PoolId r = 0; r < registry.size(); ++r) {
-        if (holdings[r] <= 0.0) continue;
-        if (ctx.view->reserve_prices[r] >
-            ctx.learner->Belief(r) * 1.10) {
-          items.push_back(bid::BundleItem{r, -holdings[r]});
-        }
-      }
-      sell_bundle = bid::Bundle(std::move(items));
-    }
-    if (!sell_bundle.Empty()) {
-      bid::Bid sell;
-      sell.name = profile.name + "/arb-sell";
-      sell.bundles = {sell_bundle};
-      // Ask just under believed value: the margin was locked in at
-      // purchase; underselling the belief only risks the uniform price.
-      const double believed_value = -sell_bundle.Dot(
-          [&] {
-            std::vector<double> beliefs(registry.size(), 0.0);
-            for (PoolId r = 0; r < registry.size(); ++r) {
-              beliefs[r] = ctx.learner->Belief(r);
-            }
-            return beliefs;
-          }());
-      sell.limit = -std::max(believed_value * 0.9, 1.0);
-      bids.push_back(std::move(sell));
-    }
-
-    // Buy the pool with the biggest believed discount to reserve: where
-    // the operator's congestion weighting marked capacity down hardest.
-    PoolId best_pool = kInvalidPool;
-    double best_discount = 0.0;
-    for (PoolId r = 0; r < registry.size(); ++r) {
-      if (ctx.view->free_capacity[r] <= 0.0) continue;
-      const double belief = ctx.learner->Belief(r);
-      if (belief <= 0.0) continue;
-      const double discount =
-          (belief - ctx.view->reserve_prices[r]) / belief;
-      if (discount > best_discount) {
-        best_discount = discount;
-        best_pool = r;
-      }
-    }
-    if (best_pool != kInvalidPool && best_discount > 0.15) {
-      const double qty =
-          std::min(ctx.view->free_capacity[best_pool] * 0.10,
-                   profile.footprint.cpu);
-      if (qty >= 1.0) {
-        bid::Bid buy;
-        buy.name = profile.name + "/arb-buy";
-        buy.bundles = {bid::Bundle({bid::BundleItem{best_pool, qty}})};
-        buy.limit = ClampLimit(
-            qty * ctx.learner->Belief(best_pool) * 0.95,
-            ctx.view->budget);
-        if (buy.limit > 0.0) bids.push_back(std::move(buy));
-      }
-    }
-    return bids;
-  }
-
-  std::string_view Name() const override { return "arbitrageur"; }
-};
-
 }  // namespace
+
+std::vector<bid::Bid> TruthfulGrowthBids(const StrategyContext& ctx) {
+  const TeamProfile& profile = *ctx.profile;
+  const cluster::TaskShape delta = GrowthDelta(profile);
+  const PoolRegistry& registry = *ctx.view->registry;
+  const std::size_t home = HomeCluster(registry, profile);
+
+  // XOR over the home cluster and up to three believed-cheapest
+  // alternatives that currently have room. Growth is a *new*
+  // deployment, so unlike a relocation it carries only a small setup
+  // penalty when placed away from home.
+  std::vector<bid::Bundle> bundles;
+  bundles.push_back(BundleForCluster(registry, home, delta));
+  int alternatives = 0;
+  double cheapest_cost =
+      BelievedClusterCost(registry, *ctx.learner, home, delta);
+  const double setup_penalty = 0.02 * profile.relocation_cost;
+  for (std::size_t c : ClustersByBelievedCost(ctx, delta)) {
+    if (c == home) continue;
+    if (!FitsFreeCapacity(*ctx.view, c, delta)) continue;
+    const double cost =
+        BelievedClusterCost(registry, *ctx.learner, c, delta) +
+        setup_penalty;
+    bundles.push_back(BundleForCluster(registry, c, delta));
+    cheapest_cost = std::min(cheapest_cost, cost);
+    if (++alternatives >= 3) break;
+  }
+
+  // Bid the believed cost plus a safety markup (§V.C: reserve prices
+  // associated with bids track believed market prices with a shrinking
+  // cushion). The team's private value caps the limit: when even the
+  // believed price exceeds the value, the team sits out.
+  const double markup = ctx.learner->Markup();
+  const double noise = ctx.rng->Uniform(0.97, 1.03);
+  const double value = cheapest_cost * profile.value_multiplier;
+  double limit =
+      std::min(cheapest_cost * (1.0 + markup) * noise, value);
+  limit = ClampLimit(limit, ctx.view->budget);
+  if (limit <= 0.0) return {};
+
+  bid::Bid bid;
+  bid.name = profile.name + "/grow";
+  bid.bundles = std::move(bundles);
+  bid.limit = limit;
+  return {std::move(bid)};
+}
+
+std::vector<bid::Bid> PremiumStickyBids(const StrategyContext& ctx) {
+  const TeamProfile& profile = *ctx.profile;
+  const cluster::TaskShape delta = GrowthDelta(profile);
+  const PoolRegistry& registry = *ctx.view->registry;
+  const std::size_t home = HomeCluster(registry, profile);
+
+  // Home cluster only: this team's engineering cost of moving is so
+  // high it pays whatever the home pool asks.
+  const double believed =
+      BelievedClusterCost(registry, *ctx.learner, home, delta);
+  const double markup = ctx.learner->Markup();
+  // A sticky surcharge on top of the learning markup that never fully
+  // decays — the persistent high-percentile bid outliers of Figure 7.
+  const double sticky = ctx.rng->Uniform(0.50, 1.10);
+  const double ceiling =
+      believed * profile.value_multiplier * 1.5;  // Deep pockets.
+  const double limit = ClampLimit(
+      std::min(believed * (1.0 + markup + sticky), ceiling),
+      ctx.view->budget);
+  if (limit <= 0.0) return {};
+
+  bid::Bid bid;
+  bid.name = profile.name + "/grow-home";
+  bid.bundles = {BundleForCluster(registry, home, delta)};
+  bid.limit = limit;
+  return {std::move(bid)};
+}
+
+std::vector<bid::Bid> OpportunistMoverBids(const StrategyContext& ctx) {
+  const TeamProfile& profile = *ctx.profile;
+  const PoolRegistry& registry = *ctx.view->registry;
+
+  // Sell a slice of the home footprint, rebuy the same slice in the
+  // believed-cheapest cold cluster — if the believed saving clears the
+  // relocation cost.
+  const cluster::TaskShape slice = profile.footprint * 0.5;
+  if (slice.cpu < 1.0) return {};
+
+  const std::size_t home = HomeCluster(registry, profile);
+  const double home_value =
+      BelievedClusterCost(registry, *ctx.learner, home, slice);
+  std::optional<std::size_t> best;
+  double best_cost = std::numeric_limits<double>::infinity();
+  double best_ranked = std::numeric_limits<double>::infinity();
+  for (std::size_t c = 0; c < registry.Clusters().size(); ++c) {
+    if (c == home) continue;
+    if (!FitsFreeCapacity(*ctx.view, c, slice)) continue;
+    // Rank destinations with the placement-failure factor but keep the
+    // raw believed cost for the relocation gate and the bid limit (a
+    // distrusted cluster should lose the ranking, not inflate what the
+    // team is willing to pay elsewhere).
+    const double penalty =
+        ClusterPlacementPenalty(registry, ctx.placement_penalty, c);
+    if (penalty >= kPlacementPenaltyAvoid) continue;
+    const double cost =
+        BelievedClusterCost(registry, *ctx.learner, c, slice);
+    const double ranked = cost * (1.0 + kPlacementPenaltyWeight * penalty);
+    if (ranked < best_ranked) {
+      best_ranked = ranked;
+      best_cost = cost;
+      best = c;
+    }
+  }
+  if (!best.has_value()) return {};
+  if (home_value - best_cost < profile.relocation_cost) {
+    // The spread does not pay for the reconfiguration work; fall back
+    // to growing like a truthful bidder would.
+    return TruthfulGrowthBids(ctx);
+  }
+
+  std::vector<bid::Bid> bids;
+
+  // Offer: sell the home slice at slightly below its believed market
+  // value — enough discount to clear, tightening as beliefs converge
+  // (the §V.C adaptation applies to asks as much as to bids).
+  bid::Bid offer;
+  offer.name = profile.name + "/vacate";
+  offer.bundles = {-BundleForCluster(registry, home, slice)};
+  offer.limit =
+      -std::max(home_value * ctx.rng->Uniform(0.80, 0.95), 1.0);
+  bids.push_back(std::move(offer));
+
+  // Bid: rebuy in the cold cluster (with a couple of fallbacks).
+  bid::Bid rebuy;
+  rebuy.name = profile.name + "/relocate";
+  rebuy.bundles = {BundleForCluster(registry, *best, slice)};
+  int alternatives = 0;
+  for (std::size_t c : ClustersByBelievedCost(ctx, slice)) {
+    if (c == home || c == *best) continue;
+    if (!FitsFreeCapacity(*ctx.view, c, slice)) continue;
+    rebuy.bundles.push_back(BundleForCluster(registry, c, slice));
+    if (++alternatives >= 2) break;
+  }
+  const double markup = ctx.learner->Markup();
+  rebuy.limit = ClampLimit(
+      std::min(best_cost * (1.0 + markup),
+               best_cost * profile.value_multiplier),
+      ctx.view->budget);
+  if (rebuy.limit > 0.0) bids.push_back(std::move(rebuy));
+  return bids;
+}
+
+std::vector<bid::Bid> LowballSellerBids(const StrategyContext& ctx) {
+  const TeamProfile& profile = *ctx.profile;
+  const PoolRegistry& registry = *ctx.view->registry;
+  const std::size_t home = HomeCluster(registry, profile);
+
+  // Selling only pays where capacity is scarce: when the home cluster
+  // is not congested there is no premium to harvest, so sit out (the
+  // paper's offers concentrate in overutilized clusters, Fig. 7).
+  const PoolId home_cpu = registry.PoolOf(home, ResourceKind::kCpu);
+  if (home_cpu != kInvalidPool &&
+      ctx.view->utilization[home_cpu] < 0.45) {
+    return {};
+  }
+
+  // Shrink 30 % of the footprint. §V.C: "in some auctions a number of
+  // sellers will enter very low prices confident that there will be
+  // ample competition and that the final market price will be fair" —
+  // so this seller intermittently asks a token price (which spikes the
+  // mean premium γ) and otherwise asks near believed value.
+  const cluster::TaskShape slice = profile.footprint * 0.3;
+  if (slice.cpu < 1.0) return {};
+  bid::Bid offer;
+  offer.name = profile.name + "/shrink";
+  offer.bundles = {-BundleForCluster(registry, home, slice)};
+  if (ctx.rng->Bernoulli(0.4)) {
+    offer.limit = -ctx.rng->Uniform(0.5, 2.0);  // Nearly free.
+  } else {
+    const double believed =
+        BelievedClusterCost(registry, *ctx.learner, home, slice);
+    offer.limit = -std::max(believed * ctx.rng->Uniform(0.75, 0.92),
+                            1.0);
+  }
+  return {std::move(offer)};
+}
+
+std::vector<bid::Bid> ArbitrageurBids(const StrategyContext& ctx) {
+  const TeamProfile& profile = *ctx.profile;
+  const PoolRegistry& registry = *ctx.view->registry;
+  std::vector<double>& holdings = *ctx.holdings;
+  holdings.resize(registry.size(), 0.0);
+
+  std::vector<bid::Bid> bids;
+
+  // Resell warehoused holdings where the reserve already exceeds the
+  // believed price paid (margin locked in by the uniform price).
+  bid::Bundle sell_bundle;
+  {
+    std::vector<bid::BundleItem> items;
+    for (PoolId r = 0; r < registry.size(); ++r) {
+      if (holdings[r] <= 0.0) continue;
+      if (ctx.view->reserve_prices[r] >
+          ctx.learner->Belief(r) * 1.10) {
+        items.push_back(bid::BundleItem{r, -holdings[r]});
+      }
+    }
+    sell_bundle = bid::Bundle(std::move(items));
+  }
+  if (!sell_bundle.Empty()) {
+    bid::Bid sell;
+    sell.name = profile.name + "/arb-sell";
+    sell.bundles = {sell_bundle};
+    // Ask just under believed value: the margin was locked in at
+    // purchase; underselling the belief only risks the uniform price.
+    const double believed_value = -sell_bundle.Dot(
+        [&] {
+          std::vector<double> beliefs(registry.size(), 0.0);
+          for (PoolId r = 0; r < registry.size(); ++r) {
+            beliefs[r] = ctx.learner->Belief(r);
+          }
+          return beliefs;
+        }());
+    sell.limit = -std::max(believed_value * 0.9, 1.0);
+    bids.push_back(std::move(sell));
+  }
+
+  // Buy the pool with the biggest believed discount to reserve: where
+  // the operator's congestion weighting marked capacity down hardest.
+  PoolId best_pool = kInvalidPool;
+  double best_discount = 0.0;
+  for (PoolId r = 0; r < registry.size(); ++r) {
+    if (ctx.view->free_capacity[r] <= 0.0) continue;
+    const double belief = ctx.learner->Belief(r);
+    if (belief <= 0.0) continue;
+    const double discount =
+        (belief - ctx.view->reserve_prices[r]) / belief;
+    if (discount > best_discount) {
+      best_discount = discount;
+      best_pool = r;
+    }
+  }
+  if (best_pool != kInvalidPool && best_discount > 0.15) {
+    const double qty =
+        std::min(ctx.view->free_capacity[best_pool] * 0.10,
+                 profile.footprint.cpu);
+    if (qty >= 1.0) {
+      bid::Bid buy;
+      buy.name = profile.name + "/arb-buy";
+      buy.bundles = {bid::Bundle({bid::BundleItem{best_pool, qty}})};
+      buy.limit = ClampLimit(
+          qty * ctx.learner->Belief(best_pool) * 0.95,
+          ctx.view->budget);
+      if (buy.limit > 0.0) bids.push_back(std::move(buy));
+    }
+  }
+  return bids;
+}
 
 double ClusterPlacementPenalty(const PoolRegistry& registry,
                                const std::vector<double>* penalty,
@@ -413,23 +388,6 @@ double BelievedClusterCost(const PoolRegistry& registry,
     cost += qty * learner.Belief(RequirePool(registry, cluster, kind));
   }
   return cost;
-}
-
-std::unique_ptr<Strategy> MakeStrategy(StrategyKind kind) {
-  switch (kind) {
-    case StrategyKind::kTruthfulGrowth:
-      return std::make_unique<TruthfulGrowthStrategy>();
-    case StrategyKind::kPremiumSticky:
-      return std::make_unique<PremiumStickyStrategy>();
-    case StrategyKind::kOpportunistMover:
-      return std::make_unique<OpportunistMoverStrategy>();
-    case StrategyKind::kLowballSeller:
-      return std::make_unique<LowballSellerStrategy>();
-    case StrategyKind::kArbitrageur:
-      return std::make_unique<ArbitrageurStrategy>();
-  }
-  PM_CHECK_MSG(false, "unknown strategy kind");
-  return nullptr;
 }
 
 }  // namespace pm::agents

@@ -1,27 +1,29 @@
 // planetmarket: bidding strategies.
 //
-// Each strategy reproduces a bidder population the paper observed (§V.B–C):
+// One bid function per StrategyKind; TeamAgent::MakeBids switches on the
+// team's kind. Each reproduces a bidder population the paper observed
+// (§V.B–C):
 //
-//  * TruthfulGrowth — grows wherever believed-cheapest; limits close to
-//    believed cost × value multiplier. The well-behaved baseline bidder.
-//  * PremiumSticky — "teams that were willing to pay a significant price
-//    premium to continue growing in congested clusters": bids only on the
-//    home cluster with a large markup. Produces Figure 7's high-percentile
-//    bid outliers.
-//  * OpportunistMover — "a number of large teams offer resources on the
-//    market to take advantage of the higher prices and move to less
+//  * TruthfulGrowthBids — grows wherever believed-cheapest; limits close
+//    to believed cost × value multiplier. The well-behaved baseline bidder.
+//  * PremiumStickyBids — "teams that were willing to pay a significant
+//    price premium to continue growing in congested clusters": bids only
+//    on the home cluster with a large markup. Produces Figure 7's
+//    high-percentile bid outliers.
+//  * OpportunistMoverBids — "a number of large teams offer resources on
+//    the market to take advantage of the higher prices and move to less
 //    congested clusters": one offer selling part of the congested home
 //    footprint, one bid rebuying in the believed-cheapest cold cluster,
 //    gated on the price differential exceeding the relocation cost.
-//  * LowballSeller — "some sellers will enter very low prices confident
-//    that there will be ample competition and that the final market price
-//    will be fair": asks a token minimum. Keeps Table I's mean γ noisy.
-//  * Arbitrageur — §V.C's "increasing sophistication towards arbitrage
-//    opportunities": buys pools priced below belief, resells warehoused
-//    holdings priced above.
+//  * LowballSellerBids — "some sellers will enter very low prices
+//    confident that there will be ample competition and that the final
+//    market price will be fair": asks a token minimum. Keeps Table I's
+//    mean γ noisy.
+//  * ArbitrageurBids — §V.C's "increasing sophistication towards
+//    arbitrage opportunities": buys pools priced below belief, resells
+//    warehoused holdings priced above.
 #pragma once
 
-#include <memory>
 #include <string_view>
 #include <vector>
 
@@ -29,7 +31,7 @@
 
 namespace pm::agents {
 
-/// Context handed to strategies: the agent's own state plus the market.
+/// What a bid function reads: the agent's own state plus the market.
 struct StrategyContext {
   const TeamProfile* profile = nullptr;
   const MarketView* view = nullptr;
@@ -44,20 +46,16 @@ struct StrategyContext {
   const std::vector<double>* placement_penalty = nullptr;
 };
 
-/// Turns market state into this auction's bids.
-class Strategy {
- public:
-  virtual ~Strategy() = default;
+/// This auction's bids for each StrategyKind, from market state.
+std::vector<bid::Bid> TruthfulGrowthBids(const StrategyContext& ctx);
+std::vector<bid::Bid> PremiumStickyBids(const StrategyContext& ctx);
+/// Falls back to TruthfulGrowthBids when the believed saving of a move
+/// does not cover the relocation cost.
+std::vector<bid::Bid> OpportunistMoverBids(const StrategyContext& ctx);
+std::vector<bid::Bid> LowballSellerBids(const StrategyContext& ctx);
+std::vector<bid::Bid> ArbitrageurBids(const StrategyContext& ctx);
 
-  virtual std::vector<bid::Bid> MakeBids(const StrategyContext& ctx) = 0;
-
-  virtual std::string_view Name() const = 0;
-};
-
-/// Factory for the canned strategies.
-std::unique_ptr<Strategy> MakeStrategy(StrategyKind kind);
-
-/// The arbitrage naming contract shared by the resident Arbitrageur
+/// The arbitrage naming contract shared by the resident arbitrageur
 /// strategy, the federation's cross-shard ArbitrageAgent, and the
 /// exchange's settlement path: a bid whose name contains "/arb-" trades
 /// warehoused quota. For *resident* bidders the market adjusts the

@@ -17,16 +17,11 @@ TeamAgent::TeamAgent(TeamProfile profile,
       // auctions (Table I).
       learner_(std::move(initial_price_beliefs), 0.55, 0.60, 0.35),
       rng_(seed),
-      strategy_(MakeStrategy(profile_.strategy)),
       holdings_() {
   PM_CHECK_MSG(!profile_.name.empty(), "team needs a name");
   PM_CHECK_MSG(!profile_.home_cluster.empty(),
                "team '" << profile_.name << "' needs a home cluster");
 }
-
-TeamAgent::~TeamAgent() = default;
-TeamAgent::TeamAgent(TeamAgent&&) noexcept = default;
-TeamAgent& TeamAgent::operator=(TeamAgent&&) noexcept = default;
 
 std::vector<bid::Bid> TeamAgent::MakeBids(const MarketView& view) {
   PM_CHECK(view.registry != nullptr);
@@ -37,7 +32,20 @@ std::vector<bid::Bid> TeamAgent::MakeBids(const MarketView& view) {
   ctx.rng = &rng_;
   ctx.holdings = &holdings_;
   ctx.placement_penalty = &placement_penalty_;
-  return strategy_->MakeBids(ctx);
+  switch (profile_.strategy) {
+    case StrategyKind::kTruthfulGrowth:
+      return TruthfulGrowthBids(ctx);
+    case StrategyKind::kPremiumSticky:
+      return PremiumStickyBids(ctx);
+    case StrategyKind::kOpportunistMover:
+      return OpportunistMoverBids(ctx);
+    case StrategyKind::kLowballSeller:
+      return LowballSellerBids(ctx);
+    case StrategyKind::kArbitrageur:
+      return ArbitrageurBids(ctx);
+  }
+  PM_CHECK_MSG(false, "unknown strategy kind");
+  return {};
 }
 
 void TeamAgent::ExtendPoolSpace(std::span<const double> fixed_prices) {

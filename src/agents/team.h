@@ -2,12 +2,12 @@
 //
 // Teams are the paper's "users": they hold jobs in clusters, receive a
 // budget, and bid in periodic auctions through a strategy. A TeamAgent
-// owns its profile, a PriceLearner (§V.C adaptation), and a Strategy that
-// turns market state into bids. The exchange layer invokes MakeBids before
-// each auction and ObserveOutcome after settlement.
+// owns its profile, a PriceLearner (§V.C adaptation), and the state its
+// profile's StrategyKind reads to turn market state into bids. The
+// exchange layer invokes MakeBids before each auction and ObserveOutcome
+// after settlement.
 #pragma once
 
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -84,9 +84,7 @@ struct BidOutcome {
 /// failures push a pool past 0.65; ~6 clean auctions forgive it.
 inline constexpr double kPlacementPenaltyStep = 0.3;
 
-class Strategy;  // strategy.h
-
-/// A bidding team. Movable via unique_ptr members; not copyable.
+/// A bidding team.
 class TeamAgent {
  public:
   /// `initial_price_beliefs` seeds the learner (the pre-market fixed
@@ -94,11 +92,6 @@ class TeamAgent {
   /// randomness.
   TeamAgent(TeamProfile profile, std::vector<double> initial_price_beliefs,
             std::uint64_t seed);
-
-  // Out of line: Strategy is incomplete here.
-  ~TeamAgent();
-  TeamAgent(TeamAgent&&) noexcept;
-  TeamAgent& operator=(TeamAgent&&) noexcept;
 
   /// Produces this auction's bids. User ids are left unassigned (the
   /// exchange assigns them); names are "<team>/<tag>".
@@ -147,7 +140,6 @@ class TeamAgent {
   TeamProfile profile_;
   PriceLearner learner_;
   RandomStream rng_;
-  std::unique_ptr<Strategy> strategy_;
   std::vector<double> holdings_;
   std::vector<double> placement_penalty_;
 };

@@ -12,32 +12,6 @@ namespace {
 /// Intra-round bisection iterations (each costs one demand collection).
 constexpr int kBisectionIters = 24;
 
-/// Builds the configured increment policy.
-std::unique_ptr<IncrementPolicy> BuildPolicy(
-    const ClockAuctionConfig& config, std::size_t num_pools) {
-  using Kind = ClockAuctionConfig::PolicyKind;
-  switch (config.policy_kind) {
-    case Kind::kAdditive:
-      return MakeAdditivePolicy(config.alpha);
-    case Kind::kCapped:
-      return MakeCappedPolicy(config.alpha, config.delta);
-    case Kind::kRelativeCapped:
-      return MakeRelativeCappedPolicy(config.alpha, config.delta,
-                                      config.step_floor);
-    case Kind::kCostNormalized: {
-      PM_CHECK_MSG(config.base_costs.size() == num_pools,
-                   "base_costs must have one entry per pool");
-      return MakeCostNormalizedPolicy(config.alpha, config.delta,
-                                      config.base_costs);
-    }
-    case Kind::kMultiplicative:
-      return MakeMultiplicativePolicy(config.alpha, config.delta,
-                                      config.step_floor);
-  }
-  PM_CHECK_MSG(false, "unknown policy kind");
-  return nullptr;
-}
-
 bool AllNonPositive(std::span<const double> z, double eps) {
   return std::all_of(z.begin(), z.end(),
                      [eps](double v) { return v <= eps; });
@@ -70,6 +44,85 @@ class EngineSource final : public DemandSource {
 };
 
 }  // namespace
+
+IncrementRule::IncrementRule(const ClockAuctionConfig& config,
+                             std::size_t num_pools)
+    : kind_(config.policy_kind),
+      alpha_(config.alpha),
+      delta_(config.delta),
+      floor_(config.step_floor) {
+  using Kind = ClockAuctionConfig::PolicyKind;
+  switch (kind_) {
+    case Kind::kAdditive:
+      PM_CHECK_MSG(alpha_ > 0.0, "alpha must be positive");
+      return;
+    case Kind::kCapped:
+      PM_CHECK_MSG(alpha_ > 0.0 && delta_ > 0.0,
+                   "alpha and delta must be positive");
+      return;
+    case Kind::kRelativeCapped:
+    case Kind::kMultiplicative:
+      PM_CHECK_MSG(alpha_ > 0.0 && delta_ > 0.0 && floor_ > 0.0,
+                   "alpha, delta and floor must be positive");
+      return;
+    case Kind::kCostNormalized: {
+      PM_CHECK_MSG(config.base_costs.size() == num_pools,
+                   "base_costs must have one entry per pool");
+      PM_CHECK_MSG(alpha_ > 0.0 && delta_ > 0.0,
+                   "alpha and delta must be positive");
+      PM_CHECK_MSG(!config.base_costs.empty(),
+                   "base costs must be provided");
+      weights_ = config.base_costs;
+      double mean = 0.0;
+      for (double c : weights_) {
+        PM_CHECK_MSG(c > 0.0, "base costs must be positive");
+        mean += c;
+      }
+      mean /= static_cast<double>(weights_.size());
+      for (double& c : weights_) c /= mean;
+      return;
+    }
+  }
+  PM_CHECK_MSG(false, "unknown policy kind");
+}
+
+void IncrementRule::ComputeStep(std::span<const double> excess,
+                                std::span<const double> prices,
+                                std::span<double> step) const {
+  using Kind = ClockAuctionConfig::PolicyKind;
+  if (kind_ == Kind::kCostNormalized) {
+    PM_CHECK_MSG(excess.size() == weights_.size(),
+                 "cost-normalized rule built for " << weights_.size()
+                                                   << " pools, called with "
+                                                   << excess.size());
+  }
+  for (std::size_t r = 0; r < excess.size(); ++r) {
+    if (excess[r] <= 0.0) {
+      step[r] = 0.0;
+      continue;
+    }
+    const double proportional = alpha_ * excess[r];
+    switch (kind_) {
+      case Kind::kAdditive:
+        step[r] = proportional;
+        break;
+      case Kind::kCapped:
+        step[r] = std::min(proportional, delta_);
+        break;
+      case Kind::kRelativeCapped:
+        step[r] =
+            std::min(proportional, std::max(delta_ * prices[r], floor_));
+        break;
+      case Kind::kCostNormalized:
+        step[r] = weights_[r] * std::min(proportional, delta_);
+        break;
+      case Kind::kMultiplicative:
+        step[r] =
+            std::max(prices[r], floor_) * std::min(proportional, delta_);
+        break;
+    }
+  }
+}
 
 DemandEngine ClockAuction::BuildEngine(const std::vector<bid::Bid>& bids,
                                        const std::vector<double>& supply,
@@ -112,8 +165,7 @@ ClockAuctionResult ClockAuction::Run(
 ClockAuctionResult ClockAuction::Run(const ClockAuctionConfig& config,
                                      DemandSource& source) const {
   const std::size_t num_pools = supply_.size();
-  const std::unique_ptr<IncrementPolicy> policy =
-      BuildPolicy(config, num_pools);
+  const IncrementRule increment(config, num_pools);
 
   const bool has_caps = !config.price_caps.empty();
   if (has_caps) {
@@ -177,7 +229,7 @@ ClockAuctionResult ClockAuction::Run(const ClockAuctionConfig& config,
       finalize();
       return result;
     }
-    policy->ComputeStep(normalized, result.prices, step);
+    increment.ComputeStep(normalized, result.prices, step);
     // A positive-excess pool must receive a strictly positive step or the
     // auction can stall forever at constant prices.
     for (std::size_t r = 0; r < num_pools; ++r) {

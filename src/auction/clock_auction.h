@@ -16,12 +16,10 @@
 // backstops the contrived cycling cases.
 #pragma once
 
-#include <memory>
 #include <span>
 #include <vector>
 
 #include "auction/demand_engine.h"
-#include "auction/increment_policy.h"
 #include "auction/proxy.h"
 #include "bid/bid.h"
 #include "common/phase_span.h"
@@ -40,7 +38,7 @@ struct ClockAuctionConfig {
   /// Per-round cap δ for the capped policies.
   double delta = 0.05;
 
-  /// Which g(x, p) family to use; built from alpha/delta per run.
+  /// Which g(x, p) family to use (see IncrementRule).
   enum class PolicyKind {
     kAdditive,
     kCapped,
@@ -90,6 +88,47 @@ struct ClockAuctionConfig {
   /// converged = false and lists the pool in capped_pools — the residual
   /// demand must be rationed out of band.
   std::vector<double> price_caps;
+};
+
+/// The price-increment rule g(x, p) of §III.C.2, one switch over
+/// ClockAuctionConfig::policy_kind. §III.C.2 notes that the naive
+/// g = α·z⁺ "often causes the prices to move too quickly in the early
+/// rounds and then too slowly in the later ones"; Eq. (3) caps it, and a
+/// further refinement normalizes increments "for differences in the base
+/// resource prices" so cheap resources (disk) do not end up out of
+/// proportion. With z⁺ the positive part of the normalized excess:
+///
+///  * kAdditive: g = α·z⁺.
+///  * kCapped: Eq. (3), g = min(α·z⁺, δ·e), an absolute cap δ per round.
+///  * kRelativeCapped: the prose variant of Eq. (3), "no price changes by
+///    more than some fixed fraction": g = min(α·z⁺, max(δ·p, floor)).
+///    The floor keeps zero-reserve pools able to move.
+///  * kCostNormalized: g_r = c̃_r · min(α·z⁺_r, δ), c̃_r = c_r / mean(c)
+///    over config.base_costs.
+///  * kMultiplicative: g = max(p, floor) · min(α·z⁺, δ), a geometric
+///    clock.
+///
+/// floor is config.step_floor. ClockAuction::Run builds one per run.
+class IncrementRule {
+ public:
+  /// CHECK-fails unless the parameters the kind reads are valid: α > 0
+  /// always; δ > 0 for every kind but kAdditive; floor > 0 for the
+  /// relative and multiplicative kinds; and, for kCostNormalized, one
+  /// positive base cost per pool.
+  IncrementRule(const ClockAuctionConfig& config, std::size_t num_pools);
+
+  /// Writes the step for each pool into `step` (same size as prices):
+  /// non-negative, and zero wherever excess <= 0.
+  void ComputeStep(std::span<const double> excess,
+                   std::span<const double> prices,
+                   std::span<double> step) const;
+
+ private:
+  ClockAuctionConfig::PolicyKind kind_;
+  double alpha_;
+  double delta_;
+  double floor_;
+  std::vector<double> weights_;  // c_r / mean(c); kCostNormalized only.
 };
 
 /// Snapshot of one auction round (recorded when requested).

@@ -1,12 +1,15 @@
 #include "common/bench_meta.h"
 
 #include <charconv>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <ctime>
 #include <filesystem>
 #include <sstream>
 #include <string_view>
 #include <thread>
+#include <type_traits>
 
 #include "common/check.h"
 
@@ -45,17 +48,6 @@ std::string ShellQuote(const std::string& text) {
     }
   }
   return quoted + "'";
-}
-
-/// `text` as a thread count: decimal digits only, within unsigned range.
-unsigned ParseThreadCount(std::string_view text) {
-  unsigned value = 0;
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  PM_CHECK_MSG(ec == std::errc() && ptr == end,
-               "--threads needs a non-negative integer, got '" << text
-                                                               << "'");
-  return value;
 }
 
 std::string UtcNow() {
@@ -122,6 +114,30 @@ bool RefuseTrackedOutput(const std::string& path) {
   return tracked;
 }
 
+template <typename T>
+T ParseNumberArg(std::string_view flag, std::string_view text, T min) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  bool ok = ec == std::errc() && ptr == end && value >= min;
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(value);
+  if (ok) return value;
+  std::ostringstream bound;
+  if (min > std::numeric_limits<T>::lowest()) bound << " >= " << min;
+  PM_CHECK_MSG(false, flag << " needs a decimal number" << bound.str()
+                           << ", got '" << text << "'");
+  return value;
+}
+
+template int ParseNumberArg(std::string_view, std::string_view, int);
+template long long ParseNumberArg(std::string_view, std::string_view,
+                                  long long);
+template unsigned ParseNumberArg(std::string_view, std::string_view,
+                                 unsigned);
+template std::uint64_t ParseNumberArg(std::string_view, std::string_view,
+                                      std::uint64_t);
+template double ParseNumberArg(std::string_view, std::string_view, double);
+
 unsigned ParseThreadsFlag(int* argc, char** argv, unsigned fallback) {
   unsigned threads = fallback;
   int out = 1;
@@ -129,11 +145,11 @@ unsigned ParseThreadsFlag(int* argc, char** argv, unsigned fallback) {
     const std::string_view arg = argv[i];
     if (arg == "--threads") {
       PM_CHECK_MSG(i + 1 < *argc, "--threads needs a value");
-      threads = ParseThreadCount(argv[++i]);
+      threads = ParseNumberArg<unsigned>(arg, argv[++i]);
       continue;  // Consumed the flag and its value.
     }
     if (arg.starts_with("--threads=")) {
-      threads = ParseThreadCount(arg.substr(10));
+      threads = ParseNumberArg<unsigned>("--threads", arg.substr(10));
       continue;
     }
     argv[out++] = argv[i];

@@ -8,7 +8,9 @@
 // which commit and when).
 #pragma once
 
+#include <limits>
 #include <string>
+#include <string_view>
 
 namespace pm {
 
@@ -22,14 +24,24 @@ struct HostMetadata {
 
 HostMetadata CollectHostMetadata();
 
+/// `text`, the value given for `flag`, as a T: the whole string in
+/// decimal (a sign and a fraction only where T has them), finite, within
+/// T's range, and at least `min`. CHECK-fails with a message that names
+/// `flag` otherwise. The one parser for every numeric command-line value
+/// of the benches and examples; defined for int, long long, unsigned,
+/// std::uint64_t and double.
+template <typename T>
+T ParseNumberArg(std::string_view flag, std::string_view text,
+                 T min = std::numeric_limits<T>::lowest());
+
 /// Strips a `--threads N` / `--threads=N` override out of argv — before
 /// any positional or benchmark-library parsing sees it — and returns the
 /// requested count, or `fallback` when the flag is absent. Every bench
 /// binary accepts the flag so a multi-core host can pin its pool sizes
 /// without editing per-bench positional conventions. A parsed value of 0
 /// means "serial" (no pool), matching the configs' num_threads = 0.
-/// CHECK-fails on a missing value or one that is not a plain decimal
-/// unsigned (sign, trailing characters, overflow); ThreadPool bounds the
+/// CHECK-fails on a missing value or one ParseNumberArg<unsigned>
+/// rejects (sign, trailing characters, overflow); ThreadPool bounds the
 /// count itself.
 unsigned ParseThreadsFlag(int* argc, char** argv, unsigned fallback);
 

@@ -28,29 +28,6 @@ std::uint64_t Xoshiro256StarStar::Next() {
   return result;
 }
 
-void Xoshiro256StarStar::Jump() {
-  static constexpr std::uint64_t kJump[] = {
-      0x180ec6d33cfd0abaULL, 0xd5a61266f0c9392cULL, 0xa9582618e03fc9aaULL,
-      0x39abdc4529b1661cULL};
-  std::array<std::uint64_t, 4> acc{};
-  for (std::uint64_t word : kJump) {
-    for (int b = 0; b < 64; ++b) {
-      if (word & (1ULL << b)) {
-        for (std::size_t i = 0; i < 4; ++i) acc[i] ^= s_[i];
-      }
-      Next();
-    }
-  }
-  s_ = acc;
-}
-
-RandomStream RandomStream::Substream(std::uint64_t seed, int index) {
-  PM_CHECK(index >= 0);
-  RandomStream rs(seed);
-  for (int i = 0; i < index; ++i) rs.engine_.Jump();
-  return rs;
-}
-
 double RandomStream::NextDouble() {
   // 53 high bits → uniform double in [0, 1).
   return static_cast<double>(engine_.Next() >> 11) * 0x1.0p-53;

@@ -44,10 +44,6 @@ class Xoshiro256StarStar {
 
   std::uint64_t Next();
 
-  /// Advances the generator 2^128 steps; used to derive independent
-  /// streams from one seed (one Jump per stream).
-  void Jump();
-
   /// Raw 256-bit state, for checkpointing (exchange/snapshot.cpp).
   const std::array<std::uint64_t, 4>& state() const { return s_; }
 
@@ -65,10 +61,6 @@ class Xoshiro256StarStar {
 class RandomStream {
  public:
   explicit RandomStream(std::uint64_t seed) : engine_(seed) {}
-
-  /// Derives the i-th independent substream of this seed (jump-ahead based;
-  /// substreams never overlap in any practical horizon).
-  static RandomStream Substream(std::uint64_t seed, int index);
 
   /// Uniform on [0, 1).
   double NextDouble();

@@ -37,7 +37,7 @@ Market::Market(cluster::Fleet* fleet,
                         reserve::MakeExp2Weighting())),
       ledger_(),
       accounts_(&ledger_),
-      rng_(RandomStream::Substream(config_.seed, 0)) {
+      rng_(config_.seed) {
   PM_CHECK(fleet_ != nullptr && agents_ != nullptr);
   PM_CHECK_MSG(fixed_prices_.size() == fleet_->NumPools(),
                "fixed prices must cover every pool");

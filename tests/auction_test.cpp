@@ -84,69 +84,116 @@ TEST(ProxyTest, SellerPicksMostLucrativeBundle) {
 
 // ---------------------------------------------------------------- policies --
 
+using Kind = ClockAuctionConfig::PolicyKind;
+
+/// The increment rule ClockAuction::Run builds for `kind` over these
+/// parameters, with one pool per base cost.
+IncrementRule RuleOf(Kind kind, double alpha, double delta,
+                     double floor = 1e-3,
+                     std::vector<double> base_costs = {}) {
+  ClockAuctionConfig config;
+  config.policy_kind = kind;
+  config.alpha = alpha;
+  config.delta = delta;
+  config.step_floor = floor;
+  config.base_costs = std::move(base_costs);
+  return IncrementRule(config, config.base_costs.size());
+}
+
 TEST(IncrementPolicyTest, AdditiveIsProportional) {
-  auto policy = MakeAdditivePolicy(0.5);
+  const IncrementRule rule = RuleOf(Kind::kAdditive, 0.5, 0.05);
   const std::vector<double> excess = {2.0, -1.0, 0.0};
   const std::vector<double> prices = {1.0, 1.0, 1.0};
   std::vector<double> step(3);
-  policy->ComputeStep(excess, prices, step);
+  rule.ComputeStep(excess, prices, step);
   EXPECT_DOUBLE_EQ(step[0], 1.0);
   EXPECT_DOUBLE_EQ(step[1], 0.0);  // No step on satisfied pools.
   EXPECT_DOUBLE_EQ(step[2], 0.0);
 }
 
 TEST(IncrementPolicyTest, CappedAppliesEquation3) {
-  auto policy = MakeCappedPolicy(1.0, 0.25);
+  const IncrementRule rule = RuleOf(Kind::kCapped, 1.0, 0.25);
   const std::vector<double> excess = {10.0, 0.1};
   const std::vector<double> prices = {1.0, 1.0};
   std::vector<double> step(2);
-  policy->ComputeStep(excess, prices, step);
+  rule.ComputeStep(excess, prices, step);
   EXPECT_DOUBLE_EQ(step[0], 0.25);  // min(10, 0.25).
   EXPECT_DOUBLE_EQ(step[1], 0.1);
 }
 
 TEST(IncrementPolicyTest, RelativeCapScalesWithPrice) {
-  auto policy = MakeRelativeCappedPolicy(10.0, 0.10, 1e-3);
+  const IncrementRule rule = RuleOf(Kind::kRelativeCapped, 10.0, 0.10, 1e-3);
   const std::vector<double> excess = {5.0, 5.0};
   const std::vector<double> prices = {100.0, 0.0};
   std::vector<double> step(2);
-  policy->ComputeStep(excess, prices, step);
+  rule.ComputeStep(excess, prices, step);
   EXPECT_DOUBLE_EQ(step[0], 10.0);  // Cap 0.1·100 = 10.
   EXPECT_DOUBLE_EQ(step[1], 1e-3);  // Floor keeps zero prices moving.
 }
 
 TEST(IncrementPolicyTest, CostNormalizedScalesByRelativeCost) {
   // Costs 10 and 2: mean 6 → weights 10/6 and 2/6.
-  auto policy = MakeCostNormalizedPolicy(1.0, 0.6, {10.0, 2.0});
+  const IncrementRule rule =
+      RuleOf(Kind::kCostNormalized, 1.0, 0.6, 1e-3, {10.0, 2.0});
   const std::vector<double> excess = {100.0, 100.0};  // Saturate at δ.
   const std::vector<double> prices = {1.0, 1.0};
   std::vector<double> step(2);
-  policy->ComputeStep(excess, prices, step);
+  rule.ComputeStep(excess, prices, step);
   EXPECT_NEAR(step[0] / step[1], 5.0, 1e-12);  // Cost ratio preserved.
 }
 
 TEST(IncrementPolicyTest, CostNormalizedSizeMismatchThrows) {
-  auto policy = MakeCostNormalizedPolicy(1.0, 0.5, {1.0, 2.0});
+  const IncrementRule rule =
+      RuleOf(Kind::kCostNormalized, 1.0, 0.5, 1e-3, {1.0, 2.0});
   const std::vector<double> excess = {1.0};
   const std::vector<double> prices = {1.0};
   std::vector<double> step(1);
-  EXPECT_THROW(policy->ComputeStep(excess, prices, step), CheckFailure);
+  EXPECT_THROW(rule.ComputeStep(excess, prices, step), CheckFailure);
 }
 
 TEST(IncrementPolicyTest, MultiplicativeGrowsGeometrically) {
-  auto policy = MakeMultiplicativePolicy(1.0, 0.5, 0.01);
+  const IncrementRule rule = RuleOf(Kind::kMultiplicative, 1.0, 0.5, 0.01);
   const std::vector<double> excess = {10.0};
   const std::vector<double> prices = {4.0};
   std::vector<double> step(1);
-  policy->ComputeStep(excess, prices, step);
+  rule.ComputeStep(excess, prices, step);
   EXPECT_DOUBLE_EQ(step[0], 2.0);  // 4 · min(10, 0.5).
 }
 
 TEST(IncrementPolicyTest, InvalidParametersThrow) {
-  EXPECT_THROW(MakeAdditivePolicy(0.0), CheckFailure);
-  EXPECT_THROW(MakeCappedPolicy(1.0, -0.1), CheckFailure);
-  EXPECT_THROW(MakeCostNormalizedPolicy(1.0, 0.5, {1.0, 0.0}),
+  EXPECT_THROW(RuleOf(Kind::kAdditive, 0.0, 0.05), CheckFailure);
+  EXPECT_THROW(RuleOf(Kind::kCapped, 1.0, -0.1), CheckFailure);
+  EXPECT_THROW(RuleOf(Kind::kRelativeCapped, 1.0, 0.1, 0.0), CheckFailure);
+  EXPECT_THROW(RuleOf(Kind::kMultiplicative, 1.0, 0.0, 0.01), CheckFailure);
+  EXPECT_THROW(RuleOf(Kind::kCostNormalized, 1.0, 0.5, 1e-3, {1.0, 0.0}),
                CheckFailure);
+  ClockAuctionConfig config;
+  config.policy_kind = Kind::kCostNormalized;
+  config.base_costs = {1.0, 2.0};
+  EXPECT_THROW(IncrementRule(config, 3), CheckFailure);  // One per pool.
+}
+
+TEST(IncrementPolicyTest, AdditiveReadsNeitherDeltaNorFloor) {
+  // Each kind checks only the parameters it reads: additive runs with
+  // δ and floor that every other kind rejects.
+  const IncrementRule rule = RuleOf(Kind::kAdditive, 0.5, 0.0, 0.0);
+  const std::vector<double> excess = {2.0};
+  const std::vector<double> prices = {1.0};
+  std::vector<double> step(1);
+  rule.ComputeStep(excess, prices, step);
+  EXPECT_DOUBLE_EQ(step[0], 1.0);
+
+  std::vector<Bid> bids = {
+      MakeBid(0, {Bundle({{0, 1.0}})}, 5.0, "strong"),
+      MakeBid(1, {Bundle({{0, 1.0}})}, 3.0, "weak"),
+  };
+  ClockAuctionConfig config;
+  config.policy_kind = Kind::kAdditive;
+  config.delta = 0.0;
+  const ClockAuctionResult r = ClockAuction(bids, {1.0}, {1.0}).Run(config);
+  ASSERT_TRUE(r.converged);
+  EXPECT_TRUE(r.decisions[0].Active());
+  EXPECT_FALSE(r.decisions[1].Active());
 }
 
 // ------------------------------------------------------------ clock auction --

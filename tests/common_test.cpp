@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <climits>
+#include <cstdint>
 #include <cmath>
 #include <future>
 #include <set>
@@ -203,12 +204,6 @@ TEST(RngTest, DifferentSeedsDiffer) {
     if (a.NextRaw() == b.NextRaw()) ++same;
   }
   EXPECT_LT(same, 2);
-}
-
-TEST(RngTest, SubstreamsAreIndependent) {
-  RandomStream s0 = RandomStream::Substream(7, 0);
-  RandomStream s1 = RandomStream::Substream(7, 1);
-  EXPECT_NE(s0.NextRaw(), s1.NextRaw());
 }
 
 TEST(RngTest, NextDoubleInUnitInterval) {
@@ -460,6 +455,55 @@ TEST(ParseThreadsFlagTest, RejectsMalformedValues) {
     EXPECT_THROW(ParseThreads(args), CheckFailure)
         << testing::PrintToString(args);
   }
+}
+
+TEST(ParseNumberArgTest, AcceptsWholeDecimalValuesAtOrAboveTheFloor) {
+  EXPECT_EQ(ParseNumberArg("--epochs", "8", 1), 8);
+  EXPECT_EQ(ParseNumberArg("--epochs", "1", 1), 1);
+  EXPECT_EQ(ParseNumberArg<int>("delay", "-3"), -3);
+  EXPECT_EQ(ParseNumberArg("--bidders", "1000000", 1LL), 1000000LL);
+  EXPECT_EQ(ParseNumberArg<std::uint64_t>("--seed", "18446744073709551615"),
+            UINT64_MAX);
+  EXPECT_EQ(ParseNumberArg<std::uint64_t>("--seed", "0"), 0u);
+  EXPECT_DOUBLE_EQ(ParseNumberArg("drop", "0.1", 0.0), 0.1);
+  EXPECT_DOUBLE_EQ(ParseNumberArg("drop", "0", 0.0), 0.0);
+  EXPECT_DOUBLE_EQ(ParseNumberArg<double>("x", "-2.5e1"), -25.0);
+}
+
+TEST(ParseNumberArgTest, RejectsMalformedValuesAndNamesTheFlag) {
+  const auto rejects = [](auto parse, std::string_view flag) {
+    try {
+      parse();
+    } catch (const CheckFailure& e) {
+      EXPECT_NE(std::string_view(e.what()).find(flag), std::string_view::npos)
+          << e.what();
+      return;
+    }
+    ADD_FAILURE() << flag << " accepted a malformed value";
+  };
+  // Non-numeric, empty, leading space, trailing characters.
+  rejects([] { ParseNumberArg("--epochs", "abc", 1); }, "--epochs");
+  rejects([] { ParseNumberArg("--epochs", "", 1); }, "--epochs");
+  rejects([] { ParseNumberArg("--epochs", " 3", 1); }, "--epochs");
+  rejects([] { ParseNumberArg("--epochs", "3x", 1); }, "--epochs");
+  rejects([] { ParseNumberArg("--epochs", "+3", 1); }, "--epochs");
+  rejects([] { ParseNumberArg<std::uint64_t>("--seed", "xyz"); }, "--seed");
+  rejects([] { ParseNumberArg("drop", "0.1.2", 0.0); }, "drop");
+  // Below the floor: a negative count, and a zero where one is the least.
+  rejects([] { ParseNumberArg("--epochs", "-1", 1); }, "--epochs");
+  rejects([] { ParseNumberArg("--epochs", "0", 1); }, "--epochs");
+  rejects([] { ParseNumberArg("teams_per_shard", "3", 4); },
+          "teams_per_shard");
+  rejects([] { ParseNumberArg<std::uint64_t>("--seed", "-1"); }, "--seed");
+  rejects([] { ParseNumberArg("drop", "-0.5", 0.0); }, "drop");
+  // Overflow and non-finite values.
+  rejects([] { ParseNumberArg("--epochs", "2147483648", 1); }, "--epochs");
+  rejects(
+      [] { ParseNumberArg<std::uint64_t>("--seed", "18446744073709551616"); },
+      "--seed");
+  rejects([] { ParseNumberArg("drop", "1e999", 0.0); }, "drop");
+  rejects([] { ParseNumberArg("drop", "inf", 0.0); }, "drop");
+  rejects([] { ParseNumberArg("drop", "nan", 0.0); }, "drop");
 }
 
 // ------------------------------------------------------------------ tables --
