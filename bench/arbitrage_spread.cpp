@@ -125,7 +125,8 @@ double NonWideningFraction(const std::vector<double>& xs) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const unsigned threads = pm::ParseThreadsFlag(&argc, argv, 0);
+  const unsigned threads = pm::ParseOrExit(
+      pm::kUsageExit, [&] { return pm::ParseThreadsFlag(&argc, argv, 0); });
   std::string out_path = "BENCH_arbitrage_spread.json";
   std::vector<std::string> positional;
   for (int i = 1; i < argc; ++i) {
@@ -136,13 +137,16 @@ int main(int argc, char** argv) {
       positional.push_back(arg);
     }
   }
-  const int teams =
-      positional.size() > 0
-          ? pm::ParseNumberArg("teams_per_shard", positional[0], 4)
-          : 40;
-  const int epochs = positional.size() > 1
-                         ? pm::ParseNumberArg("epochs", positional[1], 2)
-                         : 8;
+  const int teams = pm::ParseOrExit(pm::kUsageExit, [&] {
+    return positional.size() > 0
+               ? pm::ParseNumberArg("teams_per_shard", positional[0], 4)
+               : 40;
+  });
+  const int epochs = pm::ParseOrExit(pm::kUsageExit, [&] {
+    return positional.size() > 1
+               ? pm::ParseNumberArg("epochs", positional[1], 2)
+               : 8;
+  });
   if (pm::RefuseTrackedOutput(out_path)) return pm::kRefusedOutputExit;
 
   std::cout << "running " << epochs << " epochs x " << teams

@@ -17,7 +17,8 @@
 #include "common/thread_pool.h"
 
 int main(int argc, char** argv) {
-  const unsigned threads = pm::ParseThreadsFlag(&argc, argv, 0);
+  const unsigned threads = pm::ParseOrExit(
+      pm::kUsageExit, [&] { return pm::ParseThreadsFlag(&argc, argv, 0); });
   // --threads: size of the shared auction pool (0/1 = serial).
   std::unique_ptr<pm::ThreadPool> pool;
   if (threads > 1) pool = std::make_unique<pm::ThreadPool>(threads);

@@ -19,7 +19,9 @@
 #include "common/bench_meta.h"
 
 int main(int argc, char** argv) {
-  if (pm::ParseThreadsFlag(&argc, argv, 0) > 1) {
+  const unsigned threads = pm::ParseOrExit(
+      pm::kUsageExit, [&] { return pm::ParseThreadsFlag(&argc, argv, 0); });
+  if (threads > 1) {
     std::cerr << "note: --threads accepted for bench-interface "
                  "uniformity; the weighting-curve sweep is pure "
                  "math with no parallel path\n";

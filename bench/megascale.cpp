@@ -98,7 +98,8 @@ double MsPerEpoch(pm::federation::FederatedExchange& fed, int epochs) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const unsigned threads_flag = pm::ParseThreadsFlag(&argc, argv, 0);
+  const unsigned threads_flag = pm::ParseOrExit(
+      64, [&] { return pm::ParseThreadsFlag(&argc, argv, 0); });
   bool smoke = false;
   std::string chrome_trace_out;
   std::string out_path = "BENCH_megascale.json";
@@ -110,11 +111,15 @@ int main(int argc, char** argv) {
     if (arg == "--smoke") {
       smoke = true;
     } else if (arg == "--bidders" && i + 1 < argc) {
-      bidders = pm::ParseNumberArg(arg, argv[++i], 1LL);
+      bidders = pm::ParseOrExit(
+          64, [&] { return pm::ParseNumberArg(arg, argv[++i], 1LL); });
     } else if (arg == "--shards" && i + 1 < argc) {
-      shards = pm::ParseNumberArg<std::uint64_t>(arg, argv[++i], 1);
+      shards = pm::ParseOrExit(64, [&] {
+        return pm::ParseNumberArg<std::uint64_t>(arg, argv[++i], 1);
+      });
     } else if (arg == "--epochs" && i + 1 < argc) {
-      epochs = pm::ParseNumberArg(arg, argv[++i], 1);
+      epochs = pm::ParseOrExit(
+          64, [&] { return pm::ParseNumberArg(arg, argv[++i], 1); });
     } else if (arg == "--chrome-trace-out" && i + 1 < argc) {
       chrome_trace_out = argv[++i];
     } else if (arg == "--out" && i + 1 < argc) {

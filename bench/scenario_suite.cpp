@@ -24,14 +24,18 @@
 
 int main(int argc, char** argv) {
   pm::scenario::RunnerConfig config;
-  config.num_threads = pm::ParseThreadsFlag(&argc, argv, 0);
+  config.num_threads = pm::ParseOrExit(
+      2, [&] { return pm::ParseThreadsFlag(&argc, argv, 0); });
   std::string out_path = "BENCH_scenario_suite.json";
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--epochs" && i + 1 < argc) {
-      config.epochs = pm::ParseNumberArg(arg, argv[++i], 1);
+      config.epochs = pm::ParseOrExit(
+          2, [&] { return pm::ParseNumberArg(arg, argv[++i], 1); });
     } else if (arg == "--seed" && i + 1 < argc) {
-      config.seed = pm::ParseNumberArg<std::uint64_t>(arg, argv[++i]);
+      config.seed = pm::ParseOrExit(2, [&] {
+        return pm::ParseNumberArg<std::uint64_t>(arg, argv[++i]);
+      });
     } else if (arg == "--out" && i + 1 < argc) {
       out_path = argv[++i];
     } else {

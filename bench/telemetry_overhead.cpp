@@ -75,9 +75,12 @@ RunResult RunOnce(const std::string& scenario, int epochs, bool telemetry,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const unsigned threads = pm::ParseThreadsFlag(&argc, argv, 0);
+  const unsigned threads = pm::ParseOrExit(
+      pm::kUsageExit, [&] { return pm::ParseThreadsFlag(&argc, argv, 0); });
   const std::string scenario = argc > 1 ? argv[1] : "flash-crowd";
-  const int epochs = argc > 2 ? pm::ParseNumberArg("epochs", argv[2], 1) : 4;
+  const int epochs = pm::ParseOrExit(pm::kUsageExit, [&] {
+    return argc > 2 ? pm::ParseNumberArg("epochs", argv[2], 1) : 4;
+  });
 
   const RunResult off =
       RunOnce(scenario, epochs, /*telemetry=*/false, /*watchdog=*/false,

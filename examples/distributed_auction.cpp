@@ -12,10 +12,14 @@
 #include "net/distributed_auction.h"
 
 int main(int argc, char** argv) {
-  const int users = argc > 1 ? pm::ParseNumberArg("users", argv[1], 1) : 80;
-  const std::size_t nodes =
-      argc > 2 ? pm::ParseNumberArg<std::uint64_t>("proxy_nodes", argv[2], 1)
+  const int users = pm::ParseOrExit(pm::kUsageExit, [&] {
+    return argc > 1 ? pm::ParseNumberArg("users", argv[1], 1) : 80;
+  });
+  const std::size_t nodes = pm::ParseOrExit(pm::kUsageExit, [&] {
+    return argc > 2
+               ? pm::ParseNumberArg<std::uint64_t>("proxy_nodes", argv[2], 1)
                : 4;
+  });
 
   // A market of mostly buyers with a few sellers over 12 pools.
   pm::RandomStream rng(4242);

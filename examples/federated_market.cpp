@@ -16,11 +16,16 @@
 #include "federation/federated_exchange.h"
 
 int main(int argc, char** argv) {
-  const int num_shards =
-      argc > 1 ? pm::ParseNumberArg("num_shards", argv[1], 1) : 4;
-  const int teams_per_shard =
-      argc > 2 ? pm::ParseNumberArg("teams_per_shard", argv[2], 1) : 40;
-  const int epochs = argc > 3 ? pm::ParseNumberArg("epochs", argv[3], 1) : 3;
+  const int num_shards = pm::ParseOrExit(pm::kUsageExit, [&] {
+    return argc > 1 ? pm::ParseNumberArg("num_shards", argv[1], 1) : 4;
+  });
+  const int teams_per_shard = pm::ParseOrExit(pm::kUsageExit, [&] {
+    return argc > 2 ? pm::ParseNumberArg("teams_per_shard", argv[2], 1)
+                    : 40;
+  });
+  const int epochs = pm::ParseOrExit(pm::kUsageExit, [&] {
+    return argc > 3 ? pm::ParseNumberArg("epochs", argv[3], 1) : 3;
+  });
 
   std::vector<pm::federation::ShardSpec> specs;
   for (int k = 0; k < num_shards; ++k) {

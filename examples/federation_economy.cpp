@@ -22,9 +22,13 @@
 #include "federation/federated_exchange.h"
 
 int main(int argc, char** argv) {
-  const int epochs = argc > 1 ? pm::ParseNumberArg("epochs", argv[1], 1) : 6;
-  const int teams =
-      argc > 2 ? pm::ParseNumberArg("teams_per_shard", argv[2], 4) : 24;
+  const int epochs = pm::ParseOrExit(pm::kUsageExit, [&] {
+    return argc > 1 ? pm::ParseNumberArg("epochs", argv[1], 1) : 6;
+  });
+  const int teams = pm::ParseOrExit(pm::kUsageExit, [&] {
+    return argc > 2 ? pm::ParseNumberArg("teams_per_shard", argv[2], 4)
+                    : 24;
+  });
 
   std::vector<pm::federation::ShardSpec> specs;
   for (int k = 0; k < 3; ++k) {

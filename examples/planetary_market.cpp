@@ -21,12 +21,15 @@
 
 int main(int argc, char** argv) {
   pm::agents::WorkloadConfig workload;
-  workload.num_clusters =
-      argc > 1 ? pm::ParseNumberArg("num_clusters", argv[1], 1) : 34;
-  workload.num_teams =
-      argc > 2 ? pm::ParseNumberArg("num_teams", argv[2], 1) : 100;
-  const int auctions =
-      argc > 3 ? pm::ParseNumberArg("auctions", argv[3], 1) : 6;
+  workload.num_clusters = pm::ParseOrExit(pm::kUsageExit, [&] {
+    return argc > 1 ? pm::ParseNumberArg("num_clusters", argv[1], 1) : 34;
+  });
+  workload.num_teams = pm::ParseOrExit(pm::kUsageExit, [&] {
+    return argc > 2 ? pm::ParseNumberArg("num_teams", argv[2], 1) : 100;
+  });
+  const int auctions = pm::ParseOrExit(pm::kUsageExit, [&] {
+    return argc > 3 ? pm::ParseNumberArg("auctions", argv[3], 1) : 6;
+  });
   workload.seed = 20090425;
 
   std::cout << "generating a fleet of " << workload.num_clusters

@@ -60,7 +60,6 @@ pm::federation::FederatedExchange::ShardWorld(unsigned long) const | test seam
 pm::federation::FederatedExchange::InjectEpochRoundBudget(unsigned long, int) | fault injection; no registered scenario starves a round budget, the robustness tests do
 pm::cluster::Fleet::FreeShape(std::string const&) const | free-capacity observer for tests
 pm::cluster::PlacementResult::TotalPlaced() const | placement observer for tests
-pm::federation::FederatedExchange::EmergencySweep(int) | containment path: runs only when an epoch throws (ROADMAP item 2)
 pm::net::Encode(pm::net::LinkDown const&) | containment path: a link that exhausts its retries
 pm::net::DecodeLinkDown(std::vector<unsigned char>) | containment path: a link that exhausts its retries
 pm::net::FaultyLink::link() const | containment path: names the link in its LinkDown frame
@@ -72,7 +71,6 @@ pm::exchange::ToString(pm::exchange::ExternalRejection::Reason) | error path: na
 pm::CsvWriter::CsvWriter(std::ostream&) | the --csv export of fig7, which no smoke passes
 pm::CsvWriter::Escape(std::string const&) | the --csv export of fig7, which no smoke passes
 pm::CsvWriter::WriteRow(std::vector<std::string> const&) | the --csv export of fig7, which no smoke passes
-pm::auction::ClockAuction::NumUsers() const | read by the binding auction of operator_console, which its empty final book skips (FOUND in CHANGES.md)
 pm::reserve::(anonymous namespace)::FlatWeighting::Name() const | WeightingFunction stays an interface (reserve_test fakes it); fig2 names only the three curves of the paper
 pm::scenario::ToString(pm::scenario::EventKind) | only scenario_test calls it; a deletion candidate
 '

@@ -8,9 +8,13 @@
 // which commit and when).
 #pragma once
 
+#include <cstdio>
+#include <cstdlib>
 #include <limits>
 #include <string>
 #include <string_view>
+
+#include "common/check.h"
 
 namespace pm {
 
@@ -44,6 +48,24 @@ T ParseNumberArg(std::string_view flag, std::string_view text,
 /// rejects (sign, trailing characters, overflow); ThreadPool bounds the
 /// count itself.
 unsigned ParseThreadsFlag(int* argc, char** argv, unsigned fallback);
+
+/// Exit status for a malformed command-line number in a bench or example
+/// whose usage text documents no status of its own.
+inline constexpr int kUsageExit = 2;
+
+/// Returns `parse()`, a step of a binary's argument parsing. A malformed
+/// number (the CheckFailure of ParseNumberArg or ParseThreadsFlag) is a
+/// usage error, not an abort: its message, which names the flag, goes to
+/// stderr and the process exits with `usage_status`.
+template <typename Parse>
+auto ParseOrExit(int usage_status, Parse parse) -> decltype(parse()) {
+  try {
+    return parse();
+  } catch (const CheckFailure& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    std::exit(usage_status);
+  }
+}
 
 /// Per-section host stamp for bench sections whose numbers are only
 /// meaningful on real parallel hardware (thread scaling, concurrent

@@ -1,6 +1,7 @@
 #include "exchange/bid_window.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/check.h"
 
@@ -18,9 +19,11 @@ BidWindow::BidWindow(
   PM_CHECK_MSG(close_at > queue.Now(),
                "window must close in the future");
   PM_CHECK_MSG(tick_period > 0.0, "tick period must be positive");
+  // The deadline only seals the book; the first Close() still returns it.
   close_event_ = queue_.ScheduleAt(close_at, [this] {
     close_event_ = 0;
-    Close();
+    open_ = false;
+    tick_process_->Stop();
   });
   tick_process_ = std::make_unique<sim::PeriodicProcess>(
       queue_, queue.Now() + tick_period, tick_period, [this](int) {
@@ -79,15 +82,14 @@ void BidWindow::OnTick() {
 }
 
 std::vector<bid::Bid> BidWindow::Close() {
-  if (!open_) return {};
   open_ = false;
   if (close_event_ != 0) {
     queue_.Cancel(close_event_);
     close_event_ = 0;
   }
   tick_process_->Stop();
-  std::vector<bid::Bid> final_bids = std::move(book_);
-  book_.clear();
+  // A sealed book takes no more bids, so a second Close() returns none.
+  std::vector<bid::Bid> final_bids = std::exchange(book_, {});
   bid::AssignUserIds(final_bids);
   return final_bids;
 }

@@ -72,9 +72,10 @@ class BidWindow {
   /// The most recent preliminary prices (empty before the first tick).
   const std::vector<double>& LatestPreliminaryPrices() const;
 
-  /// Closes the book (idempotent; also fired automatically at
-  /// `close_at`) and returns the final bids with user ids assigned —
-  /// ready for the binding ClockAuction.
+  /// Closes the book and returns the final bids with user ids assigned —
+  /// ready for the binding ClockAuction. Reaching `close_at` on the queue
+  /// seals the book (no submits, no ticks) but keeps it for this call.
+  /// Idempotent: a later call returns no bids.
   std::vector<bid::Bid> Close();
 
  private:

@@ -26,6 +26,7 @@
 #pragma once
 
 #include <cstdint>
+#include <exception>
 #include <memory>
 #include <string>
 #include <vector>
@@ -97,16 +98,17 @@ struct FederationConfig {
   /// Treasury / arbitrage / rebalancing (all default off).
   EconomyConfig economy;
 
-  /// Epoch supervisor (failure domains). Off (the default), RunEpoch is
-  /// bit-identical to the unsupervised federation: no checkpoints are
-  /// taken and a shard failure propagates as an exception — after an
-  /// emergency treasury sweep so the planet ledger's conservation
-  /// invariant holds even then. On, each shard epoch runs inside a
-  /// containment boundary: a throwing shard (or one exceeding an injected
-  /// round budget) is rolled back to its epoch-boundary checkpoint, its
-  /// treasury float refunded, its routed bids re-routed or refunded, and
-  /// its health machine advanced (healthy → degraded → quarantined →
-  /// recovering) while the planet epoch completes without it.
+  /// Epoch supervisor (failure domains). It decides two things: whether
+  /// an epoch checkpoints its shards, and whether a shard failure is
+  /// contained or rethrown. Off (the default), no checkpoints are taken;
+  /// every shard still clears, then the lowest-index failure propagates
+  /// out of RunEpoch once the treasury sweep has squared every float.
+  /// On, each shard epoch runs inside a containment boundary: a throwing
+  /// shard (or one exceeding an injected round budget) is rolled back to
+  /// its epoch-boundary checkpoint, its treasury float refunded, its
+  /// routed bids re-routed or refunded, and its health machine advanced
+  /// (healthy → degraded → quarantined → recovering) while the planet
+  /// epoch completes without it.
   SupervisorConfig supervisor;
 
   /// The telemetry plane (metrics registry, bid tracing, flight
@@ -199,8 +201,8 @@ class FederatedExchange {
   /// completion and then throws — exactly the shape of a crash landing
   /// after state was mutated, so containment must roll the shard back.
   /// With the supervisor on the failure is contained; off, it propagates
-  /// out of RunEpoch (after the emergency treasury sweep). Cleared after
-  /// the epoch; scenario timelines re-inject per epoch.
+  /// out of RunEpoch (after the treasury sweep). Cleared after the epoch;
+  /// scenario timelines re-inject per epoch.
   void InjectShardFailure(std::size_t shard);
 
   /// One-shot virtual-time epoch budget: next epoch, shard k fails if its
@@ -239,29 +241,46 @@ class FederatedExchange {
     Money per_shard_allowance;
   };
 
-  /// Executes one planned cluster migration and returns its record.
-  ClusterMigration ApplyMigration(const MigrationPlan& plan, int epoch);
+  /// One epoch's working set, handed from stage to stage.
+  struct EpochState {
+    int epoch = 0;
+    // The profiler's federation-track span sink (null when unarmed).
+    telemetry::PhaseProfiler* prof = nullptr;
+    std::size_t fed_track = 0;
+    // This epoch's one-shot fault injections, consumed at its start.
+    std::vector<char> inject_fail;
+    std::vector<int> inject_round_budget;
+    std::vector<std::vector<std::uint8_t>> checkpoints;  // Supervised.
+    std::vector<ShardView> views;  // Built lazily for arbitrage and route.
+    std::size_t arb_buys = 0;      // Arbitrage bids that reached a shard.
+    std::size_t arb_sells = 0;
+    RoutingResult routing;
+    // The routed federated bids, index-aligned with routing.decisions.
+    std::vector<FederatedBid> epoch_bids;
+    std::vector<ShardEpochSummary> summaries;
+    std::vector<std::exception_ptr> errors;  // What each failed shard threw.
+    HealthBlock health_block;
+  };
 
-  /// The epoch body; RunEpoch wraps it with the exception-unwind path.
+  /// The epoch body: the stages below, in this order. RunEpoch wraps it
+  /// with the unwind path. Each stage documents itself at its definition.
   FederationReport RunEpochInternal(int epoch);
-
-  /// The T1 barrier block: per-shard metric ingest plus bid-lifecycle
-  /// spans. Single-threaded by contract.
-  void IngestShardTelemetry(int epoch,
-                            const std::vector<ShardEpochSummary>& summaries,
-                            const RoutingResult& routing,
-                            const std::vector<std::uint64_t>& epoch_traces);
-
-  /// The T2 barrier block: planet gauges, watchdog pass, epoch snapshot.
+  void StartEpoch(EpochState& st);
+  void PushAllowances(const EpochState& st);
+  void SubmitArbitrage(EpochState& st);
+  void RouteBids(EpochState& st);
+  void ClearShards(EpochState& st);
+  void IngestShardTelemetry(const EpochState& st);
+  void ContainFailures(EpochState& st);
+  void ObserveArbitrage(const EpochState& st, FederationReport& report);
+  void SweepTreasury(int epoch, FederationReport* report);
+  void Rebalance(FederationReport& report);
   void CloseEpochTelemetry(int epoch, FederationReport& report);
-
-  /// Reconciles every (team, shard) float back onto the planet ledger —
-  /// the exception-unwind path for the unsupervised federation: without
-  /// it a shard throwing mid-epoch leaves this epoch's allowances
-  /// stranded in shard floats forever (conservation still sums, but the
-  /// between-epochs zero-float contract breaks and the money is lost to
-  /// its teams). Withdraws each team's shard-local balance and sweeps.
-  void EmergencySweep(int epoch);
+  // Helpers of the stages.
+  void IngestAuctionReport(std::size_t k, int epoch,
+                           const exchange::AuctionReport& r);
+  void AdvanceShardHealth(EpochState& st, std::size_t k);
+  ClusterMigration ApplyMigration(const MigrationPlan& plan, int epoch);
 
   FederationConfig config_;
   std::vector<std::unique_ptr<Shard>> shards_;  // Stable addresses: each

@@ -33,9 +33,10 @@ enum class ShardHealth {
 
 std::string_view ToString(ShardHealth health);
 
-/// Supervisor policy knobs. Defaults keep the supervisor off: RunEpoch is
-/// then bit-identical to the pre-supervisor federation (no checkpoints are
-/// taken, failures propagate as exceptions after an emergency float sweep).
+/// Supervisor policy knobs. Defaults keep the supervisor off: no
+/// checkpoints are taken, and after every shard has cleared the
+/// lowest-index failure propagates as an exception, once the treasury
+/// sweep has squared every float.
 struct SupervisorConfig {
   bool enabled = false;
 

@@ -48,6 +48,15 @@ TEST(BidWindowTest, CollectsAndClosesAutomatically) {
   queue.RunUntil(100.0);
   EXPECT_FALSE(window.IsOpen());
   EXPECT_FALSE(window.Submit(SimpleBid("late", 0, 1.0, 5.0)));
+  // The deadline sealed the book without dropping it: the binding close
+  // still gets every bid submitted in time.
+  const std::vector<bid::Bid> final_bids = window.Close();
+  ASSERT_EQ(final_bids.size(), 2u);
+  EXPECT_EQ(final_bids[0].name, "a");
+  EXPECT_EQ(final_bids[0].user, 0u);
+  EXPECT_EQ(final_bids[1].name, "b");
+  EXPECT_EQ(final_bids[1].user, 1u);
+  EXPECT_TRUE(window.Close().empty());  // Idempotent.
 }
 
 TEST(BidWindowTest, TicksComputePreliminaryPrices) {

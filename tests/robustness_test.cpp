@@ -10,8 +10,8 @@
 //       checkpoint, its treasury float is refunded, and the ledger's
 //       conservation invariant (Σ teams + Σ floats + Σ shard-net ==
 //       minted − burned) holds in every terminal state — including the
-//       unsupervised path, where the failure propagates only after an
-//       emergency sweep.
+//       unsupervised path, where the failure propagates only after the
+//       treasury sweep.
 //   (3) The health machine walks healthy → degraded → quarantined →
 //       recovering → healthy with deterministic epoch-denominated
 //       backoff, and the supervisor left idle perturbs nothing.
@@ -237,7 +237,7 @@ TEST(SupervisorTest, FailedShardBidsAreRerouted) {
 TEST(SupervisorTest, UnsupervisedCrashSweepsTreasuryBeforePropagating) {
   // The exception-safety regression: without a supervisor a throwing
   // shard used to leave this epoch's allowances stranded in shard
-  // floats. The emergency sweep must reconcile every float before the
+  // floats. The treasury sweep must reconcile every float before the
   // failure escapes RunEpoch.
   FederationConfig config;
   config.seed = 19;
@@ -262,6 +262,62 @@ TEST(SupervisorTest, UnsupervisedCrashSweepsTreasuryBeforePropagating) {
   // the next epoch runs clean.
   EXPECT_NO_THROW(fed.RunEpoch());
   EXPECT_EQ(fed.EpochCount(), 2);
+}
+
+TEST(SupervisorTest, UnsupervisedFailureIsIndependentOfThreadCount) {
+  // Without a supervisor every shard still clears and then the failure
+  // with the lowest shard index propagates, so the error, the planet
+  // ledger and every shard's state are the same serially (num_threads 0)
+  // and on a pool (4), whichever failing shard finishes first.
+  struct Outcome {
+    std::string error;
+    std::vector<std::string> transfers;
+    std::vector<std::vector<std::uint8_t>> snapshots;
+    Money float_total;
+  };
+  const auto run = [](std::size_t num_threads) {
+    std::vector<ShardSpec> specs = ThreeShards();
+    specs.push_back(specs.back());
+    specs.back().name = "region-3";
+    FederationConfig config;
+    config.seed = 29;
+    config.num_threads = num_threads;
+    config.economy.treasury = true;
+    FederatedExchange fed(std::move(specs), config);
+    fed.EndowFederatedTeam("globex", Money::FromDollars(50000));
+    fed.InjectShardFailure(1);
+    fed.InjectShardFailure(2);
+    Outcome out;
+    try {
+      fed.RunEpoch();
+    } catch (const CheckFailure& e) {
+      out.error = e.what();
+    }
+    for (const CrossShardTransfer& t : fed.treasury()->Transfers()) {
+      out.transfers.push_back(
+          std::to_string(static_cast<int>(t.kind)) + " " +
+          std::to_string(t.epoch) + " " + t.team + " " +
+          std::to_string(t.shard) + " " +
+          std::to_string(t.amount.micros()));
+    }
+    for (std::size_t k = 0; k < fed.NumShards(); ++k) {
+      out.snapshots.push_back(fed.ShardMarket(k).Snapshot());
+    }
+    out.float_total = fed.treasury()->FloatTotal();
+    return out;
+  };
+  const Outcome serial = run(0);
+  const Outcome pooled = run(4);
+  EXPECT_NE(serial.error.find("shard 1 ('region-1')"), std::string::npos)
+      << serial.error;
+  EXPECT_EQ(pooled.error, serial.error);
+  EXPECT_EQ(pooled.transfers, serial.transfers);
+  ASSERT_EQ(serial.snapshots.size(), 4u);
+  for (std::size_t k = 0; k < 4; ++k) {
+    EXPECT_TRUE(pooled.snapshots[k] == serial.snapshots[k]) << "shard " << k;
+  }
+  EXPECT_EQ(serial.float_total, Money());
+  EXPECT_EQ(pooled.float_total, Money());
 }
 
 // ------------------------------------------------- health machine (3) --
