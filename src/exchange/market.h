@@ -215,7 +215,11 @@ class Market {
   /// queued (CHECKed). Restore() on a market built with the same
   /// constructor arguments resumes the exact draw-for-draw behaviour of
   /// the snapshotted one; Snapshot() after a round trip is byte-identical.
-  std::vector<std::uint8_t> Snapshot() const;
+  /// The frame is written into `reuse` (cleared first), so a caller that
+  /// passes back its previous frame keeps that frame's capacity; the
+  /// bytes do not depend on what `reuse` held.
+  std::vector<std::uint8_t> Snapshot(
+      std::vector<std::uint8_t> reuse = {}) const;
 
   /// Restores a frame produced by Snapshot() into this market. The market
   /// must front the same configuration (config, fixed-price length) and

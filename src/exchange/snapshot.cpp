@@ -64,11 +64,12 @@ std::array<std::uint64_t, 4> ReadRngState(net::Deserializer& d) {
 
 }  // namespace
 
-std::vector<std::uint8_t> Market::Snapshot() const {
+std::vector<std::uint8_t> Market::Snapshot(
+    std::vector<std::uint8_t> reuse) const {
   PM_CHECK_MSG(external_.empty(),
                "snapshot with queued external bids — checkpoints are "
                "epoch-boundary only");
-  net::Serializer s;
+  net::Serializer s(std::move(reuse));
   s.WriteU32(kSnapshotVersion);
 
   // Market scalars.

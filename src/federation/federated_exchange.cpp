@@ -30,6 +30,14 @@ SplitMix64 ShardStream(std::uint64_t seed, std::uint64_t salt,
 /// The golden-ratio salt of the workload and market seed streams.
 constexpr std::uint64_t kShardSeedSalt = 0x9e3779b97f4a7c15ULL;
 
+/// Rethrows the lowest-index recorded failure, if any: per-shard work
+/// that ran across the pool fails the same way at every thread count.
+void RethrowLowestIndex(const std::vector<std::exception_ptr>& errors) {
+  for (const std::exception_ptr& error : errors) {
+    if (error != nullptr) std::rethrow_exception(error);
+  }
+}
+
 }  // namespace
 
 std::uint64_t FederatedExchange::ShardWorkloadSeed(
@@ -98,6 +106,7 @@ FederatedExchange::FederatedExchange(std::vector<ShardSpec> specs,
   PM_CHECK_MSG(config_.supervisor.quarantine_streak >= 1,
                "supervisor: need quarantine_streak >= 1");
   health_.resize(shards_.size());
+  checkpoints_.resize(shards_.size());
   inject_fail_.assign(shards_.size(), 0);
   inject_round_budget_.assign(shards_.size(), -1);
 
@@ -347,15 +356,19 @@ FederationReport FederatedExchange::RunEpochInternal(const int epoch) {
 // boundary and RefundAllowance squares the planet ledger. Without a
 // supervisor health_ is never written: every shard stays active and
 // healthy.
+//
+// The transitions are serial; the checkpoints run across the pool, since
+// each Snapshot() reads only its own shard, and each is written into
+// that shard's previous frame so its capacity is reused. A failed
+// snapshot fails the epoch with the lowest-index failure, whatever the
+// thread count.
 void FederatedExchange::StartEpoch(EpochState& st) {
   st.inject_fail =
       std::exchange(inject_fail_, std::vector<char>(shards_.size(), 0));
   st.inject_round_budget = std::exchange(
       inject_round_budget_, std::vector<int>(shards_.size(), -1));
-  st.checkpoints.resize(shards_.size());
   if (!config_.supervisor.enabled) return;
-  for (std::size_t k = 0; k < shards_.size(); ++k) {
-    ShardHealthStatus& h = health_[k];
+  for (ShardHealthStatus& h : health_) {
     if (h.status == ShardHealth::kQuarantined) {
       if (h.backoff_remaining > 0) {
         --h.backoff_remaining;
@@ -368,8 +381,18 @@ void FederatedExchange::StartEpoch(EpochState& st) {
     } else {
       h.active = true;
     }
-    if (h.active) st.checkpoints[k] = shards_[k]->market->Snapshot();
   }
+  std::vector<std::exception_ptr> errors(shards_.size());
+  ParallelFor(pool_.get(), 0, shards_.size(), [&](std::size_t k) {
+    if (!health_[k].active) return;
+    try {
+      checkpoints_[k] =
+          shards_[k]->market->Snapshot(std::move(checkpoints_[k]));
+    } catch (...) {
+      errors[k] = std::current_exception();
+    }
+  });
+  RethrowLowestIndex(errors);
 }
 
 // Treasury: push this epoch's shard allowances (planet account → shard
@@ -757,9 +780,7 @@ void FederatedExchange::IngestAuctionReport(
 // the planet ledger, and recover the failed shards' federated bids.
 void FederatedExchange::ContainFailures(EpochState& st) {
   if (!config_.supervisor.enabled) {
-    for (const std::exception_ptr& error : st.errors) {
-      if (error != nullptr) std::rethrow_exception(error);
-    }
+    RethrowLowestIndex(st.errors);
     return;
   }
   HealthBlock& health_block = st.health_block;
@@ -830,7 +851,7 @@ void FederatedExchange::AdvanceShardHealth(EpochState& st,
   } else if (summary.failed) {
     // Bit-identical rejoin: the shard resumes from the exact state the
     // epoch started from, whatever the failure corrupted.
-    shards_[k]->market->Restore(st.checkpoints[k]);
+    shards_[k]->market->Restore(checkpoints_[k]);
     ++h.restored_checkpoints;
     ++health_block.restored_checkpoints;
     ++health_block.failed_shards;

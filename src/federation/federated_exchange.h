@@ -250,7 +250,6 @@ class FederatedExchange {
     // This epoch's one-shot fault injections, consumed at its start.
     std::vector<char> inject_fail;
     std::vector<int> inject_round_budget;
-    std::vector<std::vector<std::uint8_t>> checkpoints;  // Supervised.
     std::vector<ShardView> views;  // Built lazily for arbitrage and route.
     std::size_t arb_buys = 0;      // Arbitrage bids that reached a shard.
     std::size_t arb_sells = 0;
@@ -292,6 +291,9 @@ class FederatedExchange {
 
   // Failure domains (one slot per shard).
   std::vector<ShardHealthStatus> health_;
+  // Each active shard's epoch-boundary frame (supervised only), kept
+  // across epochs so the next checkpoint reuses its storage.
+  std::vector<std::vector<std::uint8_t>> checkpoints_;
   std::vector<char> inject_fail_;        // One-shot crash injection.
   std::vector<int> inject_round_budget_; // One-shot budgets (-1 = none).
 

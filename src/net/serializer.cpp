@@ -2,33 +2,80 @@
 
 #include <bit>
 #include <cstring>
+#include <utility>
 
 #include "common/check.h"
 
 namespace pm::net {
+namespace {
 
-std::uint64_t Fnv1a(const std::uint8_t* data, std::size_t size) {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
+constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
+constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
+
+/// Appends `v` as one little-endian block.
+template <typename T>
+void AppendLittleEndian(std::vector<std::uint8_t>& buffer, T v) {
+  std::uint8_t bytes[sizeof(T)];
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(bytes, &v, sizeof(T));
+  } else {
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      bytes[i] = static_cast<std::uint8_t>(v >> (8 * i));
+    }
+  }
+  buffer.insert(buffer.end(), bytes, bytes + sizeof(T));
+}
+
+/// Reads a little-endian T from `p` (sizeof(T) readable bytes).
+template <typename T>
+T LoadLittleEndian(const std::uint8_t* p) {
+  T v = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(&v, p, sizeof(T));
+  } else {
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      v |= static_cast<T>(p[i]) << (8 * i);
+    }
+  }
+  return v;
+}
+
+/// Folds `size` bytes into `hash` one at a time (the FNV-1a step).
+std::uint64_t FoldBytes(std::uint64_t hash, const std::uint8_t* data,
+                        std::size_t size) {
   for (std::size_t i = 0; i < size; ++i) {
     hash ^= data[i];
-    hash *= 0x100000001b3ULL;
+    hash *= kFnvPrime;
   }
   return hash;
 }
 
+}  // namespace
+
+std::uint64_t FrameChecksum(const std::uint8_t* data, std::size_t size) {
+  std::uint64_t hash = kFnvOffset;
+  std::size_t i = 0;
+  for (; i + 8 <= size; i += 8) {
+    hash ^= LoadLittleEndian<std::uint64_t>(data + i);
+    hash *= kFnvPrime;
+  }
+  return FoldBytes(hash, data + i, size - i);
+}
+
+std::uint64_t Fnv1a(const std::uint8_t* data, std::size_t size) {
+  return FoldBytes(kFnvOffset, data, size);
+}
+
+Serializer::Serializer(std::vector<std::uint8_t> buffer)
+    : buffer_(std::move(buffer)) {
+  buffer_.clear();
+}
+
 void Serializer::WriteU8(std::uint8_t v) { buffer_.push_back(v); }
 
-void Serializer::WriteU32(std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    buffer_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
+void Serializer::WriteU32(std::uint32_t v) { AppendLittleEndian(buffer_, v); }
 
-void Serializer::WriteU64(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    buffer_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
+void Serializer::WriteU64(std::uint64_t v) { AppendLittleEndian(buffer_, v); }
 
 void Serializer::WriteI32(std::int32_t v) {
   WriteU32(static_cast<std::uint32_t>(v));
@@ -58,7 +105,8 @@ void Serializer::WriteBytes(const std::vector<std::uint8_t>& v) {
 }
 
 std::vector<std::uint8_t> Serializer::FinishWithChecksum() && {
-  const std::uint64_t checksum = Fnv1a(buffer_.data(), buffer_.size());
+  const std::uint64_t checksum =
+      FrameChecksum(buffer_.data(), buffer_.size());
   WriteU64(checksum);
   return std::move(buffer_);
 }
@@ -69,12 +117,9 @@ Deserializer::Deserializer(std::vector<std::uint8_t> frame)
 bool Deserializer::VerifyChecksum() {
   if (frame_.size() < 8) return false;
   payload_size_ = frame_.size() - 8;
-  std::uint64_t stored = 0;
-  for (int i = 0; i < 8; ++i) {
-    stored |= static_cast<std::uint64_t>(frame_[payload_size_ + i])
-              << (8 * i);
-  }
-  checksum_ok_ = stored == Fnv1a(frame_.data(), payload_size_);
+  const auto stored =
+      LoadLittleEndian<std::uint64_t>(frame_.data() + payload_size_);
+  checksum_ok_ = stored == FrameChecksum(frame_.data(), payload_size_);
   return checksum_ok_;
 }
 
@@ -87,20 +132,16 @@ std::optional<std::uint8_t> Deserializer::ReadU8() {
 std::optional<std::uint32_t> Deserializer::ReadU32() {
   PM_CHECK_MSG(checksum_ok_, "VerifyChecksum before reading");
   if (!Need(4)) return std::nullopt;
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(frame_[pos_++]) << (8 * i);
-  }
+  const auto v = LoadLittleEndian<std::uint32_t>(frame_.data() + pos_);
+  pos_ += 4;
   return v;
 }
 
 std::optional<std::uint64_t> Deserializer::ReadU64() {
   PM_CHECK_MSG(checksum_ok_, "VerifyChecksum before reading");
   if (!Need(8)) return std::nullopt;
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(frame_[pos_++]) << (8 * i);
-  }
+  const auto v = LoadLittleEndian<std::uint64_t>(frame_.data() + pos_);
+  pos_ += 8;
   return v;
 }
 
@@ -145,6 +186,9 @@ std::optional<std::vector<std::uint8_t>> Deserializer::ReadBytes() {
 std::optional<std::vector<double>> Deserializer::ReadDoubleVector() {
   const auto size = ReadU32();
   if (!size) return std::nullopt;
+  // The count comes from the frame: bound it by the bytes left before
+  // allocating for it.
+  if (!Need(std::size_t{8} * *size)) return std::nullopt;
   std::vector<double> v;
   v.reserve(*size);
   for (std::uint32_t i = 0; i < *size; ++i) {

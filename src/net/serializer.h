@@ -1,10 +1,11 @@
 // planetmarket: binary wire serialization.
 //
-// Fixed-layout little-endian encoding with an FNV-1a checksum trailer.
-// Every message that crosses a channel in the distributed auction is
-// encoded through this layer, so the loop genuinely exercises
-// marshalling — decode failures surface as protocol errors rather than
-// silent corruption.
+// Fixed-layout little-endian encoding with a 64-bit checksum trailer
+// (FrameChecksum: FNV-style, one multiply per 8-byte word). Every message
+// that crosses a channel in the distributed auction, and every market
+// checkpoint, is encoded through this layer, so the loop genuinely
+// exercises marshalling — decode failures surface as protocol errors
+// rather than silent corruption.
 #pragma once
 
 #include <cstdint>
@@ -17,6 +18,11 @@ namespace pm::net {
 /// Append-only byte-buffer writer.
 class Serializer {
  public:
+  Serializer() = default;
+  /// Writes into `buffer`, cleared first: a caller that hands back the
+  /// previous frame reuses its capacity instead of regrowing it.
+  explicit Serializer(std::vector<std::uint8_t> buffer);
+
   void WriteU8(std::uint8_t v);
   void WriteU32(std::uint32_t v);
   void WriteU64(std::uint64_t v);
@@ -27,8 +33,8 @@ class Serializer {
   void WriteDoubleVector(const std::vector<double>& v);
   void WriteBytes(const std::vector<std::uint8_t>& v);
 
-  /// Appends the FNV-1a checksum of everything written so far and
-  /// returns the finished frame.
+  /// Appends the FrameChecksum of everything written so far and returns
+  /// the finished frame.
   std::vector<std::uint8_t> FinishWithChecksum() &&;
 
   const std::vector<std::uint8_t>& bytes() const { return buffer_; }
@@ -70,7 +76,15 @@ class Deserializer {
   bool checksum_ok_ = false;
 };
 
-/// FNV-1a 64-bit hash of a byte range (exposed for tests).
+/// The frame trailer: a 64-bit FNV-style hash that folds the range in as
+/// little-endian 8-byte words (xor, then multiply by the FNV prime) and
+/// the last size % 8 bytes one at a time. Each step is a bijection of
+/// the running hash, so any change confined to one word or tail byte —
+/// every single-bit flip — changes the result.
+std::uint64_t FrameChecksum(const std::uint8_t* data, std::size_t size);
+
+/// FNV-1a 64-bit hash of a byte range: a stable name hash
+/// (FleetRebalancer::TieRank), not a frame checksum.
 std::uint64_t Fnv1a(const std::uint8_t* data, std::size_t size);
 
 }  // namespace pm::net

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "agents/workload_gen.h"
@@ -367,6 +368,21 @@ TEST(MarketTest, SupplyFractionValidated) {
                pm::CheckFailure);
 }
 
+TEST(MarketTest, SnapshotIntoStaleBufferMatchesFreshSnapshot) {
+  agents::World world = GenerateWorld(SmallWorldConfig());
+  Market market(&world.fleet, &world.agents, world.fixed_prices,
+                FastMarketConfig());
+  market.RunAuction();
+  const std::vector<std::uint8_t> fresh = market.Snapshot();
+  // A longer buffer full of stale bytes: the frame overwrites it in
+  // place, in the storage it already has.
+  std::vector<std::uint8_t> stale(2 * fresh.size(), 0xAB);
+  const std::uint8_t* storage = stale.data();
+  const std::vector<std::uint8_t> reused = market.Snapshot(std::move(stale));
+  EXPECT_EQ(reused, fresh);
+  EXPECT_EQ(reused.data(), storage);
+}
+
 TEST(MarketTest, RestoreRejectsPlacementOtherThanBestFit) {
   agents::World world = GenerateWorld(SmallWorldConfig());
   Market market(&world.fleet, &world.agents, world.fixed_prices,
@@ -388,12 +404,19 @@ TEST(MarketTest, RestoreRejectsPlacementOtherThanBestFit) {
     std::vector<std::uint8_t> tampered(frame.begin(), frame.end() - 8);
     tampered[placement] = bad;
     const std::uint64_t checksum =
-        net::Fnv1a(tampered.data(), tampered.size());
+        net::FrameChecksum(tampered.data(), tampered.size());
     for (int i = 0; i < 8; ++i) {
       tampered.push_back(static_cast<std::uint8_t>(checksum >> (8 * i)));
     }
-    EXPECT_THROW(market.Restore(tampered), pm::CheckFailure)
-        << "placement byte " << int{bad};
+    try {
+      market.Restore(tampered);
+      FAIL() << "placement byte " << int{bad} << " restored";
+    } catch (const pm::CheckFailure& e) {
+      EXPECT_NE(std::string(e.what()).find("placement byte " +
+                                           std::to_string(int{bad})),
+                std::string::npos)
+          << e.what();
+    }
   }
 }
 

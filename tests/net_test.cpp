@@ -2,6 +2,7 @@
 // distributed clock auction's equivalence with the serial engine.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <thread>
 #include <vector>
@@ -139,9 +140,51 @@ TEST(SerializerTest, TooShortFrameFailsVerification) {
   EXPECT_FALSE(d.VerifyChecksum());
 }
 
+TEST(SerializerTest, DoubleVectorCountBeyondPayloadReturnsNullopt) {
+  // A checksum-valid frame whose count claims far more doubles than it
+  // holds: the reader must refuse before allocating for the count.
+  Serializer s;
+  s.WriteU32(0xFFFFFFFFu);
+  s.WriteDouble(1.0);
+  Deserializer d(std::move(s).FinishWithChecksum());
+  ASSERT_TRUE(d.VerifyChecksum());
+  EXPECT_FALSE(d.ReadDoubleVector().has_value());
+}
+
+TEST(SerializerTest, FrameChecksumIsStable) {
+  // 13 bytes: one little-endian word, then a 5-byte tail folded in byte
+  // by byte.
+  const std::string text = "hello, world!";
+  const auto* data = reinterpret_cast<const std::uint8_t*>(text.data());
+  EXPECT_EQ(FrameChecksum(data, text.size()), 0x160db91c522ac6a5ULL);
+  EXPECT_EQ(FrameChecksum(data, 0), 0xcbf29ce484222325ULL);
+}
+
+TEST(SerializerTest, EverySingleBitFlipFailsChecksum) {
+  // 29 payload bytes (three words and a 5-byte tail) + the 8-byte
+  // trailer: a 37-byte frame.
+  Serializer s;
+  s.WriteU64(0x0123456789ABCDEFULL);
+  s.WriteU64(0);
+  s.WriteU64(~0ULL);
+  s.WriteU32(0xDEADBEEF);
+  s.WriteU8(0x5A);
+  const std::vector<std::uint8_t> frame = std::move(s).FinishWithChecksum();
+  ASSERT_EQ(frame.size(), 37u);
+  ASSERT_TRUE(Deserializer(frame).VerifyChecksum());
+  for (std::size_t byte = 0; byte < frame.size(); ++byte) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::vector<std::uint8_t> flipped = frame;
+      flipped[byte] ^= static_cast<std::uint8_t>(1u << bit);
+      EXPECT_FALSE(Deserializer(std::move(flipped)).VerifyChecksum())
+          << "byte " << byte << " bit " << bit;
+    }
+  }
+}
+
 TEST(SerializerTest, FnvIsStable) {
   const std::uint8_t data[] = {'a', 'b', 'c'};
-  // Reference FNV-1a 64-bit of "abc".
+  // Reference FNV-1a 64-bit of "abc" (FleetRebalancer::TieRank's hash).
   EXPECT_EQ(Fnv1a(data, 3), 0xe71fa2190541574bULL);
 }
 

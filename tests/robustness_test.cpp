@@ -151,6 +151,40 @@ TEST(SnapshotRoundTripTest, CrashedShardRestoredBitIdentically) {
   EXPECT_EQ(fed.ShardHealthOf(0).status, ShardHealth::kHealthy);
 }
 
+TEST(SnapshotRoundTripTest, CrashedShardsRestoredIdenticallyOnFourThreads) {
+  // Three epochs at `threads`, with shards 0 and 2 crashing in the last
+  // (their checkpoints were written into the previous epoch's frames);
+  // returns every shard's frame afterwards.
+  const auto run = [](std::size_t threads) {
+    FederationConfig config;
+    config.seed = 77;
+    config.num_threads = threads;
+    config.supervisor.enabled = true;
+    FederatedExchange fed(ThreeShards(), config);
+    fed.RunEpoch();
+    fed.RunEpoch();
+    std::vector<std::vector<std::uint8_t>> boundary;
+    for (std::size_t k = 0; k < fed.NumShards(); ++k) {
+      boundary.push_back(fed.ShardMarket(k).Snapshot());
+    }
+    fed.InjectShardFailure(0);
+    fed.InjectShardFailure(2);
+    const FederationReport report = fed.RunEpoch();
+    EXPECT_TRUE(report.shards[0].failed);
+    EXPECT_FALSE(report.shards[1].failed);
+    EXPECT_TRUE(report.shards[2].failed);
+    EXPECT_EQ(report.health.restored_checkpoints, 2u);
+    std::vector<std::vector<std::uint8_t>> after;
+    for (std::size_t k = 0; k < fed.NumShards(); ++k) {
+      after.push_back(fed.ShardMarket(k).Snapshot());
+    }
+    EXPECT_EQ(after[0], boundary[0]) << threads << " threads";
+    EXPECT_EQ(after[2], boundary[2]) << threads << " threads";
+    return after;
+  };
+  EXPECT_EQ(run(4), run(0));
+}
+
 // ------------------------------------------------ epoch supervision (2) --
 
 TEST(SupervisorTest, ContainsInjectedCrashAndConservesMoney) {
