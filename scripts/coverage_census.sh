@@ -73,6 +73,8 @@ pm::CsvWriter::Escape(std::string const&) | the --csv export of fig7, which no s
 pm::CsvWriter::WriteRow(std::vector<std::string> const&) | the --csv export of fig7, which no smoke passes
 pm::reserve::(anonymous namespace)::FlatWeighting::Name() const | WeightingFunction stays an interface (reserve_test fakes it); fig2 names only the three curves of the paper
 pm::scenario::ToString(pm::scenario::EventKind) | only scenario_test calls it; a deletion candidate
+pm::cluster::UnknownResourceKind(pm::ResourceKind) | error path, covered by TaskShapeTest.UnknownKindFailsLoudly
+pm::agents::PriceLearner::BeliefOutOfRange(unsigned long) const | error path, covered by PriceLearnerTest.ValidatesArguments
 '
 
 mode=""

@@ -19,11 +19,9 @@ PriceLearner::PriceLearner(std::vector<double> initial_beliefs,
   PM_CHECK(!beliefs_.empty());
 }
 
-double PriceLearner::Belief(std::size_t pool) const {
-  PM_CHECK_MSG(pool < beliefs_.size(),
-               "pool " << pool << " beyond beliefs of size "
-                       << beliefs_.size());
-  return beliefs_[pool];
+void PriceLearner::BeliefOutOfRange(std::size_t pool) const {
+  PM_CHECK_MSG(false, "pool " << pool << " beyond beliefs of size "
+                              << beliefs_.size());
 }
 
 void PriceLearner::ExtendBeliefs(std::span<const double> defaults) {

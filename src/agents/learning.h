@@ -25,8 +25,12 @@ class PriceLearner {
   PriceLearner(std::vector<double> initial_beliefs, double smoothing,
                double initial_markup, double markup_decay);
 
-  /// Current believed price for a pool.
-  double Belief(std::size_t pool) const;
+  /// Current believed price for a pool. Inline: strategies read a
+  /// belief per pool of every candidate cluster on every bid.
+  double Belief(std::size_t pool) const {
+    if (pool >= beliefs_.size()) BeliefOutOfRange(pool);
+    return beliefs_[pool];
+  }
 
   /// Current safety markup (≥ 0).
   double Markup() const { return markup_; }
@@ -56,6 +60,9 @@ class PriceLearner {
                     int observations);
 
  private:
+  /// Belief's failure path: throws CheckFailure naming the pool.
+  [[noreturn]] void BeliefOutOfRange(std::size_t pool) const;
+
   std::vector<double> beliefs_;
   double smoothing_;
   double markup_;

@@ -41,39 +41,6 @@ std::size_t HomeCluster(const PoolRegistry& registry,
   return *home;
 }
 
-/// Cluster indices sorted by believed cost of hosting `delta`, cheapest
-/// first; equal costs break by cluster name, not by index. Cost is scaled
-/// by the placement-penalty factor, and chronically unplaceable clusters
-/// (penalty >= kPlacementPenaltyAvoid) are dropped; with no placement
-/// memory (the outcome_feedback-off path) every factor is exactly 1 and
-/// nothing is dropped, so the ranking is bit-identical to the price-only
-/// ordering.
-std::vector<std::size_t> ClustersByBelievedCost(
-    const StrategyContext& ctx, const cluster::TaskShape& delta) {
-  const PoolRegistry& registry = *ctx.view->registry;
-  const std::vector<std::string>& names = registry.Clusters();
-  std::vector<std::pair<double, std::size_t>> ranked;
-  ranked.reserve(names.size());
-  for (std::size_t c = 0; c < names.size(); ++c) {
-    const double penalty =
-        ClusterPlacementPenalty(registry, ctx.placement_penalty, c);
-    if (penalty >= kPlacementPenaltyAvoid) continue;
-    const double cost =
-        BelievedClusterCost(registry, *ctx.learner, c, delta) *
-        (1.0 + kPlacementPenaltyWeight * penalty);
-    ranked.emplace_back(cost, c);
-  }
-  std::sort(ranked.begin(), ranked.end(),
-            [&](const auto& a, const auto& b) {
-              return std::tie(a.first, names[a.second]) <
-                     std::tie(b.first, names[b.second]);
-            });
-  std::vector<std::size_t> clusters;
-  clusters.reserve(ranked.size());
-  for (const auto& [cost, c] : ranked) clusters.push_back(c);
-  return clusters;
-}
-
 /// Whether `delta` fits in the operator's free capacity of `cluster`
 /// (strategies avoid bidding into walls — proxies would just drop out).
 bool FitsFreeCapacity(const MarketView& view, std::size_t cluster,
@@ -85,6 +52,51 @@ bool FitsFreeCapacity(const MarketView& view, std::size_t cluster,
     if (view.free_capacity[id] < delta.Of(kind)) return false;
   }
   return true;
+}
+
+/// Up to `k` alternative clusters for `delta`, cheapest first: every
+/// cluster except `home` and `skip` that is not chronically unplaceable
+/// (penalty >= kPlacementPenaltyAvoid) and has room, ranked by believed
+/// cost scaled by the placement-penalty factor; equal costs break by
+/// cluster name, not by index. Names are unique, so the order is total
+/// and the k kept are exactly the first k of a full sort. With no
+/// placement memory (the outcome_feedback-off path) every factor is
+/// exactly 1 and nothing is dropped, so the ranking is bit-identical to
+/// the price-only ordering.
+std::vector<std::size_t> CheapestAlternatives(
+    const StrategyContext& ctx, const cluster::TaskShape& delta,
+    std::size_t home, std::optional<std::size_t> skip, std::size_t k) {
+  const PoolRegistry& registry = *ctx.view->registry;
+  const std::vector<std::string>& names = registry.Clusters();
+  const auto cheaper = [&](const std::pair<double, std::size_t>& a,
+                           const std::pair<double, std::size_t>& b) {
+    return std::tie(a.first, names[a.second]) <
+           std::tie(b.first, names[b.second]);
+  };
+  // The k cheapest so far, kept sorted: an insertion pass over one
+  // cluster at a time.
+  std::vector<std::pair<double, std::size_t>> kept;
+  kept.reserve(k + 1);
+  for (std::size_t c = 0; c < names.size(); ++c) {
+    if (c == home || c == skip) continue;
+    const double penalty =
+        ClusterPlacementPenalty(registry, ctx.placement_penalty, c);
+    if (penalty >= kPlacementPenaltyAvoid) continue;
+    if (!FitsFreeCapacity(*ctx.view, c, delta)) continue;
+    const std::pair<double, std::size_t> candidate(
+        BelievedClusterCost(registry, *ctx.learner, c, delta) *
+            (1.0 + kPlacementPenaltyWeight * penalty),
+        c);
+    if (kept.size() == k && !cheaper(candidate, kept.back())) continue;
+    kept.insert(std::upper_bound(kept.begin(), kept.end(), candidate,
+                                 cheaper),
+                candidate);
+    if (kept.size() > k) kept.pop_back();
+  }
+  std::vector<std::size_t> clusters;
+  clusters.reserve(kept.size());
+  for (const auto& [cost, c] : kept) clusters.push_back(c);
+  return clusters;
 }
 
 double ClampLimit(double limit, double budget) {
@@ -105,19 +117,16 @@ std::vector<bid::Bid> TruthfulGrowthBids(const StrategyContext& ctx) {
   // penalty when placed away from home.
   std::vector<bid::Bundle> bundles;
   bundles.push_back(BundleForCluster(registry, home, delta));
-  int alternatives = 0;
   double cheapest_cost =
       BelievedClusterCost(registry, *ctx.learner, home, delta);
   const double setup_penalty = 0.02 * profile.relocation_cost;
-  for (std::size_t c : ClustersByBelievedCost(ctx, delta)) {
-    if (c == home) continue;
-    if (!FitsFreeCapacity(*ctx.view, c, delta)) continue;
+  for (std::size_t c : CheapestAlternatives(ctx, delta, home,
+                                            std::nullopt, 3)) {
     const double cost =
         BelievedClusterCost(registry, *ctx.learner, c, delta) +
         setup_penalty;
     bundles.push_back(BundleForCluster(registry, c, delta));
     cheapest_cost = std::min(cheapest_cost, cost);
-    if (++alternatives >= 3) break;
   }
 
   // Bid the believed cost plus a safety markup (§V.C: reserve prices
@@ -225,12 +234,8 @@ std::vector<bid::Bid> OpportunistMoverBids(const StrategyContext& ctx) {
   bid::Bid rebuy;
   rebuy.name = profile.name + "/relocate";
   rebuy.bundles = {BundleForCluster(registry, *best, slice)};
-  int alternatives = 0;
-  for (std::size_t c : ClustersByBelievedCost(ctx, slice)) {
-    if (c == home || c == *best) continue;
-    if (!FitsFreeCapacity(*ctx.view, c, slice)) continue;
+  for (std::size_t c : CheapestAlternatives(ctx, slice, home, best, 2)) {
     rebuy.bundles.push_back(BundleForCluster(registry, c, slice));
-    if (++alternatives >= 2) break;
   }
   const double markup = ctx.learner->Markup();
   rebuy.limit = ClampLimit(

@@ -217,4 +217,33 @@ double Fleet::UtilizationPercentile(const std::string& cluster,
   return stats::PercentileRank(utils, utils[IndexOf(cluster)]);
 }
 
+std::vector<double> Fleet::UtilizationPercentiles() const {
+  std::vector<double> out(registry_.size(), kDeadPoolPercentile);
+  std::vector<std::size_t> index(clusters_.size());
+  for (std::size_t i = 0; i < clusters_.size(); ++i) {
+    const auto found = registry_.FindCluster(clusters_[i].name());
+    PM_CHECK(found.has_value());
+    index[i] = *found;
+  }
+  std::vector<double> sorted(clusters_.size());
+  for (ResourceKind kind : kAllResourceKinds) {
+    for (std::size_t i = 0; i < clusters_.size(); ++i) {
+      sorted[i] = clusters_[i].Utilization(kind);
+    }
+    std::sort(sorted.begin(), sorted.end());
+    for (std::size_t i = 0; i < clusters_.size(); ++i) {
+      // lower_bound and upper_bound count exactly what PercentileRank's
+      // scan counts as below and tied, and the arithmetic is its own.
+      const double value = clusters_[i].Utilization(kind);
+      const auto low = std::lower_bound(sorted.begin(), sorted.end(), value);
+      const auto high = std::upper_bound(low, sorted.end(), value);
+      const double rank = static_cast<double>(low - sorted.begin()) +
+                          0.5 * static_cast<double>(high - low);
+      out[registry_.PoolOf(index[i], kind)] =
+          100.0 * rank / static_cast<double>(sorted.size());
+    }
+  }
+  return out;
+}
+
 }  // namespace pm::cluster

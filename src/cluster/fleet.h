@@ -24,6 +24,10 @@ struct JobLocation {
   std::string cluster;
 };
 
+/// What UtilizationPercentiles reads for a pool whose cluster left the
+/// fleet: below every real rank, which lies in [0, 100].
+inline constexpr double kDeadPoolPercentile = -1.0;
+
 /// The set of clusters participating in the market.
 class Fleet {
  public:
@@ -47,6 +51,9 @@ class Fleet {
 
   std::vector<std::string> ClusterNames() const;
   std::size_t NumClusters() const { return clusters_.size(); }
+
+  /// The live clusters, in fleet order (the order AllJobs walks).
+  const std::vector<Cluster>& clusters() const { return clusters_; }
 
   Cluster& ClusterByName(const std::string& name);
   const Cluster& ClusterByName(const std::string& name) const;
@@ -105,6 +112,12 @@ class Fleet {
   /// all clusters — the y-axis metric of Figure 7.
   double UtilizationPercentile(const std::string& cluster,
                                ResourceKind kind) const;
+
+  /// UtilizationPercentile of every pool at once, as a dense per-pool
+  /// vector: bit-identical to the per-cluster call for each live pool,
+  /// kDeadPoolPercentile for pools of extracted clusters. One sort per
+  /// kind instead of a scan per lookup.
+  std::vector<double> UtilizationPercentiles() const;
 
  private:
   struct RestoreTag {};

@@ -4,44 +4,8 @@
 
 namespace pm::cluster {
 
-double TaskShape::Of(ResourceKind kind) const {
-  switch (kind) {
-    case ResourceKind::kCpu:
-      return cpu;
-    case ResourceKind::kRam:
-      return ram_gb;
-    case ResourceKind::kDisk:
-      return disk_tb;
-  }
-  PM_CHECK_MSG(false, "unknown resource kind");
-  return 0.0;
-}
-
-double& TaskShape::Of(ResourceKind kind) {
-  switch (kind) {
-    case ResourceKind::kCpu:
-      return cpu;
-    case ResourceKind::kRam:
-      return ram_gb;
-    case ResourceKind::kDisk:
-      return disk_tb;
-  }
-  PM_CHECK_MSG(false, "unknown resource kind");
-  return cpu;
-}
-
-TaskShape& TaskShape::operator+=(const TaskShape& other) {
-  cpu += other.cpu;
-  ram_gb += other.ram_gb;
-  disk_tb += other.disk_tb;
-  return *this;
-}
-
-TaskShape& TaskShape::operator-=(const TaskShape& other) {
-  cpu -= other.cpu;
-  ram_gb -= other.ram_gb;
-  disk_tb -= other.disk_tb;
-  return *this;
+void UnknownResourceKind(ResourceKind kind) {
+  PM_CHECK_MSG(false, "unknown resource kind " << static_cast<int>(kind));
 }
 
 }  // namespace pm::cluster

@@ -28,8 +28,18 @@ struct TaskShape {
   /// Mutable component lookup.
   double& Of(ResourceKind kind);
 
-  TaskShape& operator+=(const TaskShape& other);
-  TaskShape& operator-=(const TaskShape& other);
+  TaskShape& operator+=(const TaskShape& other) {
+    cpu += other.cpu;
+    ram_gb += other.ram_gb;
+    disk_tb += other.disk_tb;
+    return *this;
+  }
+  TaskShape& operator-=(const TaskShape& other) {
+    cpu -= other.cpu;
+    ram_gb -= other.ram_gb;
+    disk_tb -= other.disk_tb;
+    return *this;
+  }
   friend TaskShape operator+(TaskShape a, const TaskShape& b) {
     return a += b;
   }
@@ -45,6 +55,36 @@ struct TaskShape {
 
   bool operator==(const TaskShape& other) const = default;
 };
+
+/// The failure path of TaskShape::Of: throws CheckFailure for a kind
+/// outside kAllResourceKinds. Out of line so the accessor stays small.
+[[noreturn]] void UnknownResourceKind(ResourceKind kind);
+
+// Of sits on the placement and bidding hot paths (every candidate
+// machine, every believed cluster cost), so it is defined here to inline.
+inline double TaskShape::Of(ResourceKind kind) const {
+  switch (kind) {
+    case ResourceKind::kCpu:
+      return cpu;
+    case ResourceKind::kRam:
+      return ram_gb;
+    case ResourceKind::kDisk:
+      return disk_tb;
+  }
+  UnknownResourceKind(kind);
+}
+
+inline double& TaskShape::Of(ResourceKind kind) {
+  switch (kind) {
+    case ResourceKind::kCpu:
+      return cpu;
+    case ResourceKind::kRam:
+      return ram_gb;
+    case ResourceKind::kDisk:
+      return disk_tb;
+  }
+  UnknownResourceKind(kind);
+}
 
 /// Component-wise dot product — the §V.B reconfiguration-cost form: a
 /// moved shape priced against per-unit cost weights.

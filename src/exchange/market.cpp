@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string_view>
+#include <unordered_map>
 #include <utility>
 
 #include "auction/system_check.h"
@@ -46,12 +48,13 @@ Market::Market(cluster::Fleet* fleet,
                "supply fraction must be in (0, 1]");
   // §I quota bootstrap: every team starts entitled to exactly what it
   // already runs, and its usage is charged accordingly.
-  for (const cluster::JobLocation& loc : fleet_->AllJobs()) {
-    const cluster::Job* job =
-        fleet_->ClusterByName(loc.cluster).FindJob(loc.job);
-    PM_CHECK(job != nullptr);
-    ApplyJobQuota(job->team, loc.cluster, job->TotalDemand(),
-                  /*add=*/true);
+  for (const cluster::Cluster& cl : fleet_->clusters()) {
+    for (cluster::JobId id : cl.JobIds()) {
+      const cluster::Job* job = cl.FindJob(id);
+      PM_CHECK(job != nullptr);
+      ApplyJobQuota(job->team, cl.name(), job->TotalDemand(),
+                    /*add=*/true);
+    }
   }
 }
 
@@ -395,9 +398,10 @@ AuctionReport Market::RunAuction() {
 void Market::RecordTrades(const CollectedBids& collected,
                           const auction::Settlement& settlement,
                           AuctionReport& report) const {
-  // Pre-compute each cluster's pre-auction utilization percentile per
-  // kind (Figure 7's y-axis).
+  // Each cluster's pre-auction utilization percentile per kind (Figure
+  // 7's y-axis), one table for every traded item.
   const PoolRegistry& registry = fleet_->registry();
+  const std::vector<double> percentiles = fleet_->UtilizationPercentiles();
   for (const auction::Award& award : settlement.awards) {
     const bid::Bid& b = collected.bids[award.user];
     const std::string& team = collected.origin[award.user].team;
@@ -409,14 +413,13 @@ void Market::RecordTrades(const CollectedBids& collected,
       // quota-only trades carry no live percentile, and a 0.0 sentinel
       // would read as a real coldest-cluster rank in the Figure 7
       // distributions — drop the sample instead.
-      if (!fleet_->HasCluster(key.cluster)) continue;
+      if (percentiles[item.pool] == cluster::kDeadPoolPercentile) continue;
       TradeSample sample;
       sample.kind = key.kind;
       sample.is_bid = item.qty > 0.0;
       sample.qty = std::abs(item.qty);
       sample.team = team;
-      sample.util_percentile =
-          fleet_->UtilizationPercentile(key.cluster, key.kind);
+      sample.util_percentile = percentiles[item.pool];
       report.trades.push_back(std::move(sample));
     }
   }
@@ -424,28 +427,73 @@ void Market::RecordTrades(const CollectedBids& collected,
 
 void Market::RefreshTeamProfiles() {
   // Recompute footprints from the fleet and re-home teams to their
-  // center of mass.
-  std::unordered_map<std::string, cluster::TaskShape> footprints;
-  std::unordered_map<std::string, std::unordered_map<std::string, double>>
-      cpu_by_cluster;
-  for (const cluster::JobLocation& loc : fleet_->AllJobs()) {
-    const cluster::Job* job =
-        fleet_->ClusterByName(loc.cluster).FindJob(loc.job);
-    PM_CHECK(job != nullptr);
-    footprints[job->team] += job->TotalDemand();
-    cpu_by_cluster[job->team][loc.cluster] += job->TotalDemand().cpu;
+  // center of mass. One pass over the clusters in fleet order and each
+  // cluster's jobs in placement order: every sum accumulates in the
+  // order the fleet-wide job list gives.
+  std::vector<agents::TeamAgent>& agents = *agents_;
+  std::unordered_map<std::string_view, std::size_t> slot_of;
+  std::vector<std::size_t> slot(agents.size());
+  for (std::size_t a = 0; a < agents.size(); ++a) {
+    slot[a] = slot_of.try_emplace(agents[a].profile().name, a).first->second;
   }
-  for (agents::TeamAgent& agent : *agents_) {
-    agents::TeamProfile& profile = agent.mutable_profile();
-    auto it = footprints.find(profile.name);
-    if (it == footprints.end()) continue;  // Keep the seed footprint.
-    profile.footprint = it->second;
-    const auto& clusters = cpu_by_cluster[profile.name];
+  struct Tally {
+    cluster::TaskShape footprint;
+    // (fleet cluster index, cpu) in first-touch order; empty for a team
+    // with no jobs. Jobs arrive cluster by cluster, so a team's current
+    // cluster is always last.
+    std::vector<std::pair<std::size_t, double>> cpu;
+  };
+  std::vector<Tally> tallies(agents.size());
+  const std::vector<cluster::Cluster>& clusters = fleet_->clusters();
+  for (std::size_t c = 0; c < clusters.size(); ++c) {
+    for (cluster::JobId id : clusters[c].JobIds()) {
+      const cluster::Job* job = clusters[c].FindJob(id);
+      PM_CHECK(job != nullptr);
+      const auto it = slot_of.find(job->team);
+      if (it == slot_of.end()) continue;  // Not a resident team.
+      const cluster::TaskShape demand = job->TotalDemand();
+      Tally& tally = tallies[it->second];
+      tally.footprint += demand;
+      if (tally.cpu.empty() || tally.cpu.back().first != c) {
+        tally.cpu.emplace_back(c, 0.0);
+      }
+      tally.cpu.back().second += demand.cpu;
+    }
+  }
+  for (std::size_t a = 0; a < agents.size(); ++a) {
+    const Tally& tally = tallies[slot[a]];
+    if (tally.cpu.empty()) continue;  // Keep the seed footprint.
+    agents::TeamProfile& profile = agents[a].mutable_profile();
+    profile.footprint = tally.footprint;
+    // Home is the cluster with the most cpu, when that is positive.
     double best_cpu = 0.0;
-    for (const auto& [cluster_name, cpu] : clusters) {
-      if (cpu > best_cpu) {
-        best_cpu = cpu;
-        profile.home_cluster = cluster_name;
+    std::size_t best = 0;
+    int at_best = 0;
+    for (std::size_t i = 0; i < tally.cpu.size(); ++i) {
+      if (tally.cpu[i].second > best_cpu) {
+        best_cpu = tally.cpu[i].second;
+        best = i;
+        at_best = 1;
+      } else if (best_cpu > 0.0 && tally.cpu[i].second == best_cpu) {
+        ++at_best;
+      }
+    }
+    if (at_best == 1) {
+      profile.home_cluster = clusters[tally.cpu[best].first].name();
+    } else if (at_best > 1) {
+      // An exact tie goes to whichever tied cluster a string-keyed
+      // unordered_map, filled in first-touch order, iterates first — the
+      // pick every recorded outcome was made with.
+      std::unordered_map<std::string, double> by_name;
+      for (const auto& [c, cpu] : tally.cpu) {
+        by_name.emplace(clusters[c].name(), cpu);
+      }
+      best_cpu = 0.0;
+      for (const auto& [cluster_name, cpu] : by_name) {
+        if (cpu > best_cpu) {
+          best_cpu = cpu;
+          profile.home_cluster = cluster_name;
+        }
       }
     }
   }

@@ -31,6 +31,22 @@ constexpr std::uint32_t kSnapshotVersion = 1;
 /// other value.
 constexpr std::uint8_t kBestFitPlacement = 1;
 
+// The smallest encoding of one item of each counted section, field by
+// field (a string is at least its u32 length). Restore reads every count
+// through net::Deserializer::ReadCount, which refuses a count whose items
+// cannot fit in the bytes left, so a corrupt count fails as truncation
+// before anything is reserved for it.
+constexpr std::size_t kMinPoolBytes = 4 + 1;             // name, kind
+constexpr std::size_t kMinClusterBytes = 4 + 4 + 4;     // name, 2 counts
+constexpr std::size_t kMinMachineBytes = 2 * 24;        // capacity, used
+constexpr std::size_t kMinJobBytes = 8 + 4 + 24 + 4 + 4 + 4;
+constexpr std::size_t kMinPlacementBytes = 4;           // i32 per machine
+constexpr std::size_t kMinAccountBytes = 4 + 8 + 1;     // name, micros, flag
+constexpr std::size_t kMinJournalBytes = 4 + 4 + 8 + 4 + 4;
+constexpr std::size_t kMinQuotaRowBytes = 4 + 4 + 8 + 8;
+constexpr std::size_t kMinReportBytes = 4 + 4;          // index, awards
+constexpr std::size_t kMinAwardBytes = 1 + 8 + 8;
+
 template <typename T>
 T Req(std::optional<T> v, const char* what) {
   PM_CHECK_MSG(v.has_value(), "market snapshot truncated at " << what);
@@ -198,7 +214,7 @@ void Market::Restore(const std::vector<std::uint8_t>& frame) {
   PM_CHECK_MSG(placement == kBestFitPlacement,
                "market snapshot placement byte " << int{placement}
                                                  << " is not best fit");
-  const std::uint32_t num_pools = Req(d.ReadU32(), "pool count");
+  const std::uint32_t num_pools = Req(d.ReadCount(kMinPoolBytes), "pool count");
   std::vector<PoolKey> pool_order;
   pool_order.reserve(num_pools);
   for (std::uint32_t r = 0; r < num_pools; ++r) {
@@ -207,12 +223,14 @@ void Market::Restore(const std::vector<std::uint8_t>& frame) {
     key.kind = static_cast<ResourceKind>(Req(d.ReadU8(), "pool kind"));
     pool_order.push_back(std::move(key));
   }
-  const std::uint32_t num_clusters = Req(d.ReadU32(), "cluster count");
+  const std::uint32_t num_clusters =
+      Req(d.ReadCount(kMinClusterBytes), "cluster count");
   std::vector<cluster::Cluster> clusters;
   clusters.reserve(num_clusters);
   for (std::uint32_t c = 0; c < num_clusters; ++c) {
     std::string name = Req(d.ReadString(), "cluster name");
-    const std::uint32_t num_machines = Req(d.ReadU32(), "machine count");
+    const std::uint32_t num_machines =
+        Req(d.ReadCount(kMinMachineBytes), "machine count");
     std::vector<cluster::Machine> machines;
     machines.reserve(num_machines);
     for (std::uint32_t m = 0; m < num_machines; ++m) {
@@ -223,7 +241,7 @@ void Market::Restore(const std::vector<std::uint8_t>& frame) {
       machines.push_back(machine);
     }
     cluster::Cluster cl(std::move(name), std::move(machines));
-    const std::uint32_t num_jobs = Req(d.ReadU32(), "job count");
+    const std::uint32_t num_jobs = Req(d.ReadCount(kMinJobBytes), "job count");
     std::vector<cluster::Cluster::PlacedJobRecord> records;
     records.reserve(num_jobs);
     for (std::uint32_t j = 0; j < num_jobs; ++j) {
@@ -232,7 +250,8 @@ void Market::Restore(const std::vector<std::uint8_t>& frame) {
       rec.job.team = Req(d.ReadString(), "job team");
       rec.job.shape = ReadShape(d);
       rec.job.tasks = Req(d.ReadI32(), "job tasks");
-      const std::uint32_t placed = Req(d.ReadU32(), "placement count");
+      const std::uint32_t placed =
+          Req(d.ReadCount(kMinPlacementBytes), "placement count");
       rec.placement.tasks_placed.reserve(placed);
       for (std::uint32_t t = 0; t < placed; ++t) {
         rec.placement.tasks_placed.push_back(
@@ -284,7 +303,8 @@ void Market::Restore(const std::vector<std::uint8_t>& frame) {
   // Ledger: rebuilt from scratch (the member's address is stable, so the
   // accounts registry just rebinds to the restored contents).
   const AccountId operator_account = Req(d.ReadU32(), "operator account");
-  const std::uint32_t num_accounts = Req(d.ReadU32(), "account count");
+  const std::uint32_t num_accounts =
+      Req(d.ReadCount(kMinAccountBytes), "account count");
   ledger_ = Ledger();
   for (std::uint32_t a = 0; a < num_accounts; ++a) {
     std::string name = Req(d.ReadString(), "account name");
@@ -293,7 +313,8 @@ void Market::Restore(const std::vector<std::uint8_t>& frame) {
     ledger_.RestoreAccount(std::move(name), Money::FromMicros(micros),
                            allow_negative);
   }
-  const std::uint32_t num_entries = Req(d.ReadU32(), "journal size");
+  const std::uint32_t num_entries =
+      Req(d.ReadCount(kMinJournalBytes), "journal size");
   std::vector<JournalEntry> journal;
   journal.reserve(num_entries);
   for (std::uint32_t e = 0; e < num_entries; ++e) {
@@ -310,7 +331,8 @@ void Market::Restore(const std::vector<std::uint8_t>& frame) {
   accounts_.RebindForRestore(operator_account);
 
   // Quota.
-  const std::uint32_t num_rows = Req(d.ReadU32(), "quota rows");
+  const std::uint32_t num_rows =
+      Req(d.ReadCount(kMinQuotaRowBytes), "quota rows");
   std::vector<cluster::QuotaTable::Row> rows;
   rows.reserve(num_rows);
   for (std::uint32_t r = 0; r < num_rows; ++r) {
@@ -325,13 +347,15 @@ void Market::Restore(const std::vector<std::uint8_t>& frame) {
   quota_.RestoreRows(rows);
 
   // History digest.
-  const std::uint32_t num_reports = Req(d.ReadU32(), "history size");
+  const std::uint32_t num_reports =
+      Req(d.ReadCount(kMinReportBytes), "history size");
   history_.clear();
   history_.reserve(num_reports);
   for (std::uint32_t i = 0; i < num_reports; ++i) {
     AuctionReport report;
     report.auction_index = Req(d.ReadI32(), "history auction index");
-    const std::uint32_t num_awards = Req(d.ReadU32(), "history awards");
+    const std::uint32_t num_awards =
+        Req(d.ReadCount(kMinAwardBytes), "history awards");
     report.awards.reserve(num_awards);
     for (std::uint32_t a = 0; a < num_awards; ++a) {
       AwardRecord award;

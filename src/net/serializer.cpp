@@ -183,12 +183,16 @@ std::optional<std::vector<std::uint8_t>> Deserializer::ReadBytes() {
   return v;
 }
 
+std::optional<std::uint32_t> Deserializer::ReadCount(
+    std::size_t min_item_bytes) {
+  const auto count = ReadU32();
+  if (!count || !Need(min_item_bytes * *count)) return std::nullopt;
+  return count;
+}
+
 std::optional<std::vector<double>> Deserializer::ReadDoubleVector() {
-  const auto size = ReadU32();
+  const auto size = ReadCount(8);
   if (!size) return std::nullopt;
-  // The count comes from the frame: bound it by the bytes left before
-  // allocating for it.
-  if (!Need(std::size_t{8} * *size)) return std::nullopt;
   std::vector<double> v;
   v.reserve(*size);
   for (std::uint32_t i = 0; i < *size; ++i) {

@@ -64,6 +64,11 @@ class Deserializer {
   std::optional<std::vector<double>> ReadDoubleVector();
   std::optional<std::vector<std::uint8_t>> ReadBytes();
 
+  /// Reads an element count, and returns nullopt unless `count` items of
+  /// at least `min_item_bytes` each fit in the payload left: a count
+  /// read from a frame is bounded before anything is reserved for it.
+  std::optional<std::uint32_t> ReadCount(std::size_t min_item_bytes);
+
   /// True when every payload byte has been consumed.
   bool Exhausted() const { return pos_ == payload_size_; }
 

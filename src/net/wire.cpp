@@ -94,7 +94,8 @@ std::optional<DemandReply> DecodeDemandReply(
   DemandReply msg;
   const auto collection = d.ReadI32();
   const auto node = d.ReadU32();
-  const auto count = d.ReadU32();
+  // Each decision is a u32 user, an i32 bundle and a double cost.
+  const auto count = d.ReadCount(16);
   if (!collection || !node || !count) return std::nullopt;
   msg.collection = *collection;
   msg.node = *node;

@@ -2,6 +2,15 @@
 // generation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <limits>
+#include <numeric>
+#include <optional>
+#include <random>
+#include <string>
+#include <tuple>
+
 #include "agents/strategy.h"
 #include "agents/team.h"
 #include "agents/workload_gen.h"
@@ -179,6 +188,183 @@ TEST(StrategyTest, GrowthAlternativesTieBreakByClusterName) {
   EXPECT_GT(bids[0].bundles[0].QuantityOf(cpu("home")), 0.0);
   EXPECT_GT(bids[0].bundles[1].QuantityOf(cpu("alpha")), 0.0);
   EXPECT_GT(bids[0].bundles[2].QuantityOf(cpu("zeta")), 0.0);
+}
+
+/// Whether every positive component of `delta` fits in `cluster`'s free
+/// capacity.
+bool HasRoom(const PoolRegistry& registry,
+             const std::vector<double>& free_capacity, std::size_t cluster,
+             const cluster::TaskShape& delta) {
+  for (ResourceKind kind : kAllResourceKinds) {
+    if (delta.Of(kind) <= 0.0) continue;
+    if (free_capacity[registry.PoolOf(cluster, kind)] < delta.Of(kind)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// The cluster ranking the strategies used before selection became a
+// bounded pass: every cluster under the avoid bar, believed cost times
+// the penalty factor, fully sorted by (cost, name); the walk then skips
+// `home`, `skip` and clusters without room and keeps the first `k`.
+std::vector<std::size_t> FullSortAlternatives(
+    const PoolRegistry& registry, const PriceLearner& learner,
+    const std::vector<double>& penalty,
+    const std::vector<double>& free_capacity,
+    const cluster::TaskShape& delta, std::size_t home,
+    std::optional<std::size_t> skip, std::size_t k) {
+  const std::vector<std::string>& names = registry.Clusters();
+  std::vector<std::pair<double, std::size_t>> ranked;
+  for (std::size_t c = 0; c < names.size(); ++c) {
+    const double p = ClusterPlacementPenalty(registry, &penalty, c);
+    if (p >= kPlacementPenaltyAvoid) continue;
+    ranked.emplace_back(BelievedClusterCost(registry, learner, c, delta) *
+                            (1.0 + kPlacementPenaltyWeight * p),
+                        c);
+  }
+  std::sort(ranked.begin(), ranked.end(), [&](const auto& a, const auto& b) {
+    return std::tie(a.first, names[a.second]) <
+           std::tie(b.first, names[b.second]);
+  });
+  std::vector<std::size_t> out;
+  for (const auto& [cost, c] : ranked) {
+    if (c == home || c == skip) continue;
+    if (!HasRoom(registry, free_capacity, c, delta)) continue;
+    out.push_back(c);
+    if (out.size() == k) break;
+  }
+  return out;
+}
+
+/// The cluster a single-cluster bundle bids into.
+std::size_t ClusterOf(const PoolRegistry& registry, const bid::Bundle& b) {
+  return *registry.FindCluster(registry.KeyOf(b.items().at(0).pool).cluster);
+}
+
+TEST(StrategyTest, BoundedSelectionMatchesFullSortReference) {
+  // Random markets with cost ties (beliefs drawn from a three-entry
+  // palette), avoided clusters (penalty >= kPlacementPenaltyAvoid),
+  // clusters without room, and names whose order differs from index
+  // order. Growth and opportunist bundles must list exactly the clusters
+  // the full-sort reference picks, in its order.
+  std::mt19937_64 gen(20090425);
+  const auto uniform = [&](double lo, double hi) {
+    return std::uniform_real_distribution<double>(lo, hi)(gen);
+  };
+  const auto pick = [&](std::size_t n) {
+    return std::uniform_int_distribution<std::size_t>(0, n - 1)(gen);
+  };
+  const std::vector<std::array<double, 3>> palette = {
+      {5.0, 0.75, 0.4}, {10.0, 1.5, 0.8}, {20.0, 3.0, 1.6}};
+  int rebuys_checked = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    const std::size_t n = 3 + pick(22);
+    std::vector<int> labels(100);
+    std::iota(labels.begin(), labels.end(), 0);
+    std::shuffle(labels.begin(), labels.end(), gen);
+    PoolRegistry registry;
+    for (std::size_t c = 0; c < n; ++c) {
+      for (ResourceKind kind : kAllResourceKinds) {
+        registry.Intern("c" + std::to_string(labels[c]), kind);
+      }
+    }
+    std::vector<double> beliefs, penalty, free_capacity;
+    for (std::size_t c = 0; c < n; ++c) {
+      const bool tied = pick(2) == 0;
+      const std::array<double, 3> triple =
+          tied ? palette[pick(palette.size())]
+               : std::array<double, 3>{uniform(3, 25), uniform(0.5, 4),
+                                       uniform(0.2, 2)};
+      for (std::size_t k = 0; k < 3; ++k) {
+        beliefs.push_back(triple[k]);
+        penalty.push_back(std::array<double, 4>{0.0, 0.0, 0.3, 0.7}[pick(4)]);
+        free_capacity.push_back(pick(4) == 0 ? 0.5 : 1e6);
+      }
+    }
+    if (pick(4) == 0) penalty.clear();  // The outcome_feedback-off path.
+    const std::vector<double> utilization(registry.size(), 0.5);
+    MarketView view;
+    view.registry = &registry;
+    view.reserve_prices = beliefs;
+    view.utilization = utilization;
+    view.free_capacity = free_capacity;
+    view.budget = 1e9;
+    TeamProfile profile = StrategyFixture().Profile(
+        StrategyKind::kTruthfulGrowth);
+    profile.home_cluster = registry.Clusters()[pick(n)];
+    profile.footprint = {uniform(2, 100), uniform(4, 400), uniform(0.2, 20)};
+    profile.relocation_cost =
+        std::array<double, 3>{0.0, 10.0, 1e9}[pick(3)];
+    const std::size_t home = *registry.FindCluster(profile.home_cluster);
+
+    // Growth: home, then up to three alternatives.
+    {
+      TeamAgent agent(profile, beliefs, 7);
+      agent.RestorePlacementPenalty(penalty);
+      const auto bids = agent.MakeBids(view);
+      ASSERT_EQ(bids.size(), 1u);
+      cluster::TaskShape delta = profile.footprint * profile.growth_rate;
+      delta.cpu = std::max(delta.cpu, 1.0);
+      delta.ram_gb = std::max(delta.ram_gb, 2.0);
+      delta.disk_tb = std::max(delta.disk_tb, 0.1);
+      std::vector<std::size_t> expected = {home};
+      for (std::size_t c :
+           FullSortAlternatives(registry, agent.learner(), penalty,
+                                free_capacity, delta, home, std::nullopt,
+                                3)) {
+        expected.push_back(c);
+      }
+      std::vector<std::size_t> got;
+      for (const bid::Bundle& b : bids[0].bundles) {
+        got.push_back(ClusterOf(registry, b));
+      }
+      EXPECT_EQ(got, expected) << "trial " << trial;
+    }
+
+    // Opportunist: the rebuy lists the cheapest cluster, then up to two
+    // fallbacks ranked by the same order.
+    {
+      profile.strategy = StrategyKind::kOpportunistMover;
+      TeamAgent agent(profile, beliefs, 11);
+      agent.RestorePlacementPenalty(penalty);
+      const auto bids = agent.MakeBids(view);
+      const cluster::TaskShape slice = profile.footprint * 0.5;
+      std::optional<std::size_t> best;
+      double best_ranked = std::numeric_limits<double>::infinity();
+      for (std::size_t c = 0; c < n; ++c) {
+        if (c == home) continue;
+        const double p = ClusterPlacementPenalty(registry, &penalty, c);
+        if (p >= kPlacementPenaltyAvoid) continue;
+        if (!HasRoom(registry, free_capacity, c, slice)) continue;
+        const double ranked =
+            BelievedClusterCost(registry, agent.learner(), c, slice) *
+            (1.0 + kPlacementPenaltyWeight * p);
+        if (ranked < best_ranked) {
+          best_ranked = ranked;
+          best = c;
+        }
+      }
+      for (const bid::Bid& b : bids) {
+        if (b.name != profile.name + "/relocate") continue;
+        ASSERT_TRUE(best.has_value());
+        std::vector<std::size_t> expected = {*best};
+        for (std::size_t c :
+             FullSortAlternatives(registry, agent.learner(), penalty,
+                                  free_capacity, slice, home, best, 2)) {
+          expected.push_back(c);
+        }
+        std::vector<std::size_t> got;
+        for (const bid::Bundle& bundle : b.bundles) {
+          got.push_back(ClusterOf(registry, bundle));
+        }
+        EXPECT_EQ(got, expected) << "trial " << trial;
+        ++rebuys_checked;
+      }
+    }
+  }
+  // The opportunist's rebuy path ran often enough to mean something.
+  EXPECT_GT(rebuys_checked, 50);
 }
 
 TEST(StrategyTest, TruthfulGrowthOffersAlternatives) {

@@ -25,6 +25,13 @@ TEST(TaskShapeTest, ComponentAccess) {
   EXPECT_EQ(s.ram_gb, 9.0);
 }
 
+TEST(TaskShapeTest, UnknownKindFailsLoudly) {
+  TaskShape s{1.0, 2.0, 3.0};
+  const auto bogus = static_cast<ResourceKind>(kNumResourceKinds);
+  EXPECT_THROW(static_cast<const TaskShape&>(s).Of(bogus), CheckFailure);
+  EXPECT_THROW(s.Of(bogus), CheckFailure);
+}
+
 TEST(TaskShapeTest, ArithmeticAndScaling) {
   const TaskShape a{1.0, 2.0, 3.0};
   const TaskShape b{0.5, 0.5, 0.5};
@@ -425,6 +432,50 @@ TEST(FleetTest, UtilizationPercentileRanksClusters) {
   EXPECT_GT(pa, pb);
   EXPECT_THROW(fleet.UtilizationPercentile("zz", ResourceKind::kCpu),
                CheckFailure);
+}
+
+TEST(FleetTest, PercentileTableMatchesPerClusterLookup) {
+  // Six clusters, three pairs of them loaded identically, so every rank
+  // carries ties; "e" stays empty and ties "f" at zero on every kind.
+  std::vector<Cluster> clusters;
+  for (const char* name : {"a", "b", "c", "d", "e", "f"}) {
+    clusters.push_back(Cluster::Homogeneous(name, 2, kMachine));
+  }
+  Fleet fleet(std::move(clusters), TaskShape{10.0, 1.5, 0.8});
+  JobId id = 1;
+  for (const auto& [name, tasks] :
+       std::vector<std::pair<std::string, int>>{
+           {"a", 6}, {"b", 6}, {"c", 2}, {"d", 2}}) {
+    ASSERT_TRUE(fleet.AddJob(name, MakeJob(id++, "t", tasks)));
+  }
+  const auto expect_table_matches = [&](const Fleet& f) {
+    const std::vector<double> table = f.UtilizationPercentiles();
+    const PoolRegistry& registry = f.registry();
+    ASSERT_EQ(table.size(), registry.size());
+    for (PoolId pool = 0; pool < registry.size(); ++pool) {
+      const PoolKey& key = registry.KeyOf(pool);
+      if (!f.HasCluster(key.cluster)) continue;
+      EXPECT_EQ(table[pool], f.UtilizationPercentile(key.cluster, key.kind))
+          << ToString(key);
+    }
+  };
+  expect_table_matches(fleet);
+  EXPECT_EQ(fleet.UtilizationPercentiles()[*fleet.registry().Find(
+                PoolKey{"a", ResourceKind::kCpu})],
+            100.0 * (4 + 0.5 * 2) / 6);
+
+  // An extracted cluster's pools stay interned but read as dead, and the
+  // live ranks re-form over the clusters that remain.
+  fleet.ExtractCluster("c");
+  expect_table_matches(fleet);
+  const std::vector<double> table = fleet.UtilizationPercentiles();
+  const auto c = fleet.registry().FindCluster("c");
+  ASSERT_TRUE(c.has_value());
+  for (ResourceKind kind : kAllResourceKinds) {
+    const double dead = table[fleet.registry().PoolOf(*c, kind)];
+    EXPECT_EQ(dead, kDeadPoolPercentile);
+    EXPECT_TRUE(dead < 0.0 || dead > 100.0) << "reads as a real rank";
+  }
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "agents/workload_gen.h"
@@ -418,6 +419,212 @@ TEST(MarketTest, RestoreRejectsPlacementOtherThanBestFit) {
           << e.what();
     }
   }
+}
+
+TEST(MarketTest, TradesOnExtractedPoolsRecordNoSample) {
+  // A cluster migrates away; its pools stay interned, and a quota-only
+  // trade on one of them still settles but has no live utilization
+  // percentile, so it adds no Figure 7 sample.
+  agents::World world = GenerateWorld(SmallWorldConfig());
+  Market market(&world.fleet, &world.agents, world.fixed_prices,
+                FastMarketConfig());
+  const std::string gone = world.fleet.ClusterNames().back();
+  market.ExtractCluster(gone);
+  const PoolId dead =
+      *world.fleet.registry().Find(PoolKey{gone, ResourceKind::kCpu});
+  market.EndowTeam("ext-buyer", Money::FromDollars(1e6), "test");
+  bid::Bid sell;
+  sell.name = "ext-seller/offer";
+  sell.bundles = {bid::Bundle({bid::BundleItem{dead, -10.0}})};
+  sell.limit = -1.0;
+  bid::Bid buy;
+  buy.name = "ext-buyer/buy";
+  buy.bundles = {bid::Bundle({bid::BundleItem{dead, 10.0}})};
+  buy.limit = 1e5;
+  market.SubmitExternalBid({"ext-seller", sell});
+  market.SubmitExternalBid({"ext-buyer", buy});
+  const AuctionReport report = market.RunAuction();
+  int external_awards = 0;
+  for (const AwardRecord& award : report.awards) {
+    external_awards += award.team.rfind("ext-", 0) == 0;
+  }
+  EXPECT_EQ(external_awards, 2);
+  for (const TradeSample& t : report.trades) {
+    EXPECT_EQ(t.team.rfind("ext-", 0), std::string::npos) << t.team;
+    EXPECT_GE(t.util_percentile, 0.0);
+    EXPECT_LE(t.util_percentile, 100.0);
+  }
+}
+
+/// `frame` with its payload's u32 at `offset` overwritten by `value` and
+/// the checksum trailer recomputed, so only the tampered field can fail.
+std::vector<std::uint8_t> ResealWithU32(
+    const std::vector<std::uint8_t>& frame, std::size_t offset,
+    std::uint32_t value) {
+  std::vector<std::uint8_t> out(frame.begin(), frame.end() - 8);
+  for (int i = 0; i < 4; ++i) {
+    out[offset + i] = static_cast<std::uint8_t>(value >> (8 * i));
+  }
+  const std::uint64_t checksum = net::FrameChecksum(out.data(), out.size());
+  for (int i = 0; i < 8; ++i) {
+    out.push_back(static_cast<std::uint8_t>(checksum >> (8 * i)));
+  }
+  return out;
+}
+
+std::uint32_t U32At(const std::vector<std::uint8_t>& frame,
+                    std::size_t offset) {
+  std::uint32_t v = 0;
+  for (int i = 0; i < 4; ++i) {
+    v |= static_cast<std::uint32_t>(frame[offset + i]) << (8 * i);
+  }
+  return v;
+}
+
+TEST(MarketTest, RestoreRefusesCountsBeyondTheFrame) {
+  agents::World world = GenerateWorld(SmallWorldConfig());
+  Market market(&world.fleet, &world.agents, world.fixed_prices,
+                FastMarketConfig());
+  const std::vector<std::uint8_t> frame = market.Snapshot();
+  // Layout up to the first cluster (see RestoreRejectsPlacementOther-
+  // ThanBestFit): the pool count follows the placement byte, each pool
+  // key is a string and a kind byte, then the cluster count, the first
+  // cluster's name and its machine count.
+  const std::uint32_t num_prices = U32At(frame, 4);
+  const std::size_t pool_count =
+      4 + 4 + 8 * num_prices + 1 + 8 + 4 * 8 + 3 * 8 + 1;
+  ASSERT_EQ(U32At(frame, pool_count), world.fleet.NumPools());
+  std::size_t pos = pool_count + 4;
+  for (std::uint32_t r = 0; r < U32At(frame, pool_count); ++r) {
+    pos += 4 + U32At(frame, pos) + 1;
+  }
+  const std::size_t cluster_count = pos;
+  ASSERT_EQ(U32At(frame, cluster_count), world.fleet.NumClusters());
+  const std::size_t machine_count =
+      cluster_count + 4 + 4 + U32At(frame, cluster_count + 4);
+  ASSERT_EQ(U32At(frame, machine_count),
+            world.fleet.ClusterByName(world.fleet.ClusterNames()[0])
+                .NumMachines());
+  for (const std::size_t offset : {pool_count, cluster_count, machine_count}) {
+    // A count claiming 2^32 - 1 items fails as truncation, before any
+    // allocation sized by it.
+    try {
+      market.Restore(ResealWithU32(frame, offset, 0xFFFFFFFFu));
+      FAIL() << "count at " << offset << " restored";
+    } catch (const pm::CheckFailure& e) {
+      EXPECT_NE(std::string(e.what()).find("market snapshot truncated"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  market.Restore(frame);
+  EXPECT_EQ(market.Snapshot(), frame);
+}
+
+/// Each resident team's home as the profile refresh picked it from the
+/// fleet-wide job list: cpu summed per (team, cluster) into string-keyed
+/// unordered_maps, then the first cluster in iteration order whose cpu
+/// beats every one before it. Teams with no positive cpu are absent.
+/// `order_matters` counts teams whose pick differs from the tied cluster
+/// seen first in job order.
+std::unordered_map<std::string, std::string> ReferenceHomes(
+    const cluster::Fleet& fleet, int* order_matters) {
+  std::unordered_map<std::string, std::unordered_map<std::string, double>>
+      cpu_by_cluster;
+  std::unordered_map<std::string, std::vector<std::string>> first_touch;
+  for (const cluster::JobLocation& loc : fleet.AllJobs()) {
+    const cluster::Job* job =
+        fleet.ClusterByName(loc.cluster).FindJob(loc.job);
+    auto& clusters = cpu_by_cluster[job->team];
+    if (clusters.count(loc.cluster) == 0) {
+      first_touch[job->team].push_back(loc.cluster);
+    }
+    clusters[loc.cluster] += job->TotalDemand().cpu;
+  }
+  std::unordered_map<std::string, std::string> homes;
+  for (const auto& [team, clusters] : cpu_by_cluster) {
+    double best_cpu = 0.0;
+    for (const auto& [cluster_name, cpu] : clusters) {
+      if (cpu > best_cpu) {
+        best_cpu = cpu;
+        homes[team] = cluster_name;
+      }
+    }
+    if (best_cpu <= 0.0) continue;
+    for (const std::string& name : first_touch[team]) {
+      if (clusters.at(name) != best_cpu) continue;
+      if (name != homes[team]) ++*order_matters;
+      break;
+    }
+  }
+  return homes;
+}
+
+TEST(MarketTest, HomePickOnCpuTiesMatchesReference) {
+  // Eight clusters; each team runs identical jobs in two to five of them,
+  // so its cpu ties across those clusters, and every third team adds one
+  // larger job that makes its maximum unique.
+  std::vector<cluster::Cluster> clusters;
+  for (int c = 0; c < 8; ++c) {
+    clusters.push_back(cluster::Cluster::Homogeneous(
+        "k" + std::to_string(c), 24, cluster::TaskShape{16.0, 64.0, 8.0}));
+  }
+  cluster::Fleet fleet(std::move(clusters),
+                       cluster::TaskShape{10.0, 1.5, 0.8});
+  const std::vector<double> fixed_prices = fleet.CostVector();
+  const agents::StrategyKind kinds[] = {
+      agents::StrategyKind::kTruthfulGrowth,
+      agents::StrategyKind::kOpportunistMover,
+      agents::StrategyKind::kLowballSeller,
+      agents::StrategyKind::kPremiumSticky};
+  std::vector<agents::TeamAgent> agents;
+  cluster::JobId next_id = 1;
+  for (int t = 0; t < 24; ++t) {
+    agents::TeamProfile profile;
+    profile.name = "team-" + std::to_string(t);
+    const int spread = 2 + t % 4;
+    for (int k = 0; k < spread; ++k) {
+      cluster::Job job;
+      job.id = next_id++;
+      job.team = profile.name;
+      job.shape = {1.0, 4.0, 0.5};
+      job.tasks = 6;
+      ASSERT_TRUE(fleet.AddJob("k" + std::to_string((t * 3 + k * 5) % 8),
+                               job));
+    }
+    if (t % 3 == 0) {
+      cluster::Job job;
+      job.id = next_id++;
+      job.team = profile.name;
+      job.shape = {1.0, 4.0, 0.5};
+      job.tasks = 9;
+      ASSERT_TRUE(fleet.AddJob("k" + std::to_string((t + 1) % 8), job));
+    }
+    profile.home_cluster = "k" + std::to_string(t % 8);
+    profile.footprint = {12.0, 48.0, 6.0};
+    profile.relocation_cost = 5.0;
+    profile.strategy = kinds[t % 4];
+    agents.emplace_back(std::move(profile), fixed_prices, 100 + t);
+  }
+  Market market(&fleet, &agents, fixed_prices, FastMarketConfig());
+  int order_matters = 0;
+  for (int epoch = 0; epoch < 5; ++epoch) {
+    std::vector<std::string> before;
+    for (const agents::TeamAgent& agent : agents) {
+      before.push_back(agent.profile().home_cluster);
+    }
+    market.RunAuction();
+    const auto homes = ReferenceHomes(fleet, &order_matters);
+    for (std::size_t a = 0; a < agents.size(); ++a) {
+      const auto it = homes.find(agents[a].profile().name);
+      EXPECT_EQ(agents[a].profile().home_cluster,
+                it == homes.end() ? before[a] : it->second)
+          << agents[a].profile().name << " after epoch " << epoch;
+    }
+  }
+  // The ties above are real: for some teams the pick is not the tied
+  // cluster first seen, so only the map's iteration order yields it.
+  EXPECT_GT(order_matters, 0);
 }
 
 // ----------------------------------------------------------------- summary --

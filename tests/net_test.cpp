@@ -213,6 +213,21 @@ TEST(WireTest, DemandReplyRoundTrip) {
   EXPECT_EQ(decoded->decisions[1].bundle_index, -1);
 }
 
+TEST(WireTest, DemandReplyCountBeyondPayloadReturnsNullopt) {
+  // A checksum-valid reply whose decision count claims 2^32 - 1 entries
+  // but carries one: decoding refuses it before reserving for the count.
+  Serializer s;
+  s.WriteU8(static_cast<std::uint8_t>(MessageType::kDemandReply));
+  s.WriteI32(3);
+  s.WriteU32(2);
+  s.WriteU32(0xFFFFFFFFu);
+  s.WriteU32(0);
+  s.WriteI32(1);
+  s.WriteDouble(12.5);
+  EXPECT_FALSE(DecodeDemandReply(std::move(s).FinishWithChecksum())
+                   .has_value());
+}
+
 TEST(WireTest, PeekTypeIdentifiesFrames) {
   EXPECT_EQ(PeekType(Encode(PriceAnnounce{})),
             MessageType::kPriceAnnounce);
