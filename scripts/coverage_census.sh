@@ -58,8 +58,6 @@ pm::federation::ArbitrageAgent::SeedHoldingsForTest(unsigned long, unsigned int,
 pm::federation::FederatedExchange::ShardHealthOf(unsigned long) const | test seam
 pm::federation::FederatedExchange::ShardWorld(unsigned long) const | test seam
 pm::federation::FederatedExchange::InjectEpochRoundBudget(unsigned long, int) | fault injection; no registered scenario starves a round budget, the robustness tests do
-pm::cluster::Fleet::FreeShape(std::string const&) const | free-capacity observer for tests
-pm::cluster::PlacementResult::TotalPlaced() const | placement observer for tests
 pm::net::Encode(pm::net::LinkDown const&) | containment path: a link that exhausts its retries
 pm::net::DecodeLinkDown(std::vector<unsigned char>) | containment path: a link that exhausts its retries
 pm::net::FaultyLink::link() const | containment path: names the link in its LinkDown frame

@@ -94,7 +94,10 @@ World GenerateWorld(const WorkloadConfig& config) {
 
   // --- Jobs: fill each cluster to its target utilization -----------------
   // Jobs are drawn from the teams homed in that cluster, round-robin, so
-  // footprints follow the congestion pattern.
+  // footprints follow the congestion pattern. Each placed job adds to its
+  // team's footprint as it lands: cluster by cluster in fleet order, the
+  // order the fleet's job lists give.
+  std::vector<cluster::TaskShape> footprints(drafts.size());
   cluster::JobId next_job = 1;
   for (int c = 0; c < config.num_clusters; ++c) {
     const std::string cname = ClusterName(c);
@@ -108,29 +111,20 @@ World GenerateWorld(const WorkloadConfig& config) {
     int failures = 0;
     while (cl.Utilization(ResourceKind::kCpu) < targets[c] &&
            failures < 32) {
+      const std::size_t t = local_teams[cursor];
+      cursor = (cursor + 1) % local_teams.size();
       cluster::Job job;
       job.id = next_job++;
-      job.team = drafts[local_teams[cursor]].profile.name;
-      cursor = (cursor + 1) % local_teams.size();
+      job.team = drafts[t].profile.name;
       const double task_cpu = rng.Uniform(0.5, 4.0);
       job.shape = cluster::TaskShape{
           task_cpu, task_cpu * rng.Uniform(2.0, 6.0),
           rng.Uniform(0.05, 1.2)};
       job.tasks = static_cast<int>(rng.UniformInt(4, 40));
-      if (!fleet.AddJob(cname, job)) ++failures;
-    }
-  }
-
-  // --- Footprints from the actually placed jobs --------------------------
-  std::vector<cluster::TaskShape> footprints(drafts.size());
-  for (const cluster::JobLocation& loc : fleet.AllJobs()) {
-    const cluster::Job* job =
-        fleet.ClusterByName(loc.cluster).FindJob(loc.job);
-    PM_CHECK(job != nullptr);
-    for (std::size_t t = 0; t < drafts.size(); ++t) {
-      if (drafts[t].profile.name == job->team) {
-        footprints[t] += job->TotalDemand();
-        break;
+      if (fleet.AddJob(cname, job)) {
+        footprints[t] += job.TotalDemand();
+      } else {
+        ++failures;
       }
     }
   }

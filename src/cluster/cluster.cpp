@@ -1,6 +1,7 @@
 #include "cluster/cluster.h"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "common/check.h"
 
@@ -30,7 +31,7 @@ Cluster Cluster::Homogeneous(std::string name, int num_machines,
 }
 
 bool Cluster::AddJob(const Job& job) {
-  PM_CHECK_MSG(jobs_.count(job.id) == 0,
+  PM_CHECK_MSG(!HasJob(job.id),
                "job " << job.id << " already in cluster " << name_);
   PlacementResult placement = PlaceTasks(machines_, job.shape, job.tasks);
   if (!placement.Complete()) {
@@ -38,51 +39,43 @@ bool Cluster::AddJob(const Job& job) {
     SumUsed();  // Place-then-undo need not restore usage bit-exactly.
     return false;
   }
-  jobs_.emplace(job.id, PlacedJob{job, std::move(placement), next_order_++});
+  slot_of_.emplace(job.id, jobs_.size());
+  jobs_.push_back(PlacedJob{job, std::move(placement)});
   SumUsed();
   return true;
 }
 
 std::optional<Job> Cluster::RemoveJob(JobId id) {
-  auto it = jobs_.find(id);
-  if (it == jobs_.end()) return std::nullopt;
-  UndoPlacement(machines_, it->second.job.shape, it->second.placement);
-  Job job = std::move(it->second.job);
-  jobs_.erase(it);
+  const auto it = slot_of_.find(id);
+  if (it == slot_of_.end()) return std::nullopt;
+  const std::size_t slot = it->second;
+  PlacedJob& placed = jobs_[slot];
+  UndoPlacement(machines_, placed.job.shape, placed.placement);
+  Job job = std::move(placed.job);
+  slot_of_.erase(it);
+  jobs_.erase(jobs_.begin() + static_cast<std::ptrdiff_t>(slot));
+  for (std::size_t i = slot; i < jobs_.size(); ++i) {
+    slot_of_[jobs_[i].job.id] = i;  // The tail moved up one slot.
+  }
   SumUsed();
   return job;
 }
 
 void Cluster::RenumberJob(JobId from, JobId to) {
   if (from == to) return;
-  auto it = jobs_.find(from);
-  PM_CHECK_MSG(it != jobs_.end(),
+  const auto it = slot_of_.find(from);
+  PM_CHECK_MSG(it != slot_of_.end(),
                "cannot renumber unknown job " << from << " in " << name_);
-  PM_CHECK_MSG(jobs_.count(to) == 0,
-               "job id " << to << " already taken in " << name_);
-  PlacedJob placed = std::move(it->second);
-  jobs_.erase(it);
-  placed.job.id = to;
-  jobs_.emplace(to, std::move(placed));
-}
-
-std::vector<JobId> Cluster::JobIds() const {
-  std::vector<const PlacedJob*> placed;
-  placed.reserve(jobs_.size());
-  for (const auto& [id, pj] : jobs_) placed.push_back(&pj);
-  std::sort(placed.begin(), placed.end(),
-            [](const PlacedJob* a, const PlacedJob* b) {
-              return a->order < b->order;
-            });
-  std::vector<JobId> ids;
-  ids.reserve(placed.size());
-  for (const PlacedJob* pj : placed) ids.push_back(pj->job.id);
-  return ids;
+  PM_CHECK_MSG(!HasJob(to), "job id " << to << " already taken in " << name_);
+  const std::size_t slot = it->second;
+  slot_of_.erase(it);
+  slot_of_.emplace(to, slot);
+  jobs_[slot].job.id = to;
 }
 
 const Job* Cluster::FindJob(JobId id) const {
-  auto it = jobs_.find(id);
-  return it == jobs_.end() ? nullptr : &it->second.job;
+  const auto it = slot_of_.find(id);
+  return it == slot_of_.end() ? nullptr : &jobs_[it->second].job;
 }
 
 double Cluster::Utilization(ResourceKind kind) const {
@@ -99,33 +92,37 @@ double Cluster::MaxUtilization() const {
   return u;
 }
 
-std::vector<Cluster::PlacedJobRecord> Cluster::ExportJobs() const {
-  std::vector<const PlacedJob*> placed;
-  placed.reserve(jobs_.size());
-  for (const auto& [id, pj] : jobs_) placed.push_back(&pj);
-  std::sort(placed.begin(), placed.end(),
-            [](const PlacedJob* a, const PlacedJob* b) {
-              return a->order < b->order;
-            });
-  std::vector<PlacedJobRecord> records;
-  records.reserve(placed.size());
-  for (const PlacedJob* pj : placed) {
-    records.push_back(PlacedJobRecord{pj->job, pj->placement});
-  }
-  return records;
-}
-
-void Cluster::RestoreJobs(std::vector<PlacedJobRecord> records) {
+void Cluster::RestoreJobs(std::vector<PlacedJob> jobs) {
   PM_CHECK_MSG(jobs_.empty(),
                "RestoreJobs into non-empty cluster " << name_);
-  next_order_ = 0;
-  for (PlacedJobRecord& record : records) {
-    const JobId id = record.job.id;
-    PM_CHECK_MSG(jobs_.count(id) == 0,
-                 "duplicate job " << id << " in restore of " << name_);
-    jobs_.emplace(id, PlacedJob{std::move(record.job),
-                                std::move(record.placement), next_order_++});
+  std::unordered_map<JobId, std::size_t> slot_of;
+  slot_of.reserve(jobs.size());
+  for (std::size_t slot = 0; slot < jobs.size(); ++slot) {
+    const Job& job = jobs[slot].job;
+    const PlacementResult& placement = jobs[slot].placement;
+    PM_CHECK_MSG(placement.tasks_placed.size() == machines_.size() &&
+                     placement.tasks_failed == 0,
+                 "job " << job.id << " in restore of " << name_
+                        << " has a placement over "
+                        << placement.tasks_placed.size() << " machines with "
+                        << placement.tasks_failed << " tasks failed");
+    std::int64_t placed = 0;
+    int fewest = 0;
+    for (const int count : placement.tasks_placed) {
+      placed += count;
+      fewest = std::min(fewest, count);
+    }
+    PM_CHECK_MSG(fewest >= 0, "job " << job.id << " in restore of " << name_
+                                     << " places " << fewest
+                                     << " tasks on a machine");
+    PM_CHECK_MSG(placed == job.tasks,
+                 "job " << job.id << " in restore of " << name_ << " places "
+                        << placed << " of its " << job.tasks << " tasks");
+    PM_CHECK_MSG(slot_of.emplace(job.id, slot).second,
+                 "duplicate job " << job.id << " in restore of " << name_);
   }
+  jobs_ = std::move(jobs);
+  slot_of_ = std::move(slot_of);
 }
 
 }  // namespace pm::cluster

@@ -15,6 +15,12 @@
 
 namespace pm::cluster {
 
+/// One placed job with its machine assignment.
+struct PlacedJob {
+  Job job;
+  PlacementResult placement;
+};
+
 /// A named cluster: machines + job placements.
 class Cluster {
  public:
@@ -46,10 +52,11 @@ class Cluster {
   void RenumberJob(JobId from, JobId to);
 
   /// Whether the given job currently runs here.
-  bool HasJob(JobId id) const { return jobs_.count(id) > 0; }
+  bool HasJob(JobId id) const { return slot_of_.count(id) > 0; }
 
-  /// Jobs currently placed, in insertion order.
-  std::vector<JobId> JobIds() const;
+  /// Jobs currently placed, in insertion order. RenumberJob keeps a job's
+  /// slot; AddJob and RemoveJob invalidate references into the list.
+  const std::vector<PlacedJob>& jobs() const { return jobs_; }
 
   const Job* FindJob(JobId id) const;
 
@@ -70,29 +77,16 @@ class Cluster {
     return Capacity(kind) - Used(kind);
   }
 
-  /// One placed job with its machine assignment, for checkpointing.
-  struct PlacedJobRecord {
-    Job job;
-    PlacementResult placement;
-  };
-
-  /// Every placed job with its placement, in insertion order.
-  std::vector<PlacedJobRecord> ExportJobs() const;
-
-  /// Checkpoint restore: installs job records (in the order ExportJobs
-  /// returned them) without re-running the bin-packer or touching machine
+  /// Checkpoint restore: installs placed jobs (in the order jobs()
+  /// listed them) without re-running the bin-packer or touching machine
   /// usage — the machines are restored separately via RestoreUsed, so the
   /// pair round-trips float accumulation bit-exactly. The cluster must
-  /// hold no jobs yet.
-  void RestoreJobs(std::vector<PlacedJobRecord> records);
+  /// hold no jobs yet, and each placement must be one AddJob could have
+  /// made here: a non-negative count per machine summing to the job's
+  /// tasks, none failed.
+  void RestoreJobs(std::vector<PlacedJob> jobs);
 
  private:
-  struct PlacedJob {
-    Job job;
-    PlacementResult placement;
-    std::size_t order;  // Insertion order for deterministic iteration.
-  };
-
   /// Re-sums used_ over machines_ in machine order — the order a fresh
   /// per-kind sum takes, so the cached total is bit-identical to one.
   /// Totals are never updated incrementally: x + a − a need not be x.
@@ -102,8 +96,8 @@ class Cluster {
   std::vector<Machine> machines_;
   TaskShape capacity_;  // Summed once: machine capacities never change.
   TaskShape used_;      // Re-summed after every placement change.
-  std::unordered_map<JobId, PlacedJob> jobs_;
-  std::size_t next_order_ = 0;
+  std::vector<PlacedJob> jobs_;                     // Insertion order.
+  std::unordered_map<JobId, std::size_t> slot_of_;  // Id -> index in jobs_.
 };
 
 }  // namespace pm::cluster

@@ -142,15 +142,6 @@ std::vector<double> Fleet::CostVector() const {
   return v;
 }
 
-TaskShape Fleet::FreeShape(const std::string& cluster) const {
-  const Cluster& c = ClusterByName(cluster);
-  TaskShape shape;
-  for (ResourceKind kind : kAllResourceKinds) {
-    shape.Of(kind) = c.Free(kind);
-  }
-  return shape;
-}
-
 Cluster Fleet::ExtractCluster(const std::string& name) {
   PM_CHECK_MSG(clusters_.size() > 1,
                "cannot extract the fleet's last cluster");
@@ -192,8 +183,8 @@ std::string Fleet::LocateJob(JobId id) const {
 std::vector<JobLocation> Fleet::AllJobs() const {
   std::vector<JobLocation> out;
   for (const Cluster& c : clusters_) {
-    for (JobId id : c.JobIds()) {
-      out.push_back(JobLocation{id, c.name()});
+    for (const PlacedJob& placed : c.jobs()) {
+      out.push_back(JobLocation{placed.job.id, c.name()});
     }
   }
   return out;

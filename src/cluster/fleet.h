@@ -77,9 +77,6 @@ class Fleet {
   /// Dense per-pool unit cost c(r).
   std::vector<double> CostVector() const;
 
-  /// One cluster's free capacity (headroom) as a TaskShape.
-  TaskShape FreeShape(const std::string& cluster) const;
-
   /// Detaches a whole cluster — machines, jobs and all — for migration to
   /// another fleet (the federation's rebalancing protocol). The cluster's
   /// pools stay interned (PoolIds are stable for the market's lifetime)

@@ -2,16 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 #include <utility>
 
 #include "common/check.h"
 
 namespace pm::cluster {
-
-int PlacementResult::TotalPlaced() const {
-  return std::accumulate(tasks_placed.begin(), tasks_placed.end(), 0);
-}
 
 namespace {
 

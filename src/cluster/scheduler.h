@@ -39,8 +39,6 @@ struct PlacementResult {
   int tasks_failed = 0;
 
   bool Complete() const { return tasks_failed == 0; }
-
-  int TotalPlaced() const;
 };
 
 /// Places `count` tasks of `shape` one at a time by best fit, mutating

@@ -49,10 +49,8 @@ Market::Market(cluster::Fleet* fleet,
   // §I quota bootstrap: every team starts entitled to exactly what it
   // already runs, and its usage is charged accordingly.
   for (const cluster::Cluster& cl : fleet_->clusters()) {
-    for (cluster::JobId id : cl.JobIds()) {
-      const cluster::Job* job = cl.FindJob(id);
-      PM_CHECK(job != nullptr);
-      ApplyJobQuota(job->team, cl.name(), job->TotalDemand(),
+    for (const cluster::PlacedJob& placed : cl.jobs()) {
+      ApplyJobQuota(placed.job.team, cl.name(), placed.job.TotalDemand(),
                     /*add=*/true);
     }
   }
@@ -120,10 +118,9 @@ cluster::Cluster Market::ExtractCluster(const std::string& name) {
   cluster::Cluster& cl = fleet_->ClusterByName(name);
   // Undo the quota bootstrap for every job leaving with the cluster; the
   // destination market re-applies it on adoption.
-  for (cluster::JobId id : cl.JobIds()) {
-    const cluster::Job* job = cl.FindJob(id);
-    PM_CHECK(job != nullptr);
-    ApplyJobQuota(job->team, name, job->TotalDemand(), /*add=*/false);
+  for (const cluster::PlacedJob& placed : cl.jobs()) {
+    ApplyJobQuota(placed.job.team, name, placed.job.TotalDemand(),
+                  /*add=*/false);
   }
   return fleet_->ExtractCluster(name);
 }
@@ -148,21 +145,21 @@ void Market::AdoptCluster(cluster::Cluster cluster) {
   // only unique per market, and a collision would corrupt fleet-level
   // job lookups. The counter first jumps past every adopted id so no
   // fresh id can land on a job still waiting to be renumbered.
-  // Placements are untouched.
+  // Placements and list order are untouched.
   cluster::Cluster& cl = fleet_->ClusterByName(name);
-  for (const cluster::JobId id : cl.JobIds()) {
-    next_job_id_ = std::max(next_job_id_, id + 1);
+  std::vector<cluster::JobId> ids;
+  ids.reserve(cl.jobs().size());
+  for (const cluster::PlacedJob& placed : cl.jobs()) {
+    ids.push_back(placed.job.id);
+    next_job_id_ = std::max(next_job_id_, placed.job.id + 1);
   }
-  for (const cluster::JobId id : cl.JobIds()) {
-    cl.RenumberJob(id, next_job_id_++);
-  }
+  for (const cluster::JobId id : ids) cl.RenumberJob(id, next_job_id_++);
   // Quota bootstrap for the adopted jobs (their teams may be foreign —
   // administratively owned by another shard's population; the table
   // tracks them all the same).
-  for (cluster::JobId id : cl.JobIds()) {
-    const cluster::Job* job = cl.FindJob(id);
-    PM_CHECK(job != nullptr);
-    ApplyJobQuota(job->team, name, job->TotalDemand(), /*add=*/true);
+  for (const cluster::PlacedJob& placed : cl.jobs()) {
+    ApplyJobQuota(placed.job.team, name, placed.job.TotalDemand(),
+                  /*add=*/true);
   }
 }
 
@@ -446,12 +443,10 @@ void Market::RefreshTeamProfiles() {
   std::vector<Tally> tallies(agents.size());
   const std::vector<cluster::Cluster>& clusters = fleet_->clusters();
   for (std::size_t c = 0; c < clusters.size(); ++c) {
-    for (cluster::JobId id : clusters[c].JobIds()) {
-      const cluster::Job* job = clusters[c].FindJob(id);
-      PM_CHECK(job != nullptr);
-      const auto it = slot_of.find(job->team);
+    for (const cluster::PlacedJob& placed : clusters[c].jobs()) {
+      const auto it = slot_of.find(placed.job.team);
       if (it == slot_of.end()) continue;  // Not a resident team.
-      const cluster::TaskShape demand = job->TotalDemand();
+      const cluster::TaskShape demand = placed.job.TotalDemand();
       Tally& tally = tallies[it->second];
       tally.footprint += demand;
       if (tally.cpu.empty() || tally.cpu.back().first != c) {

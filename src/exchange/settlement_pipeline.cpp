@@ -160,10 +160,9 @@ void SettlementPipeline::ApplyPhysical(
     // over-release returns to the operator's free pool).
     cluster::Cluster& cl = fleet_->ClusterByName(cluster_name);
     std::vector<std::pair<double, cluster::JobId>> candidates;
-    for (cluster::JobId id : cl.JobIds()) {
-      const cluster::Job* job = cl.FindJob(id);
-      if (job != nullptr && job->team == team) {
-        candidates.emplace_back(job->TotalDemand().cpu, id);
+    for (const cluster::PlacedJob& placed : cl.jobs()) {
+      if (placed.job.team == team) {
+        candidates.emplace_back(placed.job.TotalDemand().cpu, placed.job.id);
       }
     }
     std::sort(candidates.rbegin(), candidates.rend());

@@ -106,27 +106,25 @@ std::vector<std::uint8_t> Market::Snapshot(
     s.WriteString(key.cluster);
     s.WriteU8(static_cast<std::uint8_t>(key.kind));
   }
-  const std::vector<std::string> cluster_names = fleet_->ClusterNames();
-  s.WriteU32(static_cast<std::uint32_t>(cluster_names.size()));
-  for (const std::string& name : cluster_names) {
-    const cluster::Cluster& cl = fleet_->ClusterByName(name);
-    s.WriteString(name);
+  const std::vector<cluster::Cluster>& clusters = fleet_->clusters();
+  s.WriteU32(static_cast<std::uint32_t>(clusters.size()));
+  for (const cluster::Cluster& cl : clusters) {
+    s.WriteString(cl.name());
     s.WriteU32(static_cast<std::uint32_t>(cl.NumMachines()));
     for (const cluster::Machine& m : cl.machines()) {
       WriteShape(s, m.capacity());
       WriteShape(s, m.used());
     }
-    const std::vector<cluster::Cluster::PlacedJobRecord> jobs =
-        cl.ExportJobs();
-    s.WriteU32(static_cast<std::uint32_t>(jobs.size()));
-    for (const cluster::Cluster::PlacedJobRecord& rec : jobs) {
-      s.WriteU64(rec.job.id);
-      s.WriteString(rec.job.team);
-      WriteShape(s, rec.job.shape);
-      s.WriteI32(rec.job.tasks);
-      s.WriteU32(static_cast<std::uint32_t>(rec.placement.tasks_placed.size()));
-      for (int t : rec.placement.tasks_placed) s.WriteI32(t);
-      s.WriteI32(rec.placement.tasks_failed);
+    s.WriteU32(static_cast<std::uint32_t>(cl.jobs().size()));
+    for (const cluster::PlacedJob& placed : cl.jobs()) {
+      s.WriteU64(placed.job.id);
+      s.WriteString(placed.job.team);
+      WriteShape(s, placed.job.shape);
+      s.WriteI32(placed.job.tasks);
+      s.WriteU32(
+          static_cast<std::uint32_t>(placed.placement.tasks_placed.size()));
+      for (int t : placed.placement.tasks_placed) s.WriteI32(t);
+      s.WriteI32(placed.placement.tasks_failed);
     }
   }
 
@@ -242,10 +240,10 @@ void Market::Restore(const std::vector<std::uint8_t>& frame) {
     }
     cluster::Cluster cl(std::move(name), std::move(machines));
     const std::uint32_t num_jobs = Req(d.ReadCount(kMinJobBytes), "job count");
-    std::vector<cluster::Cluster::PlacedJobRecord> records;
-    records.reserve(num_jobs);
+    std::vector<cluster::PlacedJob> jobs;
+    jobs.reserve(num_jobs);
     for (std::uint32_t j = 0; j < num_jobs; ++j) {
-      cluster::Cluster::PlacedJobRecord rec;
+      cluster::PlacedJob rec;
       rec.job.id = Req(d.ReadU64(), "job id");
       rec.job.team = Req(d.ReadString(), "job team");
       rec.job.shape = ReadShape(d);
@@ -258,9 +256,9 @@ void Market::Restore(const std::vector<std::uint8_t>& frame) {
             Req(d.ReadI32(), "task placement"));
       }
       rec.placement.tasks_failed = Req(d.ReadI32(), "tasks failed");
-      records.push_back(std::move(rec));
+      jobs.push_back(std::move(rec));
     }
-    cl.RestoreJobs(std::move(records));
+    cl.RestoreJobs(std::move(jobs));
     clusters.push_back(std::move(cl));
   }
   *fleet_ = cluster::Fleet::FromState(std::move(clusters), pool_order,

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <array>
 #include <limits>
+#include <map>
 #include <numeric>
 #include <optional>
 #include <random>
@@ -645,6 +646,29 @@ TEST(WorkloadGenTest, EveryTeamHasViableProfile) {
     EXPECT_GE(p.footprint.cpu, 1.0);
     EXPECT_GT(p.relocation_cost, 0.0);
     EXPECT_GE(p.value_multiplier, 1.0);
+  }
+}
+
+TEST(WorkloadGenTest, FootprintsSumEachTeamsPlacedJobs) {
+  WorkloadConfig config;
+  config.num_clusters = 8;
+  config.num_teams = 40;
+  config.seed = 20090425;
+  const World world = GenerateWorld(config);
+  // Reference: each team's placed jobs summed in fleet order, cluster by
+  // cluster; a team under one core keeps the seed footprint.
+  std::map<std::string, cluster::TaskShape> summed;
+  for (const cluster::Cluster& cl : world.fleet.clusters()) {
+    for (const cluster::PlacedJob& placed : cl.jobs()) {
+      summed[placed.job.team] += placed.job.TotalDemand();
+    }
+  }
+  ASSERT_GT(summed.size(), 10u);
+  for (const TeamAgent& agent : world.agents) {
+    const TeamProfile& p = agent.profile();
+    cluster::TaskShape expected = summed[p.name];
+    if (expected.cpu < 1.0) expected = cluster::TaskShape{8.0, 32.0, 1.0};
+    EXPECT_EQ(p.footprint, expected) << p.name;
   }
 }
 

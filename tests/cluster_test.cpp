@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 #include <random>
 
 #include "cluster/fleet.h"
@@ -104,7 +105,8 @@ TEST(SchedulerTest, ReportsFailuresWhenFull) {
   std::vector<Machine> machines = {Machine({4.0, 4.0, 4.0})};
   const PlacementResult r = PlaceTasks(machines, {3.0, 1.0, 1.0}, 3);
   EXPECT_FALSE(r.Complete());
-  EXPECT_EQ(r.TotalPlaced(), 1);
+  EXPECT_EQ(std::accumulate(r.tasks_placed.begin(), r.tasks_placed.end(), 0),
+            1);
   EXPECT_EQ(r.tasks_failed, 2);
 }
 
@@ -184,12 +186,84 @@ TEST(ClusterTest, DuplicateJobIdThrows) {
   EXPECT_THROW(c.AddJob(MakeJob(1, "b")), CheckFailure);
 }
 
-TEST(ClusterTest, JobIdsInInsertionOrder) {
+std::vector<JobId> IdsOf(const Cluster& c) {
+  std::vector<JobId> ids;
+  for (const PlacedJob& placed : c.jobs()) ids.push_back(placed.job.id);
+  return ids;
+}
+
+TEST(ClusterTest, JobsInInsertionOrder) {
   Cluster c = Cluster::Homogeneous("c1", 8, kMachine);
   for (JobId id : {5, 2, 9}) {
     ASSERT_TRUE(c.AddJob(MakeJob(id, "t", 1)));
   }
-  EXPECT_EQ(c.JobIds(), (std::vector<JobId>{5, 2, 9}));
+  EXPECT_EQ(IdsOf(c), (std::vector<JobId>{5, 2, 9}));
+}
+
+TEST(ClusterTest, JobListMatchesReferenceModel) {
+  // Seeded adds, removals at the front, middle and back, renumbers and
+  // restores of a copy, each checked against a plain id list: the job
+  // list keeps insertion order, every lookup lands on its own job, and
+  // the cached usage equals a fresh machine sum.
+  Cluster c = Cluster::Homogeneous("c1", 6, kMachine);
+  std::vector<JobId> model;
+  std::vector<JobId> gone;  // Removed, renumbered away or never placed.
+  std::mt19937_64 rng(1969);
+  JobId next_id = 1;
+  int removals = 0;
+  int renumbers = 0;
+  int restores = 0;
+  for (int step = 0; step < 400; ++step) {
+    const int op = static_cast<int>(rng() % 8);
+    if (op <= 3 || model.size() < 3) {
+      const JobId id = next_id++;
+      if (c.AddJob(MakeJob(id, "t", 1 + static_cast<int>(rng() % 3)))) {
+        model.push_back(id);
+      } else {
+        gone.push_back(id);
+      }
+    } else if (op <= 5) {
+      const std::size_t positions[] = {0, model.size() / 2, model.size() - 1};
+      const std::size_t at = positions[rng() % 3];
+      const std::optional<Job> removed = c.RemoveJob(model[at]);
+      ASSERT_TRUE(removed.has_value());
+      EXPECT_EQ(removed->id, model[at]);
+      gone.push_back(model[at]);
+      model.erase(model.begin() + static_cast<std::ptrdiff_t>(at));
+      ++removals;
+    } else if (op == 6) {
+      const std::size_t at = rng() % model.size();
+      const JobId to = next_id++;
+      c.RenumberJob(model[at], to);
+      gone.push_back(model[at]);
+      model[at] = to;
+      ++renumbers;
+    } else {
+      Cluster copy(c.name(), c.machines());
+      copy.RestoreJobs(c.jobs());
+      c = std::move(copy);
+      ++restores;
+    }
+    ASSERT_EQ(IdsOf(c), model) << "step " << step;
+    for (JobId id : model) {
+      ASSERT_TRUE(c.HasJob(id)) << "step " << step;
+      const Job* job = c.FindJob(id);
+      ASSERT_NE(job, nullptr) << "step " << step;
+      ASSERT_EQ(job->id, id) << "step " << step;
+    }
+    for (JobId id : gone) {
+      ASSERT_FALSE(c.HasJob(id)) << "step " << step;
+      ASSERT_EQ(c.FindJob(id), nullptr) << "step " << step;
+    }
+    for (ResourceKind kind : kAllResourceKinds) {
+      double used = 0.0;
+      for (const Machine& m : c.machines()) used += m.used().Of(kind);
+      ASSERT_EQ(c.Used(kind), used) << "step " << step;
+    }
+  }
+  EXPECT_GT(removals, 50);
+  EXPECT_GT(renumbers, 20);
+  EXPECT_GT(restores, 20);
 }
 
 TEST(ClusterTest, UtilizationAggregatesMachines) {

@@ -2,8 +2,10 @@
 // Market orchestrator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -384,6 +386,42 @@ TEST(MarketTest, SnapshotIntoStaleBufferMatchesFreshSnapshot) {
   EXPECT_EQ(reused.data(), storage);
 }
 
+/// Appends the FrameChecksum of `payload`, as Serializer does on finish.
+std::vector<std::uint8_t> Reseal(std::vector<std::uint8_t> payload) {
+  const std::uint64_t checksum =
+      net::FrameChecksum(payload.data(), payload.size());
+  for (int i = 0; i < 8; ++i) {
+    payload.push_back(static_cast<std::uint8_t>(checksum >> (8 * i)));
+  }
+  return payload;
+}
+
+void PutU32(std::vector<std::uint8_t>& bytes, std::size_t offset,
+            std::uint32_t value) {
+  for (int i = 0; i < 4; ++i) {
+    bytes[offset + i] = static_cast<std::uint8_t>(value >> (8 * i));
+  }
+}
+
+/// `frame` with its payload's u32 at `offset` overwritten by `value` and
+/// the checksum trailer recomputed, so only the tampered field can fail.
+std::vector<std::uint8_t> ResealWithU32(
+    const std::vector<std::uint8_t>& frame, std::size_t offset,
+    std::uint32_t value) {
+  std::vector<std::uint8_t> out(frame.begin(), frame.end() - 8);
+  PutU32(out, offset, value);
+  return Reseal(std::move(out));
+}
+
+std::uint32_t U32At(const std::vector<std::uint8_t>& frame,
+                    std::size_t offset) {
+  std::uint32_t v = 0;
+  for (int i = 0; i < 4; ++i) {
+    v |= static_cast<std::uint32_t>(frame[offset + i]) << (8 * i);
+  }
+  return v;
+}
+
 TEST(MarketTest, RestoreRejectsPlacementOtherThanBestFit) {
   agents::World world = GenerateWorld(SmallWorldConfig());
   Market market(&world.fleet, &world.agents, world.fixed_prices,
@@ -392,10 +430,7 @@ TEST(MarketTest, RestoreRejectsPlacementOtherThanBestFit) {
   // The fleet section's placement byte follows the version, the
   // fixed-price vector (u32 count, then 8 bytes each), `endowed`, the
   // next job id, 4 RNG words and the unit-cost shape.
-  std::uint32_t num_prices = 0;
-  for (int i = 0; i < 4; ++i) {
-    num_prices |= static_cast<std::uint32_t>(frame[4 + i]) << (8 * i);
-  }
+  const std::uint32_t num_prices = U32At(frame, 4);
   ASSERT_EQ(num_prices, world.fleet.NumPools());
   const std::size_t placement = 4 + 4 + 8 * num_prices + 1 + 8 + 4 * 8 + 3 * 8;
   ASSERT_EQ(frame[placement], 1);  // Best fit.
@@ -404,19 +439,86 @@ TEST(MarketTest, RestoreRejectsPlacementOtherThanBestFit) {
     // Re-seal the tampered payload so only the placement check can fail.
     std::vector<std::uint8_t> tampered(frame.begin(), frame.end() - 8);
     tampered[placement] = bad;
-    const std::uint64_t checksum =
-        net::FrameChecksum(tampered.data(), tampered.size());
-    for (int i = 0; i < 8; ++i) {
-      tampered.push_back(static_cast<std::uint8_t>(checksum >> (8 * i)));
-    }
     try {
-      market.Restore(tampered);
+      market.Restore(Reseal(std::move(tampered)));
       FAIL() << "placement byte " << int{bad} << " restored";
     } catch (const pm::CheckFailure& e) {
       EXPECT_NE(std::string(e.what()).find("placement byte " +
                                            std::to_string(int{bad})),
                 std::string::npos)
           << e.what();
+    }
+  }
+}
+
+TEST(MarketTest, RestoreRejectsPlacementNoAddJobCouldMake) {
+  agents::World world = GenerateWorld(SmallWorldConfig());
+  Market market(&world.fleet, &world.agents, world.fixed_prices,
+                FastMarketConfig());
+  const std::vector<std::uint8_t> frame = market.Snapshot();
+  // Find the first cluster's first placed job by its record header (id,
+  // team, shape, task count, machine count); one i32 per machine and the
+  // failed-task count follow it.
+  // Copies: each Restore below replaces the fleet's clusters.
+  const cluster::Cluster cl = world.fleet.clusters().front();
+  ASSERT_FALSE(cl.jobs().empty());
+  const cluster::PlacedJob first = cl.jobs().front();
+  net::Serializer header;
+  header.WriteU64(first.job.id);
+  header.WriteString(first.job.team);
+  header.WriteDouble(first.job.shape.cpu);
+  header.WriteDouble(first.job.shape.ram_gb);
+  header.WriteDouble(first.job.shape.disk_tb);
+  header.WriteI32(first.job.tasks);
+  header.WriteU32(static_cast<std::uint32_t>(cl.NumMachines()));
+  const auto found = std::search(frame.begin(), frame.end(),
+                                 header.bytes().begin(), header.bytes().end());
+  ASSERT_NE(found, frame.end());
+  const std::size_t counts =
+      static_cast<std::size_t>(found - frame.begin()) + header.bytes().size();
+  const std::size_t machines = cl.NumMachines();
+  const std::size_t failed = counts + 4 * machines;
+  const std::vector<int>& placed = first.placement.tasks_placed;
+  const auto on = std::find_if(placed.begin(), placed.end(),
+                               [](int n) { return n > 0; });
+  const auto off = std::find(placed.begin(), placed.end(), 0);
+  ASSERT_NE(on, placed.end());
+  ASSERT_NE(off, placed.end());
+  const std::size_t used_at = counts + 4 * (on - placed.begin());
+  const std::size_t unused_at = counts + 4 * (off - placed.begin());
+
+  const std::vector<std::uint8_t> payload(frame.begin(), frame.end() - 8);
+  market.Restore(Reseal(payload));
+  const std::vector<std::pair<
+      const char*, std::function<void(std::vector<std::uint8_t>&)>>>
+      corruptions = {
+          {"one machine short",
+           [&](std::vector<std::uint8_t>& p) {
+             p.erase(p.begin() + static_cast<std::ptrdiff_t>(failed - 4),
+                     p.begin() + static_cast<std::ptrdiff_t>(failed));
+             PutU32(p, counts - 4, static_cast<std::uint32_t>(machines - 1));
+           }},
+          {"a failed task",
+           [&](std::vector<std::uint8_t>& p) { PutU32(p, failed, 1); }},
+          {"a negative count, same sum",
+           [&](std::vector<std::uint8_t>& p) {
+             PutU32(p, used_at, static_cast<std::uint32_t>(*on + 1));
+             PutU32(p, unused_at, static_cast<std::uint32_t>(-1));
+           }},
+          {"one task too many",
+           [&](std::vector<std::uint8_t>& p) { PutU32(p, unused_at, 1); }},
+      };
+  const std::string names_job =
+      "job " + std::to_string(first.job.id) + " in restore of " + cl.name();
+  for (const auto& [what, corrupt] : corruptions) {
+    std::vector<std::uint8_t> tampered = payload;
+    corrupt(tampered);
+    try {
+      market.Restore(Reseal(std::move(tampered)));
+      ADD_FAILURE() << what << " restored";
+    } catch (const pm::CheckFailure& e) {
+      EXPECT_NE(std::string(e.what()).find(names_job), std::string::npos)
+          << what << ": " << e.what();
     }
   }
 }
@@ -454,31 +556,6 @@ TEST(MarketTest, TradesOnExtractedPoolsRecordNoSample) {
     EXPECT_GE(t.util_percentile, 0.0);
     EXPECT_LE(t.util_percentile, 100.0);
   }
-}
-
-/// `frame` with its payload's u32 at `offset` overwritten by `value` and
-/// the checksum trailer recomputed, so only the tampered field can fail.
-std::vector<std::uint8_t> ResealWithU32(
-    const std::vector<std::uint8_t>& frame, std::size_t offset,
-    std::uint32_t value) {
-  std::vector<std::uint8_t> out(frame.begin(), frame.end() - 8);
-  for (int i = 0; i < 4; ++i) {
-    out[offset + i] = static_cast<std::uint8_t>(value >> (8 * i));
-  }
-  const std::uint64_t checksum = net::FrameChecksum(out.data(), out.size());
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>(checksum >> (8 * i)));
-  }
-  return out;
-}
-
-std::uint32_t U32At(const std::vector<std::uint8_t>& frame,
-                    std::size_t offset) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(frame[offset + i]) << (8 * i);
-  }
-  return v;
 }
 
 TEST(MarketTest, RestoreRefusesCountsBeyondTheFrame) {

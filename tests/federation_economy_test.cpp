@@ -442,7 +442,7 @@ TEST(MarketMigrationTest, ExtractAdoptMovesClusterIntact) {
   const std::size_t dest_clusters = dest.fleet.NumClusters();
   const std::size_t dest_pools = dest.fleet.NumPools();
   const cluster::Cluster& before = source.fleet.ClusterByName(victim);
-  const std::size_t moved_jobs = before.JobIds().size();
+  const std::size_t moved_jobs = before.jobs().size();
   const double moved_capacity = before.Capacity(ResourceKind::kCpu);
   ASSERT_GT(moved_jobs, 0u);
 
@@ -461,12 +461,12 @@ TEST(MarketMigrationTest, ExtractAdoptMovesClusterIntact) {
   EXPECT_EQ(dest.fleet.NumPools(), dest_pools + kNumResourceKinds);
   const cluster::Cluster& adopted =
       dest.fleet.ClusterByName(victim + "@src");
-  EXPECT_EQ(adopted.JobIds().size(), moved_jobs);
+  EXPECT_EQ(adopted.jobs().size(), moved_jobs);
   EXPECT_EQ(adopted.Capacity(ResourceKind::kCpu), moved_capacity);
   // The market extended its per-pool state: fixed prices cover the new
   // pools and the adopted jobs' teams are charged quota there.
   EXPECT_EQ(dest_market.fixed_prices().size(), dest.fleet.NumPools());
-  const cluster::Job* job = adopted.FindJob(adopted.JobIds().front());
+  const cluster::Job* job = adopted.FindJob(adopted.jobs().front().job.id);
   ASSERT_NE(job, nullptr);
   const auto adopted_pool = dest.fleet.registry().Find(
       PoolKey{victim + "@src", ResourceKind::kCpu});
@@ -492,8 +492,8 @@ TEST(MarketMigrationTest, CannotExtractLastClusterAndQuotaSurvives) {
   // caller recovering from the failure keeps a consistent table.
   const std::string last = world.fleet.ClusterNames().front();
   const cluster::Cluster& cl = world.fleet.ClusterByName(last);
-  ASSERT_FALSE(cl.JobIds().empty());
-  const cluster::Job* job = cl.FindJob(cl.JobIds().front());
+  ASSERT_FALSE(cl.jobs().empty());
+  const cluster::Job* job = cl.FindJob(cl.jobs().front().job.id);
   ASSERT_NE(job, nullptr);
   const auto pool =
       world.fleet.registry().Find(PoolKey{last, ResourceKind::kCpu});

@@ -501,7 +501,8 @@ TEST(ExternalBidTest, SettlesThroughTheNormalPath) {
   std::string cluster;
   double best_free = -1.0;
   for (const std::string& name : world.fleet.ClusterNames()) {
-    const double free = world.fleet.FreeShape(name).cpu;
+    const double free =
+        world.fleet.ClusterByName(name).Free(ResourceKind::kCpu);
     if (free > best_free) {
       best_free = free;
       cluster = name;

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <numeric>
 #include <sstream>
 
 #include "agents/workload_gen.h"
@@ -118,7 +119,10 @@ TEST_P(PlacementPropertyTest, NeverExceedsCapacityAndUndoRestores) {
                                    rng.Uniform(0.1, 3.0)};
     const int count = static_cast<int>(rng.UniformInt(1, 10));
     cluster::PlacementResult result = PlaceTasks(machines, shape, count);
-    EXPECT_EQ(result.TotalPlaced() + result.tasks_failed, count);
+    EXPECT_EQ(std::accumulate(result.tasks_placed.begin(),
+                              result.tasks_placed.end(), 0) +
+                  result.tasks_failed,
+              count);
     for (const cluster::Machine& m : machines) {
       for (ResourceKind kind : kAllResourceKinds) {
         EXPECT_LE(m.used().Of(kind),

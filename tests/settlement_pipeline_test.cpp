@@ -49,7 +49,7 @@ struct SpaciousCluster {
 SpaciousCluster MostSpaciousCluster(const cluster::Fleet& fleet) {
   SpaciousCluster best;
   for (const std::string& name : fleet.ClusterNames()) {
-    const double free = fleet.FreeShape(name).cpu;
+    const double free = fleet.ClusterByName(name).Free(ResourceKind::kCpu);
     if (free <= best.free_cpu) continue;
     best.name = name;
     best.free_cpu = free;
@@ -152,7 +152,8 @@ TEST(SettlementPipelineTest, PartialPlacementRefundsUnplacedProRata) {
   // A small second part in another cluster that places trivially.
   std::string other;
   for (const std::string& name : world.fleet.ClusterNames()) {
-    if (name != big.name && world.fleet.FreeShape(name).cpu > 4.0) {
+    if (name != big.name &&
+        world.fleet.ClusterByName(name).Free(ResourceKind::kCpu) > 4.0) {
       other = name;
     }
   }
